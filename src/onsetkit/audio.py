@@ -182,6 +182,8 @@ def load_annotations(path: str | Path) -> OnsetAnnotations:
                 t = float(stripped)
             except ValueError:
                 raise AnnotationError(f"{path}:{lineno}: not a number: {stripped!r}") from None
+            if not np.isfinite(t):
+                raise AnnotationError(f"{path}:{lineno}: non-finite onset time {stripped!r}")
             if t < 0:
                 raise AnnotationError(f"{path}:{lineno}: negative onset time {t}")
             times.append(t)

@@ -21,6 +21,7 @@ import json
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from .models import (
     Model,
     build_model,
     canonical_freeze_ids,
+    clone_model,
     load_model,
 )
 from .synth import MANIFEST_NAME, CorpusSpec, InstrumentProfile, generate_corpus, load_manifest, make_profile
@@ -259,35 +261,55 @@ def run_cycle(model_path, instrument: str, freeze_id: str, config: ExperimentCon
 
     Verifies that every frozen tensor survives fine-tuning bitwise unchanged.
     """
-    t0 = time.perf_counter()
-    try:
+    with _cycle_identity(instrument, freeze_id):
         base = load_model(model_path)
         if dataset is None:
             dataset = load_dataset(_corpus_path(config))
         if instrument not in dataset:
             raise ConfigError(f"instrument {instrument!r} not in dataset")
         pairs = dataset[instrument]
-        feats, targets, held = extract_snippet(pairs, config.snippet_offset, config.snippet_duration)
-        freeze = FreezeConfig.from_id(freeze_id)
-        seed = row_seed(config.seed, base.variant, instrument, freeze_id)
-        ft = FinetuneConfig(freeze=freeze, seed=seed, epochs=config.epochs,
-                            lr_scale=config.lr_scale, base_lr=config.base_lr,
-                            dropout_active=config.dropout_active)
-        adapted = finetune(base, (feats, targets), ft)
-        _check_frozen_unchanged(base, adapted, freeze)
-        result = evaluate_model(adapted, pairs, held, config.peak_pick, config.tolerance, cache)
-        if baseline is None:
-            baseline = evaluate_model(base, pairs, held, config.peak_pick, config.tolerance, cache)
-        per_file = tuple(result.per_file[i][3] for i in sorted(result.per_file))
-        return ResultRow(
-            model=base.variant, instrument=instrument, freeze_id=freeze_id,
-            mean_f1=result.mean_f1, baseline_f1=baseline.mean_f1,
-            delta_pp=delta_pp(result, baseline), n_files=len(per_file),
-            seed=seed, wall_s=time.perf_counter() - t0, per_file_f1=per_file,
-        )
+        snippet = extract_snippet(pairs, config.snippet_offset, config.snippet_duration)
+        return _adapt_and_score(base, pairs, snippet, instrument, freeze_id, config,
+                                cache, baseline)
+
+
+@contextmanager
+def _cycle_identity(instrument: str, freeze_id: str):
+    """Prefix any error raised inside with the cycle it belongs to."""
+    try:
+        yield
     except Exception as e:
         e.args = (f"[{instrument}/{freeze_id}] {e}",)
         raise
+
+
+def _adapt_and_score(base: Model, pairs, snippet, instrument: str, freeze_id: str,
+                     config: ExperimentConfig, cache: dict | None,
+                     baseline: EvalResult | None) -> ResultRow:
+    """One cycle from a loaded base and its cut (features, targets, held) snippet.
+
+    The base is only read here unless no baseline is given, in which case
+    it is also scored (and its layer caches written).
+    """
+    t0 = time.perf_counter()
+    feats, targets, held = snippet
+    freeze = FreezeConfig.from_id(freeze_id)
+    seed = row_seed(config.seed, base.variant, instrument, freeze_id)
+    ft = FinetuneConfig(freeze=freeze, seed=seed, epochs=config.epochs,
+                        lr_scale=config.lr_scale, base_lr=config.base_lr,
+                        dropout_active=config.dropout_active)
+    adapted = finetune(base, (feats, targets), ft)
+    _check_frozen_unchanged(base, adapted, freeze)
+    result = evaluate_model(adapted, pairs, held, config.peak_pick, config.tolerance, cache)
+    if baseline is None:
+        baseline = evaluate_model(base, pairs, held, config.peak_pick, config.tolerance, cache)
+    per_file = tuple(result.per_file[i][3] for i in sorted(result.per_file))
+    return ResultRow(
+        model=base.variant, instrument=instrument, freeze_id=freeze_id,
+        mean_f1=result.mean_f1, baseline_f1=baseline.mean_f1,
+        delta_pp=delta_pp(result, baseline), n_files=len(per_file),
+        seed=seed, wall_s=time.perf_counter() - t0, per_file_f1=per_file,
+    )
 
 
 def _check_frozen_unchanged(base: Model, adapted: Model, freeze: FreezeConfig) -> None:
@@ -332,20 +354,24 @@ def run_grid(config: ExperimentConfig, threads: int = 1) -> list:
         if variant not in config.base_models:
             raise ConfigError(f"no base model configured for {variant}; pretrain first")
 
+    # Base model, snippet and baseline once per (variant, instrument). Scoring
+    # a copy keeps the base that the cycles share free of layer caches, and
+    # this pass fills the feature cache, so threaded cycles only read both.
     cache: dict = {}
-    baselines = {}
+    prepared = {}
     for variant in config.models:
         base = load_model(config.base_models[variant])
         if base.variant != variant:
             raise ConfigError(f"{config.base_models[variant]} holds {base.variant}, expected {variant}")
         for name in instruments:
             try:
-                _, _, held = extract_snippet(dataset[name], config.snippet_offset,
-                                             config.snippet_duration)
-                baselines[variant, name] = evaluate_model(
-                    base, dataset[name], held, config.peak_pick, config.tolerance, cache)
+                snippet = extract_snippet(dataset[name], config.snippet_offset,
+                                          config.snippet_duration)
+                baseline = evaluate_model(clone_model(base), dataset[name], snippet[2],
+                                          config.peak_pick, config.tolerance, cache)
+                prepared[variant, name] = (base, snippet, baseline)
             except Exception as e:  # recorded on every row of this pair, grid continues
-                baselines[variant, name] = e
+                prepared[variant, name] = e
 
     jobs = [(variant, name, fid)
             for variant in config.models
@@ -356,11 +382,13 @@ def run_grid(config: ExperimentConfig, threads: int = 1) -> list:
 
     def one(job):
         variant, name, fid = job
-        baseline = baselines[variant, name]
-        if isinstance(baseline, Exception):
-            raise baseline
-        return run_cycle(config.base_models[variant], name, fid, config,
-                         dataset=dataset, cache=cache, baseline=baseline)
+        pair = prepared[variant, name]
+        if isinstance(pair, Exception):
+            raise pair
+        base, snippet, baseline = pair
+        with _cycle_identity(name, fid):
+            return _adapt_and_score(base, dataset[name], snippet, name, fid, config, cache,
+                                    baseline)
 
     with open(journal, "w") as log:
         def record(job, row=None, error=None):

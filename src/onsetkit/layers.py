@@ -3,6 +3,10 @@
 Conventions shared by every layer:
   - forward(x, training=..., rng=...) caches whatever backward needs
   - backward(gy) returns the input gradient and fills self.grads
+  - a model calls backward only on its blocks from the output down to the
+    lowest trainable one; below that, layers skip backward entirely, so
+    Model.backward returns dLoss/dfeatures only when its first block is
+    trainable and None otherwise
   - parameters live in self.params; compute runs in float64 regardless of
     the stored parameter dtype (models keep float32, gradcheck float64)
 

@@ -208,12 +208,21 @@ class Model:
         return x
 
     def backward(self, g_activation):
+        """Fill the grads of every trainable block from dLoss/dactivation.
+
+        Blocks are walked from Out down to the lowest trainable one and no
+        further: blocks below it run no backward, so they form no gradients
+        (their grads keep whatever they held). Frozen blocks above it still
+        pass the input gradient through. Returns dLoss/dfeatures as
+        (frames, bands, 1) when Conv1 is trainable, otherwise None.
+        """
         g = np.asarray(g_activation, dtype=np.float64)
-        for nl in reversed(self.layers):
+        lowest = next((i for i, nl in enumerate(self.layers) if nl.trainable), len(self.layers))
+        for nl in reversed(self.layers[lowest:]):
             g = nl.block.backward(g)
             if nl.name == "Tcn1":  # entering the front-end: restore band axis
                 g = g[:, None, :]
-        return g
+        return g if lowest == 0 else None
 
     def param_dict(self, trainable_only=False) -> dict[str, np.ndarray]:
         out = {}
@@ -398,6 +407,12 @@ def load_model(path) -> Model:
     header = data[:nl_pos].decode("ascii", errors="replace").splitlines()
     blob = data[nl_pos + 1 :]
 
+    def number(parse, text, what):
+        try:
+            return parse(text)
+        except ValueError:
+            raise ModelFormatError(f"{what} is not a number: {text!r}") from None
+
     fields: dict[str, str] = {}
     tensors: list[tuple[str, tuple[int, ...]]] = []
     for i, line in enumerate(header):
@@ -405,21 +420,28 @@ def load_model(path) -> Model:
         if i == 0:
             if parts[:1] != [MAGIC] or len(parts) != 2:
                 raise ModelFormatError(f"not a model file: {line!r}")
-            if int(parts[1]) != FORMAT_VERSION:
+            if number(int, parts[1], "format version") != FORMAT_VERSION:
                 raise ModelFormatError(f"unsupported format version {parts[1]}")
+        elif len(parts) < 2:
+            raise ModelFormatError(f"header line {i + 1} has no value: {line!r}")
         elif parts[0] == "tensor":
-            tensors.append((parts[1], tuple(int(s) for s in parts[2:])))
-        elif parts[0] == "blob":
-            pass
-        else:
+            shape = tuple(number(int, s, f"a dimension of {parts[1]}") for s in parts[2:])
+            tensors.append((parts[1], shape))
+        elif parts[0] != "blob":
             fields[parts[0]] = parts[1]
-    declared = int(header[-1].split()[1])
+    for key in ("variant", "seed", "dropout"):
+        if key not in fields:
+            raise ModelFormatError(f"header has no {key} line")
+    if fields["variant"] not in VARIANTS:
+        raise ModelFormatError(f"unknown variant {fields['variant']!r}")
+    declared = number(int, header[-1].split()[1], "blob size")
     if declared != sum(int(np.prod(s)) for _, s in tensors):
         raise ModelFormatError("blob size disagrees with tensor shapes")
     if len(blob) != declared * 4:
         raise ModelFormatError(f"blob holds {len(blob)} bytes, expected {declared * 4}")
 
-    model = build_model(fields["variant"], int(fields["seed"]), dropout_rate=float(fields["dropout"]))
+    model = build_model(fields["variant"], number(int, fields["seed"], "seed"),
+                        dropout_rate=number(float, fields["dropout"], "dropout"))
     params = model.param_dict()
     if [n for n, _ in tensors] != list(params):
         raise ModelFormatError("tensor list does not match the declared variant")

@@ -188,6 +188,14 @@ def test_annotations_comments_and_errors(tmp_path):
         load_annotations(neg)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+def test_annotations_reject_non_finite_times(tmp_path, bad):
+    p = tmp_path / "nf.onsets"
+    p.write_text(f"0.5\n{bad}\n1.0\n")
+    with pytest.raises(AnnotationError, match=r"nf\.onsets:2: non-finite"):
+        load_annotations(p)
+
+
 def test_empty_annotations(tmp_path):
     p = tmp_path / "e.onsets"
     p.write_text("# nothing\n")

@@ -99,6 +99,14 @@ def test_detect_then_eval_runs(corpus, model_file, tmp_path, capsys):
     assert last.startswith("P=") and "F1=" in last
 
 
+def test_detect_malformed_model_exits_2(corpus, model_file, tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(model_file.read_bytes().replace(b"variant tcn_v1\n", b"", 1))
+    assert main(["detect", str(bad), str(corpus / "drone_tone_02.wav")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: header has no variant line"]
+
+
 def test_pretrain_finetune_cli(corpus, tmp_path):
     base = tmp_path / "base.model"
     assert main(["pretrain", str(corpus), "--out", str(base), "--variant", "tcn_v1",

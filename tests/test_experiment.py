@@ -152,6 +152,23 @@ def test_run_grid_rows_and_reports(corpus, base_models, tmp_path):
     assert strip_wall_column(csv_path.read_text()) == strip_wall_column(csv_b.read_text())
 
 
+def test_run_grid_prepares_each_pair_once(corpus, base_models, tmp_path, monkeypatch):
+    import onsetkit.experiment as experiment
+
+    calls = []
+    for name in ("load_model", "extract_snippet"):
+        def counted(*args, _name=name, _inner=getattr(experiment, name), **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(experiment, name, counted)
+    config = quick_config(corpus, base_models, tmp_path, epochs=1,
+                          models=("tcn_v1", "tcn_v2"), freeze_configs=("ft", "ft_Conv3"))
+    rows = run_grid(config)
+    assert len(rows) == 8  # 2 models x 2 instruments x 2 configs
+    assert calls.count("load_model") == 2  # one per model
+    assert calls.count("extract_snippet") == 4  # one per (model, instrument)
+
+
 def test_run_grid_survives_cycle_failure(base_models, tmp_path):
     spec = CorpusSpec((make_profile("good", "voicing", 1),
                        dataclasses.replace(make_profile("bad", "voicing", 1),

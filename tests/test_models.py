@@ -5,6 +5,7 @@ from onsetkit.errors import ConfigError, ModelFormatError, ShapeError
 from onsetkit.models import (
     FREEZABLE,
     LAYER_NAMES,
+    VARIANTS,
     FreezeConfig,
     apply_freeze,
     build_model,
@@ -183,6 +184,41 @@ def test_freeze_never_changes_forward():
         assert np.array_equal(m.forward(x), base)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_backward_stops_at_lowest_trainable_block(variant):
+    x = np.random.default_rng(14).uniform(0, 1, (64, 81))
+    g = np.random.default_rng(15).standard_normal(64)
+    full = build_model(variant, seed=16)
+    act = full.forward(x, training=True, rng=np.random.default_rng(17))
+    full_gx = full.backward(g)
+    assert full_gx.shape == (64, 81, 1)
+    want = full.grad_dict()
+    for fid in canonical_freeze_ids() + ["ft_Tcn4-Tcn64"]:
+        m = clone_model(full)
+        apply_freeze(m, FreezeConfig.from_id(fid))
+        called = []
+        for nl in m.layers:
+            def spy(gy, name=nl.name, inner=nl.block.backward):
+                called.append(name)
+                return inner(gy)
+            nl.block.backward = spy
+        lowest = next(i for i, nl in enumerate(m.layers) if nl.trainable)
+        # same forward and dropout draws as the unfrozen run
+        assert np.array_equal(m.forward(x, training=True, rng=np.random.default_rng(17)), act)
+        gx = m.backward(g)
+        assert called == [nl.name for nl in reversed(m.layers[lowest:])], fid
+        for nl in m.layers[:lowest]:
+            assert nl.block.grads == {}, (fid, nl.name)
+        grads = m.grad_dict(trainable_only=True)
+        assert set(grads) == set(m.param_dict(trainable_only=True))
+        for key, value in grads.items():
+            assert value.tobytes() == want[key].tobytes(), (fid, key)
+        if m.layers[0].trainable:
+            assert np.array_equal(gx, full_gx), fid
+        else:
+            assert gx is None, fid
+
+
 def test_save_load_roundtrip(tmp_path):
     x = np.random.default_rng(10).uniform(0, 1, (30, 81))
     for variant in ("tcn_v1", "tcn_v2"):
@@ -219,6 +255,15 @@ def test_load_errors(tmp_path):
     vers.write_bytes(raw.replace(b"onsetkit-model 1", b"onsetkit-model 9", 1))
     with pytest.raises(ModelFormatError):
         load_model(vers)
+
+    for old, new in [(b"variant tcn_v1\n", b""), (b"seed 0\n", b""),
+                     (b"dropout 0.1\n", b""), (b"onsetkit-model 1", b"onsetkit-model x"),
+                     (b"seed 0", b"seed zero"), (b"dropout 0.1", b"dropout lots"),
+                     (b"variant tcn_v1", b"variant tcn_v9"), (b"seed 0\n", b"seed\n")]:
+        broken = tmp_path / "broken.model"
+        broken.write_bytes(raw.replace(old, new, 1))
+        with pytest.raises(ModelFormatError):
+            load_model(broken)
 
     junk = tmp_path / "junk.model"
     junk.write_bytes(b"not a model at all\n")
