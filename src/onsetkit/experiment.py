@@ -37,7 +37,6 @@ from .models import (
     Model,
     build_model,
     canonical_freeze_ids,
-    clone_model,
     load_model,
 )
 from .synth import MANIFEST_NAME, CorpusSpec, InstrumentProfile, generate_corpus, load_manifest, make_profile
@@ -288,8 +287,8 @@ def _adapt_and_score(base: Model, pairs, snippet, instrument: str, freeze_id: st
                      baseline: EvalResult | None) -> ResultRow:
     """One cycle from a loaded base and its cut (features, targets, held) snippet.
 
-    The base is only read here unless no baseline is given, in which case
-    it is also scored (and its layer caches written).
+    With no baseline given the base is also scored; either way it is only
+    read.
     """
     t0 = time.perf_counter()
     feats, targets, held = snippet
@@ -355,8 +354,8 @@ def run_grid(config: ExperimentConfig, threads: int = 1) -> list:
             raise ConfigError(f"no base model configured for {variant}; pretrain first")
 
     # Base model, snippet and baseline once per (variant, instrument). Scoring
-    # a copy keeps the base that the cycles share free of layer caches, and
-    # this pass fills the feature cache, so threaded cycles only read both.
+    # writes no layer state, and this pass fills the feature cache, so
+    # threaded cycles only read both.
     cache: dict = {}
     prepared = {}
     for variant in config.models:
@@ -367,7 +366,7 @@ def run_grid(config: ExperimentConfig, threads: int = 1) -> list:
             try:
                 snippet = extract_snippet(dataset[name], config.snippet_offset,
                                           config.snippet_duration)
-                baseline = evaluate_model(clone_model(base), dataset[name], snippet[2],
+                baseline = evaluate_model(base, dataset[name], snippet[2],
                                           config.peak_pick, config.tolerance, cache)
                 prepared[variant, name] = (base, snippet, baseline)
             except Exception as e:  # recorded on every row of this pair, grid continues
@@ -591,7 +590,13 @@ def config_from_json(obj: dict, base_dir=None) -> ExperimentConfig:
     if obj.get("instruments") is not None:
         kw["instruments"] = tuple(obj["instruments"])
     if "peak_pick" in obj:
-        kw["peak_pick"] = PeakPickParams(**obj["peak_pick"])
+        pp = obj["peak_pick"]
+        if not isinstance(pp, dict):
+            raise ConfigError(f"peak_pick must be an object, got {type(pp).__name__}")
+        try:
+            kw["peak_pick"] = PeakPickParams(**pp)
+        except TypeError as e:
+            raise ConfigError(f"bad peak_pick: {e}") from e
     for key in ("snippet_offset", "snippet_duration", "epochs", "lr_scale", "base_lr",
                 "dropout_active", "tolerance", "seed"):
         if key in obj:

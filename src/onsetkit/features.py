@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import TARGET_RATE, AudioClip
-from .errors import EmptyInputError
+from .errors import EmptyInputError, SampleRateError
 
 WINDOW_SIZE = 2048
 HOP = 441
@@ -82,7 +82,7 @@ def n_frames_for(n_samples: int) -> int:
 def extract_features(clip: AudioClip) -> FeatureMatrix:
     """Convert a 44.1 kHz mono clip into its frames x 81 feature matrix."""
     if clip.sample_rate != TARGET_RATE:
-        raise ValueError(f"expected {TARGET_RATE} Hz input, got {clip.sample_rate}")
+        raise SampleRateError(f"expected {TARGET_RATE} Hz input, got {clip.sample_rate}")
     x = np.asarray(clip.samples, dtype=np.float64)
     if x.size == 0:
         raise EmptyInputError("cannot extract features from an empty clip")

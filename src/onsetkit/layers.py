@@ -1,10 +1,15 @@
 """Deterministic tensor layers with exact forward and gradient contracts.
 
 Conventions shared by every layer:
-  - forward(x, training=..., rng=...) caches whatever backward needs
-  - backward(gy) returns the input gradient and fills self.grads
+  - forward(x, training=..., rng=...) caches whatever backward needs, only
+    in training mode; an inference forward stores nothing on the layer, so
+    backward follows a training-mode forward
+  - backward(gy) returns the input gradient and fills self.grads; layers
+    with parameters take input_grad=False to fill self.grads only and
+    return None
   - a model calls backward only on its blocks from the output down to the
-    lowest trainable one; below that, layers skip backward entirely, so
+    lowest trainable one, and that block forms no input gradient unless it
+    is the first; below it, layers skip backward entirely, so
     Model.backward returns dLoss/dfeatures only when its first block is
     trainable and None otherwise
   - parameters live in self.params; compute runs in float64 regardless of
@@ -39,6 +44,11 @@ class Layer:
 
     def backward(self, gy):
         raise NotImplementedError
+
+
+def elu_inplace(x: np.ndarray) -> np.ndarray:
+    """ELU of a float64 array, written over it; returns the array."""
+    return np.expm1(x, out=x, where=x < 0)
 
 
 def glorot(shape, fan_in, fan_out, rng, dtype):
@@ -76,18 +86,21 @@ class Conv2d(Layer):
             raise ShapeError(f"conv2d expects (time, freq, {self.cin}), got {x.shape}")
         if x.shape[0] < self.kt or x.shape[1] < self.kf:
             raise ShapeError(f"input {x.shape[:2]} smaller than kernel ({self.kt},{self.kf})")
-        w = _f64(self.params["w"])
-        y, self._x_col = _corr2d(_f64(x), w)
-        self._in_shape = x.shape
-        return y + _f64(self.params["b"])
+        y, x_col = _corr2d(_f64(x), _f64(self.params["w"]))
+        if training:
+            self._x_col, self._in_shape = x_col, x.shape
+        y += _f64(self.params["b"])
+        return y
 
-    def backward(self, gy):
+    def backward(self, gy, input_grad=True):
         kt, kf, cin, cout = self.kt, self.kf, self.cin, self.cout
         w = _f64(self.params["w"])
         t_out, f_out = gy.shape[:2]
         gy2 = gy.reshape(-1, cout)
         self.grads["w"] = (self._x_col.T @ gy2).reshape(kt, kf, cin, cout)
         self.grads["b"] = gy2.sum(axis=0)
+        if not input_grad:
+            return None
         # scatter-accumulate the input gradient tap by tap
         gx = np.zeros(self._in_shape, dtype=np.float64)
         for i in range(kt):
@@ -106,6 +119,11 @@ class MaxPoolFreq3(Layer):
             raise ShapeError(f"maxpool_freq3 needs (time, freq>=3, ch), got {x.shape}")
         f3 = x.shape[1] // 3
         xr = _f64(x[:, : f3 * 3]).reshape(x.shape[0], f3, 3, x.shape[2])
+        if not training:
+            # np.maximum returns its second operand on equal inputs, so
+            # taking the bins last to first keeps argmax's first-index pick
+            # (it shows only in the sign of a zero)
+            return np.maximum(np.maximum(xr[:, :, 2], xr[:, :, 1]), xr[:, :, 0])
         self._arg = xr.argmax(axis=2)  # first index on ties
         self._in_shape = x.shape
         return np.take_along_axis(xr, self._arg[:, :, None, :], axis=2)[:, :, 0, :]
@@ -146,16 +164,19 @@ class DilatedConv1d(Layer):
         x_taps = np.concatenate([xp[j * d : j * d + t] for j in range(k)], axis=1)
         w = _f64(self.params["w"])
         y = x_taps @ w.reshape(k * self.cin, self.cout) + _f64(self.params["b"])
-        self._x_taps, self._t = x_taps, t
+        if training:
+            self._x_taps, self._t = x_taps, t
         return y
 
-    def backward(self, gy):
+    def backward(self, gy, input_grad=True):
         k, d = self.k, self.dilation
         h = (k - 1) // 2
         t = self._t
         w = _f64(self.params["w"])
         self.grads["w"] = (self._x_taps.T @ gy).reshape(k, self.cin, self.cout)
         self.grads["b"] = gy.sum(axis=0)
+        if not input_grad:
+            return None
         # g_taps holds dLoss/d(shifted copies); fold the shifts back
         g_taps = gy @ w.reshape(k * self.cin, self.cout).T
         gxp = np.zeros((t + 2 * h * d, self.cin))
@@ -177,17 +198,21 @@ class Dense(Layer):
     def forward(self, x, *, training=False, rng=None):
         if x.ndim != 2 or x.shape[1] != self.cin:
             raise ShapeError(f"dense expects (time, {self.cin}), got {x.shape}")
-        self._x = _f64(x)
-        return self._x @ _f64(self.params["w"]) + _f64(self.params["b"])
+        x = _f64(x)
+        if training:
+            self._x = x
+        return x @ _f64(self.params["w"]) + _f64(self.params["b"])
 
-    def backward(self, gy):
+    def backward(self, gy, input_grad=True):
         self.grads["w"] = self._x.T @ gy
         self.grads["b"] = gy.sum(axis=0)
-        return gy @ _f64(self.params["w"]).T
+        return gy @ _f64(self.params["w"]).T if input_grad else None
 
 
 class Elu(Layer):
     def forward(self, x, *, training=False, rng=None):
+        if not training:
+            return elu_inplace(np.array(x, dtype=np.float64))
         x = _f64(x)
         self._neg = x < 0
         self._y = np.where(self._neg, np.expm1(np.minimum(x, 0.0)), x)
@@ -201,8 +226,10 @@ class Sigmoid(Layer):
     def forward(self, x, *, training=False, rng=None):
         x = _f64(x)
         s = np.exp(-np.abs(x))
-        self._y = np.where(x >= 0, 1.0 / (1.0 + s), s / (1.0 + s))
-        return self._y
+        y = np.where(x >= 0, 1.0 / (1.0 + s), s / (1.0 + s))
+        if training:
+            self._y = y
+        return y
 
     def backward(self, gy):
         return gy * self._y * (1.0 - self._y)
@@ -219,7 +246,9 @@ class Dropout(Layer):
 
     def forward(self, x, *, training=False, rng=None):
         x = _f64(x)
-        if not training or self.rate == 0.0:
+        if not training:
+            return x
+        if self.rate == 0.0:
             self._mask = None
             return x
         if rng is None:
@@ -335,13 +364,14 @@ def gradcheck(layer, x, seed=0, h=1e-4, max_coords=48):
     Objective: sum(R * layer(x)) for a fixed random projection R, so the
     output gradient is exactly R. Samples up to max_coords coordinates per
     tensor (input and every parameter). Double precision throughout; the
-    caller picks seeds that avoid ELU/pool kink points.
+    caller picks seeds that avoid ELU/pool kink points. Forwards run in
+    training mode, where backward finds its caches, and without an rng.
     """
     rng = np.random.default_rng(seed)
     x = _f64(np.asarray(x)).copy()
 
     def run():
-        return layer.forward(x, training=False)
+        return layer.forward(x, training=True)
 
     y0 = run()
     proj = rng.standard_normal(y0.shape)

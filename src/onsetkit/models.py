@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ModelFormatError, ShapeError
-from .layers import Conv2d, Dense, DilatedConv1d, Dropout, Elu, MaxPoolFreq3, Sigmoid
+from .layers import Conv2d, Dense, DilatedConv1d, Dropout, Elu, MaxPoolFreq3, Sigmoid, elu_inplace
 
 VARIANTS = ("tcn_v1", "tcn_v2")
 TCN_CHANNELS = 16
@@ -54,7 +54,12 @@ class ActivationFunction:
 
 
 class ConvStage:
-    """conv -> ELU -> dropout (-> freq pool); time zero-padded to length."""
+    """conv -> ELU -> dropout (-> freq pool); time zero-padded to length.
+
+    At inference dropout is the identity and ELU is non-decreasing, so the
+    stage pools first and runs ELU in place on the pooled output: same
+    floats, and a pooling stage evaluates a third as many ELUs.
+    """
 
     def __init__(self, kt, kf, cin, cout, pool, rate, rng, dtype=np.float32):
         self.conv = Conv2d(kt, kf, cin, cout, rng=rng, dtype=dtype)
@@ -67,14 +72,20 @@ class ConvStage:
     def forward(self, x, training, rng):
         if self.pad_t:
             x = np.pad(x, ((self.pad_t, self.pad_t), (0, 0), (0, 0)))
-        x = self.drop.forward(self.elu.forward(self.conv.forward(x)), training=training, rng=rng)
-        return self.pool.forward(x) if self.pool else x
+        if not training:
+            x = self.conv.forward(x)
+            return elu_inplace(self.pool.forward(x) if self.pool else x)
+        x = self.conv.forward(x, training=True)
+        x = self.drop.forward(self.elu.forward(x, training=True), training=True, rng=rng)
+        return self.pool.forward(x, training=True) if self.pool else x
 
-    def backward(self, gy):
+    def backward(self, gy, input_grad=True):
         if self.pool:
             gy = self.pool.backward(gy)
-        gy = self.conv.backward(self.elu.backward(self.drop.backward(gy)))
-        return gy[self.pad_t : gy.shape[0] - self.pad_t] if self.pad_t else gy
+        gy = self.conv.backward(self.elu.backward(self.drop.backward(gy)), input_grad)
+        if gy is None or not self.pad_t:
+            return gy
+        return gy[self.pad_t : gy.shape[0] - self.pad_t]
 
     def out_bands(self, bands):
         bands = bands - self.conv.kf + 1
@@ -107,19 +118,23 @@ class TcnLevel:
 
     def forward(self, x, training, rng):
         if self.adapter:
-            x = self.adapter.forward(x)
-        h = self.conv1.forward(x)
+            x = self.adapter.forward(x, training=training)
+        h = self.conv1.forward(x, training=training)
         if self.conv2:
-            h = self.conv2.forward(h)
-        h = self.drop.forward(self.elu.forward(h), training=training, rng=rng)
-        return x + self.mix.forward(h)
+            h = self.conv2.forward(h, training=training)
+        h = self.drop.forward(self.elu.forward(h, training=training), training=training, rng=rng)
+        return x + self.mix.forward(h, training=training)
 
-    def backward(self, gy):
+    def backward(self, gy, input_grad=True):
         gh = self.elu.backward(self.drop.backward(self.mix.backward(gy)))
         if self.conv2:
             gh = self.conv2.backward(gh)
-        gx = self.conv1.backward(gh) + gy
-        return self.adapter.backward(gx) if self.adapter else gx
+        # the adapter's weight gradient needs the gradient at its output
+        gx = self.conv1.backward(gh, input_grad or self.adapter is not None)
+        if gx is None:
+            return None
+        gx += gy
+        return self.adapter.backward(gx, input_grad) if self.adapter else gx
 
     def _subs(self):
         subs = {"conv1": self.conv1, "mix": self.mix}
@@ -148,10 +163,10 @@ class OutHead:
         self.sig = Sigmoid()
 
     def forward(self, x, training, rng):
-        return self.sig.forward(self.dense.forward(x))[:, 0]
+        return self.sig.forward(self.dense.forward(x, training=training), training=training)[:, 0]
 
-    def backward(self, gy):
-        return self.dense.backward(self.sig.backward(gy[:, None]))
+    def backward(self, gy, input_grad=True):
+        return self.dense.backward(self.sig.backward(gy[:, None]), input_grad)
 
     @property
     def params(self):
@@ -177,6 +192,7 @@ class Model:
         self.seed = seed
         self.layers = layers
         self.dropout_rate = dropout_rate
+        self._backward_ready = False  # the latest forward ran in training mode
 
     @property
     def optimizer_kind(self) -> str:
@@ -189,6 +205,11 @@ class Model:
         raise KeyError(f"unknown layer {name!r}")
 
     def forward(self, features, training=False, rng=None):
+        """Activation per frame. Only a training-mode forward keeps the
+        layer caches that backward reads; an inference forward stores
+        nothing on any layer (dropout is the identity there, and each
+        conv stage pools before its ELU)."""
+        self._backward_ready = False
         x = np.asarray(getattr(features, "values", features), dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != N_BANDS:
             raise ShapeError(f"expected (frames, {N_BANDS}) features, got {x.shape}")
@@ -205,20 +226,30 @@ class Model:
             else:
                 x = nl.block.forward(x, training, rng)
         assert x.shape == (n,)
+        self._backward_ready = bool(training)
         return x
 
     def backward(self, g_activation):
         """Fill the grads of every trainable block from dLoss/dactivation.
 
-        Blocks are walked from Out down to the lowest trainable one and no
-        further: blocks below it run no backward, so they form no gradients
-        (their grads keep whatever they held). Frozen blocks above it still
-        pass the input gradient through. Returns dLoss/dfeatures as
+        Needs the caches of a training-mode forward: raises ConfigError
+        unless the latest forward ran with training=True. Blocks are walked
+        from Out down to the lowest trainable one and no further: blocks
+        below it run no backward, so they form no gradients (their grads
+        keep whatever they held), and the lowest one forms no input
+        gradient unless it is Conv1. Frozen blocks above it still pass the
+        input gradient through. Returns dLoss/dfeatures as
         (frames, bands, 1) when Conv1 is trainable, otherwise None.
         """
+        if not self._backward_ready:
+            raise ConfigError("backward needs a training-mode forward first (training=True)")
         g = np.asarray(g_activation, dtype=np.float64)
         lowest = next((i for i, nl in enumerate(self.layers) if nl.trainable), len(self.layers))
-        for nl in reversed(self.layers[lowest:]):
+        for i in reversed(range(lowest, len(self.layers))):
+            nl = self.layers[i]
+            if i == lowest and lowest > 0:  # nothing below reads its input gradient
+                nl.block.backward(g, input_grad=False)
+                return None
             g = nl.block.backward(g)
             if nl.name == "Tcn1":  # entering the front-end: restore band axis
                 g = g[:, None, :]
@@ -366,9 +397,11 @@ def apply_freeze(model: Model, config: FreezeConfig) -> Model:
     return model
 
 
-def clone_model(model: Model) -> Model:
-    """Independent copy with identical parameters (all layers trainable)."""
-    twin = build_model(model.variant, model.seed, dropout_rate=model.dropout_rate)
+def clone_model(model: Model, dropout_rate: float | None = None) -> Model:
+    """Independent copy with identical parameters (all layers trainable),
+    at the model's own dropout rate unless another is given."""
+    rate = model.dropout_rate if dropout_rate is None else dropout_rate
+    twin = build_model(model.variant, model.seed, dropout_rate=rate)
     src, dst = model.param_dict(), twin.param_dict()
     for k, v in src.items():
         dst[k][...] = v

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 def rho_schedule(t: int, beta2: float) -> float:
@@ -105,4 +105,4 @@ def make_optimizer(kind: str, lr: float):
         return Adam(lr=lr)
     if kind == "radam_lookahead":
         return RAdamLookahead(lr=lr)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
+    raise ConfigError(f"unknown optimizer kind {kind!r}")

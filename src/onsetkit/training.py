@@ -88,6 +88,8 @@ def finetune(model: Model, snippet, config: FinetuneConfig) -> Model:
     One full-snippet gradient step per epoch with the variant's own
     optimizer kind, fresh optimizer state, learning rate base_lr*lr_scale.
     Frozen layers stay bitwise untouched; the input model is not modified.
+    With dropout_active False the copy is built without dropout, so its
+    training-mode forwards draw nothing.
     """
     feats, targets = snippet
     x = _as_values(feats)
@@ -97,12 +99,12 @@ def finetune(model: Model, snippet, config: FinetuneConfig) -> Model:
     if targets.shape != (x.shape[0],):
         raise ShapeError(f"targets {targets.shape} vs {x.shape[0]} frames")
 
-    adapted = clone_model(model)
+    adapted = clone_model(model, dropout_rate=None if config.dropout_active else 0.0)
     apply_freeze(adapted, config.freeze)
     opt = make_optimizer(adapted.optimizer_kind, config.base_lr * config.lr_scale)
     rng = np.random.default_rng(config.seed)
     for epoch in range(config.epochs):
-        act = adapted.forward(x, training=config.dropout_active, rng=rng)
+        act = adapted.forward(x, training=True, rng=rng)
         loss = bce_loss(act, targets)
         if not np.isfinite(loss):
             raise DivergenceError(epoch)

@@ -278,8 +278,8 @@ def _composition_fd(model, x, seed, h=1e-5, max_coords=6):
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=np.float64).copy()
 
-    def run():
-        return model.forward(x, training=False)
+    def run():  # dropout_rate=0.0, so training mode draws nothing
+        return model.forward(x, training=True)
 
     proj = rng.standard_normal(run().shape)
     gx = model.backward(proj).copy()

@@ -143,6 +143,18 @@ def test_grid_and_report_cli(corpus, model_file, tmp_path, capsys):
     assert (tmp_path / "rep" / "summary.md").exists()
 
 
+@pytest.mark.parametrize("peak_pick", [{"bogus": 1}, [0.5], "strict"])
+def test_grid_bad_peak_pick_exits_1(corpus, model_file, tmp_path, capsys, peak_pick):
+    config = {"corpus": str(corpus), "base_models": {"tcn_v1": str(model_file)},
+              "models": ["tcn_v1"], "peak_pick": peak_pick,
+              "out_dir": str(tmp_path / "results")}
+    (tmp_path / "exp.json").write_text(json.dumps(config))
+    assert main(["grid", "--config", str(tmp_path / "exp.json")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "peak_pick" in err[0]
+    assert not (tmp_path / "results").exists()
+
+
 def test_divergence_maps_to_exit_3(monkeypatch, corpus, model_file, tmp_path, capsys):
     import onsetkit.cli as cli
 

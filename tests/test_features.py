@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from onsetkit.audio import AudioClip
+from onsetkit.errors import SampleRateError
 from onsetkit.features import (
     FMAX,
     FMIN,
@@ -85,5 +86,5 @@ def test_amplitude_monotonicity():
 
 
 def test_rejects_wrong_rate():
-    with pytest.raises(ValueError):
+    with pytest.raises(SampleRateError):
         extract_features(AudioClip(samples=np.zeros(100), sample_rate=22050))

@@ -102,12 +102,22 @@ def test_maxpool_81_to_27_and_remainder():
 
 def test_maxpool_tie_gradient_to_first():
     layer = MaxPoolFreq3()
-    y = layer.forward(np.full((2, 6, 1), 3.0))
+    y = layer.forward(np.full((2, 6, 1), 3.0), training=True)
     assert np.all(y == 3.0)
     gx = layer.backward(np.ones((2, 2, 1)))
     expect = np.array([1, 0, 0, 1, 0, 0], dtype=float)
     assert np.array_equal(gx[0, :, 0], expect)
     assert np.array_equal(gx[1, :, 0], expect)
+
+
+def test_maxpool_inference_is_training_values():
+    # ties of every kind, signed zeros included, and a remainder bin
+    rng = np.random.default_rng(3)
+    x = rng.choice([0.0, -0.0, 1.5, -1.5, -2.0], size=(40, 10, 4))
+    want = MaxPoolFreq3().forward(x, training=True)
+    layer = MaxPoolFreq3()
+    assert layer.forward(x).tobytes() == want.tobytes()
+    assert vars(layer) == {"params": {}, "grads": {}}
 
 
 def test_maxpool_needs_three_bins():

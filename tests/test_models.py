@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from onsetkit.errors import ConfigError, ModelFormatError, ShapeError
+from onsetkit.layers import Layer
 from onsetkit.models import (
     FREEZABLE,
     LAYER_NAMES,
@@ -18,6 +19,7 @@ from onsetkit.models import (
     receptive_field,
     save_model,
 )
+from onsetkit.training import train
 
 
 def test_layer_names_shared_skeleton():
@@ -196,17 +198,20 @@ def test_backward_stops_at_lowest_trainable_block(variant):
     for fid in canonical_freeze_ids() + ["ft_Tcn4-Tcn64"]:
         m = clone_model(full)
         apply_freeze(m, FreezeConfig.from_id(fid))
-        called = []
+        called, returned = [], {}
         for nl in m.layers:
-            def spy(gy, name=nl.name, inner=nl.block.backward):
-                called.append(name)
-                return inner(gy)
+            def spy(gy, input_grad=True, name=nl.name, inner=nl.block.backward):
+                called.append((name, input_grad))
+                returned[name] = inner(gy, input_grad=input_grad)
+                return returned[name]
             nl.block.backward = spy
         lowest = next(i for i, nl in enumerate(m.layers) if nl.trainable)
         # same forward and dropout draws as the unfrozen run
         assert np.array_equal(m.forward(x, training=True, rng=np.random.default_rng(17)), act)
         gx = m.backward(g)
-        assert called == [nl.name for nl in reversed(m.layers[lowest:])], fid
+        # only the lowest trainable block skips its input gradient, unless it is Conv1
+        assert called == [(nl.name, nl is not m.layers[lowest] or lowest == 0)
+                          for nl in reversed(m.layers[lowest:])], fid
         for nl in m.layers[:lowest]:
             assert nl.block.grads == {}, (fid, nl.name)
         grads = m.grad_dict(trainable_only=True)
@@ -214,9 +219,67 @@ def test_backward_stops_at_lowest_trainable_block(variant):
         for key, value in grads.items():
             assert value.tobytes() == want[key].tobytes(), (fid, key)
         if m.layers[0].trainable:
-            assert np.array_equal(gx, full_gx), fid
+            assert gx.tobytes() == full_gx.tobytes(), fid
         else:
             assert gx is None, fid
+            assert returned[m.layers[lowest].name] is None, fid
+
+
+def test_backward_needs_training_forward():
+    x = np.random.default_rng(18).uniform(0, 1, (20, 81))
+    m = build_model("tcn_v1", seed=19)
+    with pytest.raises(ConfigError):
+        m.backward(np.ones(20))
+    m.forward(x, training=True, rng=np.random.default_rng(0))
+    m.forward(x)  # the training caches left behind must not be reused
+    with pytest.raises(ConfigError):
+        m.backward(np.ones(20))
+    m.forward(x, training=True, rng=np.random.default_rng(0))
+    assert m.backward(np.ones(20)).shape == (20, 81, 1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_inference_matches_dropout_free_training_forward(variant):
+    m = build_model(variant, seed=20)
+    twin = clone_model(m, dropout_rate=0.0)
+    for frames in (7, 300):
+        # centred features drive about half of every conv stage's outputs
+        # below zero, so the pool-before-ELU order is exercised
+        x = np.random.default_rng(frames).normal(0.0, 2.0, (frames, 81))
+        want = twin.forward(x, training=True, rng=np.random.default_rng(0))
+        for nl in twin.layers[:3]:
+            assert 0.1 < nl.block.elu._neg.mean() < 0.9, (frames, nl.name)
+        assert m.forward(x).tobytes() == want.tobytes(), frames
+
+
+def _layer_state(model):
+    """Every attribute of every block and of the layers inside it."""
+    state = {}
+    for nl in model.layers:
+        state[nl.name] = dict(vars(nl.block))
+        for attr, part in vars(nl.block).items():
+            if isinstance(part, Layer):
+                state[nl.name, attr] = dict(vars(part))
+                state[nl.name, attr, "params"] = dict(part.params)
+                state[nl.name, attr, "grads"] = dict(part.grads)
+    return state
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_inference_forward_writes_no_layer_state(variant):
+    x = np.random.default_rng(21).normal(0.0, 1.0, (40, 81))
+    m = build_model(variant, seed=22)
+    for trained in (False, True):
+        if trained:
+            train(m, [(x, np.zeros(40))], epochs=1)
+        before = _layer_state(m)
+        m.forward(x)
+        after = _layer_state(m)
+        assert after.keys() == before.keys(), trained
+        for key, attrs in before.items():
+            assert attrs.keys() == after[key].keys(), (trained, key)
+            for attr, value in attrs.items():
+                assert after[key][attr] is value, (trained, key, attr)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from onsetkit.errors import ShapeError
+from onsetkit.errors import ConfigError, ShapeError
 from onsetkit.optim import Adam, RAdamLookahead, make_optimizer, rectification, rho_schedule
 
 
@@ -141,5 +141,5 @@ def test_radam_converges_to_adam_update():
 def test_make_optimizer():
     assert isinstance(make_optimizer("adam", 1e-3), Adam)
     assert isinstance(make_optimizer("radam_lookahead", 1e-3), RAdamLookahead)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         make_optimizer("sgd", 1e-3)

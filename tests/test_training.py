@@ -158,3 +158,17 @@ def test_finetune_leaves_input_model_untouched(tmp_path):
     before = model_bytes(m, tmp_path, "before")
     finetune(m, snippet, FinetuneConfig(freeze=FreezeConfig.from_id("ft"), seed=33, epochs=2))
     assert model_bytes(m, tmp_path, "after") == before
+
+
+def test_finetune_without_dropout_is_dropout_free_finetune(tmp_path):
+    rng = np.random.default_rng(34)
+    snippet = (rng.uniform(0, 1, (30, 81)), make_targets(OnsetAnnotations(times=[0.1]), 30))
+    m = build_model("tcn_v1", seed=35)
+    twin = build_model("tcn_v1", seed=35, dropout_rate=0.0)
+    freeze = FreezeConfig.from_id("ft_Conv2")
+    a = finetune(m, snippet, FinetuneConfig(freeze=freeze, seed=36, epochs=3,
+                                            dropout_active=False))
+    b = finetune(twin, snippet, FinetuneConfig(freeze=freeze, seed=36, epochs=3))
+    for key, value in a.param_dict().items():
+        assert value.tobytes() == b.param_dict()[key].tobytes(), key
+    assert m.dropout_rate == 0.1
