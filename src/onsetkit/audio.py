@@ -89,8 +89,9 @@ def _read_chunks(data: bytes) -> dict[bytes, bytes]:
 
 
 def _decode_samples(raw: bytes, fmt_tag: int, bits: int, n_channels: int) -> np.ndarray:
+    # a partial trailing sample or frame is dropped
     if fmt_tag == 1 and bits == 16:
-        x = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+        x = np.frombuffer(raw, dtype="<i2", count=len(raw) // 2).astype(np.float64) / 32768.0
     elif fmt_tag == 1 and bits == 24:
         b = np.frombuffer(raw, dtype=np.uint8)
         b = b[: len(b) - len(b) % 3].reshape(-1, 3)
@@ -102,7 +103,7 @@ def _decode_samples(raw: bytes, fmt_tag: int, bits: int, n_channels: int) -> np.
         )
         x = np.where(x >= 1 << 23, x - (1 << 24), x).astype(np.float64) / float(1 << 23)
     elif fmt_tag == 3 and bits == 32:
-        x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        x = np.frombuffer(raw, dtype="<f4", count=len(raw) // 4).astype(np.float64)
     else:
         raise AudioFormatError(f"unsupported WAV encoding (format {fmt_tag}, {bits}-bit)")
     if n_channels > 1:
@@ -134,6 +135,8 @@ def load_audio(path: str | Path, resample: bool = False) -> AudioClip:
             raise AudioFormatError("truncated extensible fmt chunk")
     if n_channels not in (1, 2):
         raise AudioFormatError(f"unsupported channel count {n_channels}")
+    if rate == 0:
+        raise AudioFormatError("fmt chunk declares a sample rate of 0 Hz")
     samples = _decode_samples(chunks[b"data"], fmt_tag, bits, n_channels)
     if samples.size == 0:
         raise EmptyInputError(f"no samples in {path}")
@@ -173,20 +176,24 @@ def load_annotations(path: str | Path) -> OnsetAnnotations:
     ignored. Times are sorted and duplicates within 1 ms collapsed.
     """
     times = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                t = float(stripped)
-            except ValueError:
-                raise AnnotationError(f"{path}:{lineno}: not a number: {stripped!r}") from None
-            if not np.isfinite(t):
-                raise AnnotationError(f"{path}:{lineno}: non-finite onset time {stripped!r}")
-            if t < 0:
-                raise AnnotationError(f"{path}:{lineno}: negative onset time {t}")
-            times.append(t)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as e:
+        raise AnnotationError(f"{path}: not UTF-8 text ({e.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            t = float(stripped)
+        except ValueError:
+            raise AnnotationError(f"{path}:{lineno}: not a number: {stripped!r}") from None
+        if not np.isfinite(t):
+            raise AnnotationError(f"{path}:{lineno}: non-finite onset time {stripped!r}")
+        if t < 0:
+            raise AnnotationError(f"{path}:{lineno}: negative onset time {t}")
+        times.append(t)
     return OnsetAnnotations(times=np.array(times))
 
 

@@ -4,14 +4,19 @@ Conventions shared by every layer:
   - forward(x, training=..., rng=...) caches whatever backward needs, only
     in training mode; an inference forward stores nothing on the layer, so
     backward follows a training-mode forward
+  - the caches are only what backward reads: ELU keeps its derivative
+    (not its input or output) and the frequency pool keeps each group's
+    first winning bin as uint8 (the argmax, without computing one)
   - backward(gy) returns the input gradient and fills self.grads; layers
     with parameters take input_grad=False to fill self.grads only and
-    return None
+    return None, and param_grads=False to leave self.grads untouched and
+    form the input gradient only
   - a model calls backward only on its blocks from the output down to the
     lowest trainable one, and that block forms no input gradient unless it
     is the first; below it, layers skip backward entirely, so
     Model.backward returns dLoss/dfeatures only when its first block is
-    trainable and None otherwise
+    trainable and None otherwise; frozen blocks above it pass the gradient
+    through with param_grads=False
   - parameters live in self.params; compute runs in float64 regardless of
     the stored parameter dtype (models keep float32, gradcheck float64)
 
@@ -92,13 +97,14 @@ class Conv2d(Layer):
         y += _f64(self.params["b"])
         return y
 
-    def backward(self, gy, input_grad=True):
+    def backward(self, gy, input_grad=True, param_grads=True):
         kt, kf, cin, cout = self.kt, self.kf, self.cin, self.cout
         w = _f64(self.params["w"])
         t_out, f_out = gy.shape[:2]
         gy2 = gy.reshape(-1, cout)
-        self.grads["w"] = (self._x_col.T @ gy2).reshape(kt, kf, cin, cout)
-        self.grads["b"] = gy2.sum(axis=0)
+        if param_grads:
+            self.grads["w"] = (self._x_col.T @ gy2).reshape(kt, kf, cin, cout)
+            self.grads["b"] = gy2.sum(axis=0)
         if not input_grad:
             return None
         # scatter-accumulate the input gradient tap by tap
@@ -119,22 +125,24 @@ class MaxPoolFreq3(Layer):
             raise ShapeError(f"maxpool_freq3 needs (time, freq>=3, ch), got {x.shape}")
         f3 = x.shape[1] // 3
         xr = _f64(x[:, : f3 * 3]).reshape(x.shape[0], f3, 3, x.shape[2])
-        if not training:
-            # np.maximum returns its second operand on equal inputs, so
-            # taking the bins last to first keeps argmax's first-index pick
-            # (it shows only in the sign of a zero)
-            return np.maximum(np.maximum(xr[:, :, 2], xr[:, :, 1]), xr[:, :, 0])
-        self._arg = xr.argmax(axis=2)  # first index on ties
-        self._in_shape = x.shape
-        return np.take_along_axis(xr, self._arg[:, :, None, :], axis=2)[:, :, 0, :]
+        # np.maximum returns its second operand on equal inputs, so taking
+        # the bins last to first keeps argmax's first-index pick (it shows
+        # only in the sign of a zero)
+        y = np.maximum(np.maximum(xr[:, :, 2], xr[:, :, 1]), xr[:, :, 0])
+        if training:
+            # first bin equal to the max: 0, else 1 if bin 1 is, else 2
+            arg = np.not_equal(xr[:, :, 0], y).view(np.uint8)
+            arg += arg & (xr[:, :, 1] != y)
+            self._arg, self._in_shape = arg, x.shape
+        return y
 
     def backward(self, gy):
         t, f, c = self._in_shape
         f3 = f // 3
-        gxr = np.zeros((t, f3, 3, c))
-        np.put_along_axis(gxr, self._arg[:, :, None, :], gy[:, :, None, :], axis=2)
         gx = np.zeros((t, f, c))
-        gx[:, : f3 * 3] = gxr.reshape(t, f3 * 3, c)
+        gxr = gx[:, : f3 * 3].reshape(t, f3, 3, c)
+        for k in range(3):
+            np.copyto(gxr[:, :, k], gy, where=self._arg == k)
         return gx
 
 
@@ -168,13 +176,14 @@ class DilatedConv1d(Layer):
             self._x_taps, self._t = x_taps, t
         return y
 
-    def backward(self, gy, input_grad=True):
+    def backward(self, gy, input_grad=True, param_grads=True):
         k, d = self.k, self.dilation
         h = (k - 1) // 2
         t = self._t
         w = _f64(self.params["w"])
-        self.grads["w"] = (self._x_taps.T @ gy).reshape(k, self.cin, self.cout)
-        self.grads["b"] = gy.sum(axis=0)
+        if param_grads:
+            self.grads["w"] = (self._x_taps.T @ gy).reshape(k, self.cin, self.cout)
+            self.grads["b"] = gy.sum(axis=0)
         if not input_grad:
             return None
         # g_taps holds dLoss/d(shifted copies); fold the shifts back
@@ -203,9 +212,10 @@ class Dense(Layer):
             self._x = x
         return x @ _f64(self.params["w"]) + _f64(self.params["b"])
 
-    def backward(self, gy, input_grad=True):
-        self.grads["w"] = self._x.T @ gy
-        self.grads["b"] = gy.sum(axis=0)
+    def backward(self, gy, input_grad=True, param_grads=True):
+        if param_grads:
+            self.grads["w"] = self._x.T @ gy
+            self.grads["b"] = gy.sum(axis=0)
         return gy @ _f64(self.params["w"]).T if input_grad else None
 
 
@@ -214,12 +224,17 @@ class Elu(Layer):
         if not training:
             return elu_inplace(np.array(x, dtype=np.float64))
         x = _f64(x)
-        self._neg = x < 0
-        self._y = np.where(self._neg, np.expm1(np.minimum(x, 0.0)), x)
-        return self._y
+        d = np.minimum(x, 0.0)
+        np.expm1(d, out=d)
+        # expm1(x) >= x below zero; np.maximum returns its second operand on
+        # equal inputs, so a -0.0 input stays -0.0
+        y = np.maximum(d, x)
+        d += 1.0
+        self._d = d  # the derivative: expm1(x) + 1 below zero, 1 elsewhere
+        return y
 
     def backward(self, gy):
-        return gy * np.where(self._neg, self._y + 1.0, 1.0)
+        return gy * self._d
 
 
 class Sigmoid(Layer):
@@ -244,17 +259,23 @@ class Dropout(Layer):
             raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
 
+    def draw(self, shape, rng):
+        """Draw and keep the training mask for an input of this shape; at
+        rate 0 there is none and nothing is drawn. Returns the mask."""
+        if self.rate == 0.0:
+            self._mask = None
+        elif rng is None:
+            raise ConfigError("training-mode dropout needs an rng")
+        else:
+            self._mask = (rng.random(shape) >= self.rate) / (1.0 - self.rate)
+        return self._mask
+
     def forward(self, x, *, training=False, rng=None):
         x = _f64(x)
         if not training:
             return x
-        if self.rate == 0.0:
-            self._mask = None
-            return x
-        if rng is None:
-            raise ConfigError("training-mode dropout needs an rng")
-        self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x * self._mask
+        mask = self.draw(x.shape, rng)
+        return x if mask is None else x * mask
 
     def backward(self, gy):
         if self._mask is None:

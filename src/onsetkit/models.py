@@ -58,7 +58,9 @@ class ConvStage:
 
     At inference dropout is the identity and ELU is non-decreasing, so the
     stage pools first and runs ELU in place on the pooled output: same
-    floats, and a pooling stage evaluates a third as many ELUs.
+    floats, and a pooling stage evaluates a third as many ELUs. In training
+    the dropout mask multiplies the ELU output in place, and backward
+    applies the mask and then ELU's derivative in place on the gradient.
     """
 
     def __init__(self, kt, kf, cin, cout, pool, rate, rng, dtype=np.float32):
@@ -75,17 +77,22 @@ class ConvStage:
         if not training:
             x = self.conv.forward(x)
             return elu_inplace(self.pool.forward(x) if self.pool else x)
-        x = self.conv.forward(x, training=True)
-        x = self.drop.forward(self.elu.forward(x, training=True), training=True, rng=rng)
+        x = self.elu.forward(self.conv.forward(x, training=True), training=True)
+        mask = self.drop.draw(x.shape, rng)
+        if mask is not None:
+            x *= mask
         return self.pool.forward(x, training=True) if self.pool else x
 
-    def backward(self, gy, input_grad=True):
-        if self.pool:
-            gy = self.pool.backward(gy)
-        gy = self.conv.backward(self.elu.backward(self.drop.backward(gy)), input_grad)
-        if gy is None or not self.pad_t:
-            return gy
-        return gy[self.pad_t : gy.shape[0] - self.pad_t]
+    def backward(self, gy, input_grad=True, param_grads=True):
+        # a fresh array, scaled in place below
+        g = self.pool.backward(gy) if self.pool else gy.copy()
+        if self.drop._mask is not None:
+            g *= self.drop._mask
+        g *= self.elu._d
+        g = self.conv.backward(g, input_grad, param_grads)
+        if g is None or not self.pad_t:
+            return g
+        return g[self.pad_t : g.shape[0] - self.pad_t]
 
     def out_bands(self, bands):
         bands = bands - self.conv.kf + 1
@@ -125,16 +132,17 @@ class TcnLevel:
         h = self.drop.forward(self.elu.forward(h, training=training), training=training, rng=rng)
         return x + self.mix.forward(h, training=training)
 
-    def backward(self, gy, input_grad=True):
-        gh = self.elu.backward(self.drop.backward(self.mix.backward(gy)))
+    def backward(self, gy, input_grad=True, param_grads=True):
+        gh = self.mix.backward(gy, param_grads=param_grads)
+        gh = self.elu.backward(self.drop.backward(gh))
         if self.conv2:
-            gh = self.conv2.backward(gh)
+            gh = self.conv2.backward(gh, param_grads=param_grads)
         # the adapter's weight gradient needs the gradient at its output
-        gx = self.conv1.backward(gh, input_grad or self.adapter is not None)
+        gx = self.conv1.backward(gh, input_grad or self.adapter is not None, param_grads)
         if gx is None:
             return None
         gx += gy
-        return self.adapter.backward(gx, input_grad) if self.adapter else gx
+        return self.adapter.backward(gx, input_grad, param_grads) if self.adapter else gx
 
     def _subs(self):
         subs = {"conv1": self.conv1, "mix": self.mix}
@@ -165,8 +173,8 @@ class OutHead:
     def forward(self, x, training, rng):
         return self.sig.forward(self.dense.forward(x, training=training), training=training)[:, 0]
 
-    def backward(self, gy, input_grad=True):
-        return self.dense.backward(self.sig.backward(gy[:, None]), input_grad)
+    def backward(self, gy, input_grad=True, param_grads=True):
+        return self.dense.backward(self.sig.backward(gy[:, None]), input_grad, param_grads)
 
     @property
     def params(self):
@@ -229,7 +237,7 @@ class Model:
         self._backward_ready = bool(training)
         return x
 
-    def backward(self, g_activation):
+    def backward(self, g_activation, input_grad=True):
         """Fill the grads of every trainable block from dLoss/dactivation.
 
         Needs the caches of a training-mode forward: raises ConfigError
@@ -237,23 +245,28 @@ class Model:
         from Out down to the lowest trainable one and no further: blocks
         below it run no backward, so they form no gradients (their grads
         keep whatever they held), and the lowest one forms no input
-        gradient unless it is Conv1. Frozen blocks above it still pass the
-        input gradient through. Returns dLoss/dfeatures as
-        (frames, bands, 1) when Conv1 is trainable, otherwise None.
+        gradient unless it is Conv1. Frozen blocks above it pass the input
+        gradient through and form no weight gradients either.
+
+        input_grad=False skips dLoss/dfeatures even when Conv1 is
+        trainable (training loops never read it); the parameter gradients
+        are the same floats. Returns dLoss/dfeatures as (frames, bands, 1)
+        when input_grad is set and Conv1 is trainable, otherwise None.
         """
         if not self._backward_ready:
             raise ConfigError("backward needs a training-mode forward first (training=True)")
         g = np.asarray(g_activation, dtype=np.float64)
         lowest = next((i for i, nl in enumerate(self.layers) if nl.trainable), len(self.layers))
+        input_grad = input_grad and lowest == 0
         for i in reversed(range(lowest, len(self.layers))):
             nl = self.layers[i]
-            if i == lowest and lowest > 0:  # nothing below reads its input gradient
+            if i == lowest and not input_grad:  # nothing reads its input gradient
                 nl.block.backward(g, input_grad=False)
                 return None
-            g = nl.block.backward(g)
+            g = nl.block.backward(g, param_grads=nl.trainable)
             if nl.name == "Tcn1":  # entering the front-end: restore band axis
                 g = g[:, None, :]
-        return g if lowest == 0 else None
+        return g if input_grad else None
 
     def param_dict(self, trainable_only=False) -> dict[str, np.ndarray]:
         out = {}

@@ -59,7 +59,7 @@ def train(model: Model, corpus, epochs: int, lr: float = 1e-3, seed: int = 0):
             loss = bce_loss(act, targets)
             if not np.isfinite(loss):
                 raise DivergenceError(epoch)
-            model.backward(bce_loss_grad(act, targets))
+            model.backward(bce_loss_grad(act, targets), input_grad=False)
             opt.step(model.param_dict(trainable_only=True), model.grad_dict(trainable_only=True))
             losses.append(loss)
         history.append(float(np.mean(losses)))
@@ -108,7 +108,7 @@ def finetune(model: Model, snippet, config: FinetuneConfig) -> Model:
         loss = bce_loss(act, targets)
         if not np.isfinite(loss):
             raise DivergenceError(epoch)
-        adapted.backward(bce_loss_grad(act, targets))
+        adapted.backward(bce_loss_grad(act, targets), input_grad=False)
         opt.step(
             adapted.param_dict(trainable_only=True), adapted.grad_dict(trainable_only=True)
         )

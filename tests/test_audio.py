@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from onsetkit.audio import (
     AudioClip,
@@ -15,6 +17,7 @@ from onsetkit.errors import (
     AnnotationError,
     AudioFormatError,
     EmptyInputError,
+    OnsetKitError,
     SampleRateError,
 )
 
@@ -151,6 +154,100 @@ def test_load_errors(tmp_path):
     nodata.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
     with pytest.raises(AudioFormatError):
         load_audio(nodata)
+
+
+@pytest.mark.parametrize("bits, fmt_tag, n_channels", [(16, 1, 1), (32, 3, 1), (16, 1, 2)])
+def test_partial_trailing_sample_dropped(tmp_path, bits, fmt_tag, n_channels):
+    x = np.array([0.5, -0.25, 0.125, 0.0, -0.5, 0.75])
+    good = wav_bytes(x, 44100, bits=bits, fmt_tag=fmt_tag, n_channels=n_channels)
+    whole = tmp_path / "whole.wav"
+    whole.write_bytes(good)
+    # one byte of a further sample; the RIFF and data sizes count it
+    body = good[8:] + b"\x7f"
+    data_at = body.index(b"data")
+    body = body[: data_at + 4] + struct.pack("<I", len(body) - data_at - 8) + body[data_at + 8 :]
+    odd = tmp_path / "odd.wav"
+    odd.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    assert load_audio(odd).samples.tobytes() == load_audio(whole).samples.tobytes()
+
+
+def test_resample_rejects_zero_rate(tmp_path):
+    p = tmp_path / "z.wav"
+    p.write_bytes(wav_bytes(np.zeros(10), 0, bits=32, fmt_tag=3))
+    with pytest.raises(AudioFormatError, match="sample rate"):
+        load_audio(p, resample=True)
+
+
+@st.composite
+def riff_files(draw):
+    """RIFF/WAVE files, mostly well-formed, with arbitrary fmt fields, chunk
+    sizes and payloads."""
+    fmt_tag, bits = draw(st.sampled_from(
+        [(1, 16), (1, 24), (3, 32), (0xFFFE, 16), (0xFFFE, 32), (1, 8), (2, 16), (3, 64)]))
+    rate = draw(st.sampled_from([44100, 48000, 22050, 1, 0]))
+    fmt = struct.pack("<HHIIHH", fmt_tag, draw(st.sampled_from([1, 2, 0, 3])), rate, 0, 0, bits)
+    if fmt_tag == 0xFFFE:  # cbSize, valid bits, channel mask, sub-format GUID
+        fmt += struct.pack("<HHIH", 22, bits, 0, draw(st.sampled_from([1, 3, 2])))
+        fmt += bytes(14)
+    fmt += draw(st.binary(max_size=4))
+    fmt = fmt[: draw(st.one_of(st.just(len(fmt)), st.integers(0, len(fmt))))]
+    chunks = [(b"fmt ", fmt), (b"data", draw(st.binary(max_size=64)))]
+    if draw(st.booleans()):
+        chunks.insert(draw(st.integers(0, 2)), (b"LIST", draw(st.binary(max_size=9))))
+    body = b"WAVE"
+    for cid, payload in chunks:
+        size = len(payload) + draw(st.sampled_from([0, 0, 0, 1, -1, 1000]))
+        body += cid + struct.pack("<I", max(size, 0)) + payload + b"\x00" * (len(payload) & 1)
+    data = b"RIFF" + struct.pack("<I", len(body)) + body
+    return data[: draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("property")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.one_of(st.binary(max_size=80), riff_files()), resample=st.booleans())
+def test_load_audio_returns_or_raises_typed_error(scratch, data, resample):
+    p = scratch / "any.wav"
+    p.write_bytes(data)
+    try:
+        clip = load_audio(p, resample=resample)
+    except OnsetKitError:
+        return
+    assert clip.sample_rate == 44100 and clip.samples.size > 0
+    assert np.all(np.abs(clip.samples) <= 1.0)
+
+
+annotation_text = st.lists(
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["# comment", "", "  ", "1e999", "-0.0", "0x10", "1_0", "\x0c"]),
+        st.text(max_size=8),
+    ),
+    max_size=8,
+).map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=80), annotation_text))
+def test_load_annotations_returns_or_raises_typed_error(scratch, data):
+    p = scratch / "any.onsets"
+    p.write_bytes(data)
+    try:
+        ann = load_annotations(p)
+    except OnsetKitError:
+        return
+    assert np.all(np.isfinite(ann.times)) and np.all(np.diff(ann.times) > 0)
+    assert not ann.times.size or ann.times[0] >= 0
+
+
+def test_annotations_not_utf8(tmp_path):
+    p = tmp_path / "latin1.onsets"
+    p.write_bytes("# caf\xe9\n0.5\n".encode("latin-1"))
+    with pytest.raises(AnnotationError, match="not UTF-8"):
+        load_annotations(p)
 
 
 def test_annotations_roundtrip(tmp_path):

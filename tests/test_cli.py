@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -105,6 +106,29 @@ def test_detect_malformed_model_exits_2(corpus, model_file, tmp_path, capsys):
     assert main(["detect", str(bad), str(corpus / "drone_tone_02.wav")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: header has no variant line"]
+
+
+def test_detect_wav_with_partial_trailing_sample(corpus, model_file, tmp_path, capsys):
+    # a 16-bit data chunk with an odd byte count: the partial sample is dropped
+    wav = corpus / "drone_tone_02.wav"
+    raw = wav.read_bytes() + b"\x01"
+    data_at = raw.index(b"data")
+    (size,) = struct.unpack_from("<I", raw, data_at + 4)
+    raw = raw[: data_at + 4] + struct.pack("<I", size + 1) + raw[data_at + 8 :]
+    odd = tmp_path / "odd.wav"
+    odd.write_bytes(raw[:4] + struct.pack("<I", len(raw) - 8) + raw[8:])
+    assert main(["detect", str(model_file), str(wav), "--out", str(tmp_path / "a.onsets")]) == 0
+    assert main(["detect", str(model_file), str(odd), "--out", str(tmp_path / "b.onsets")]) == 0
+    assert (tmp_path / "a.onsets").read_bytes() == (tmp_path / "b.onsets").read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+def test_eval_non_utf8_annotations_exits_2(corpus, tmp_path, capsys):
+    bad = tmp_path / "bad.onsets"
+    bad.write_bytes(b"0.5\n\xff\xfe1.0\n")
+    assert main(["eval", str(bad), str(corpus / "drone_tone_02.onsets")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "not UTF-8" in err[0]
 
 
 def test_pretrain_finetune_cli(corpus, tmp_path):

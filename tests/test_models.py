@@ -200,17 +200,19 @@ def test_backward_stops_at_lowest_trainable_block(variant):
         apply_freeze(m, FreezeConfig.from_id(fid))
         called, returned = [], {}
         for nl in m.layers:
-            def spy(gy, input_grad=True, name=nl.name, inner=nl.block.backward):
-                called.append((name, input_grad))
-                returned[name] = inner(gy, input_grad=input_grad)
+            def spy(gy, input_grad=True, param_grads=True, name=nl.name,
+                    inner=nl.block.backward):
+                called.append((name, input_grad, param_grads))
+                returned[name] = inner(gy, input_grad=input_grad, param_grads=param_grads)
                 return returned[name]
             nl.block.backward = spy
         lowest = next(i for i, nl in enumerate(m.layers) if nl.trainable)
         # same forward and dropout draws as the unfrozen run
         assert np.array_equal(m.forward(x, training=True, rng=np.random.default_rng(17)), act)
         gx = m.backward(g)
-        # only the lowest trainable block skips its input gradient, unless it is Conv1
-        assert called == [(nl.name, nl is not m.layers[lowest] or lowest == 0)
+        # only the lowest trainable block skips its input gradient, unless it
+        # is Conv1; only trainable blocks form weight gradients
+        assert called == [(nl.name, nl is not m.layers[lowest] or lowest == 0, nl.trainable)
                           for nl in reversed(m.layers[lowest:])], fid
         for nl in m.layers[:lowest]:
             assert nl.block.grads == {}, (fid, nl.name)
@@ -239,16 +241,59 @@ def test_backward_needs_training_forward():
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+def test_frozen_blocks_above_a_trainable_one_form_no_weight_gradients(variant):
+    x = np.random.default_rng(23).uniform(0, 1, (64, 81))
+    g = np.random.default_rng(24).standard_normal(64)
+    full = build_model(variant, seed=25)
+    full.forward(x, training=True, rng=np.random.default_rng(26))
+    full_gx = full.backward(g)
+    want = full.grad_dict()
+    for fid in ("ft_Tcn4-Tcn64", "ft_Conv2-Conv3", "ft_Conv3-Tcn1", "ft_Tcn1024"):
+        m = clone_model(full)
+        apply_freeze(m, FreezeConfig.from_id(fid))
+        frozen = [nl for nl in m.layers if not nl.trainable]
+        # every frozen weight holds a gradient of its own that must survive
+        for nl in frozen:
+            for part in vars(nl.block).values():
+                if isinstance(part, Layer):
+                    for k, v in part.params.items():
+                        part.grads[k] = np.full(v.shape, 7.0)
+        held = {k: (v, v.tobytes()) for k, v in m.grad_dict().items()}
+        m.forward(x, training=True, rng=np.random.default_rng(26))
+        gx = m.backward(g)
+        grads = m.grad_dict()
+        for nl in m.layers:
+            for k in nl.block.params:
+                key = f"{nl.name}.{k}"
+                if nl.trainable:
+                    assert grads[key].tobytes() == want[key].tobytes(), (fid, key)
+                else:
+                    assert grads[key] is held[key][0], (fid, key)
+                    assert grads[key].tobytes() == held[key][1], (fid, key)
+        if m.layers[0].trainable:
+            assert gx.tobytes() == full_gx.tobytes(), fid
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_inference_matches_dropout_free_training_forward(variant):
     m = build_model(variant, seed=20)
     twin = clone_model(m, dropout_rate=0.0)
+    neg_share = {}
+    for nl in twin.layers[:3]:
+        def conv_forward(x, *, inner=nl.block.conv.forward, name=nl.name, **kwargs):
+            y = inner(x, **kwargs)
+            neg_share[name] = float((y < 0).mean())
+            return y
+        nl.block.conv.forward = conv_forward
     for frames in (7, 300):
         # centred features drive about half of every conv stage's outputs
         # below zero, so the pool-before-ELU order is exercised
         x = np.random.default_rng(frames).normal(0.0, 2.0, (frames, 81))
+        neg_share.clear()
         want = twin.forward(x, training=True, rng=np.random.default_rng(0))
-        for nl in twin.layers[:3]:
-            assert 0.1 < nl.block.elu._neg.mean() < 0.9, (frames, nl.name)
+        assert set(neg_share) == {"Conv1", "Conv2", "Conv3"}
+        for name, share in neg_share.items():
+            assert 0.1 < share < 0.9, (frames, name)
         assert m.forward(x).tobytes() == want.tobytes(), frames
 
 

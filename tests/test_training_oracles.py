@@ -1,0 +1,180 @@
+"""The training path against the formulas it replaced, bit for bit.
+
+The references below are the textbook forms: ELU through np.where with a
+cached output, pooling through argmax with take_along_axis and
+put_along_axis, dropout as a separate product. The layers now keep ELU's
+derivative and uint8 pool winners and work in place; every comparison is
+by tobytes(), so a changed sign of zero fails too.
+"""
+
+import numpy as np
+import pytest
+
+from onsetkit.layers import Conv2d, Elu, MaxPoolFreq3, bce_loss_grad
+from onsetkit.models import VARIANTS, FreezeConfig, Model, build_model
+from onsetkit.training import FinetuneConfig, finetune, train
+
+# signed zeros, subnormals, a value whose expm1 rounds to itself, and a
+# saturated ELU (expm1(-800) is exactly -1.0, so pools see ties)
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, -1e-17, 1e-17,
+                  -800.0, -1.0, 1.0, -37.5, 3.25])
+
+
+def edge_inputs(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 2.0, shape)
+    pick = rng.random(shape) < 0.6
+    x[pick] = rng.choice(EDGES, size=int(pick.sum()))
+    return x
+
+
+def elu_ref(x):
+    neg = x < 0
+    y = np.where(neg, np.expm1(np.minimum(x, 0.0)), x)
+    return y, np.where(neg, y + 1.0, 1.0)
+
+
+def pool_ref(x):
+    t, f, c = x.shape
+    f3 = f // 3
+    xr = x[:, : f3 * 3].reshape(t, f3, 3, c)
+    arg = xr.argmax(axis=2)
+
+    def backward(gy):
+        gxr = np.zeros((t, f3, 3, c))
+        np.put_along_axis(gxr, arg[:, :, None, :], gy[:, :, None, :], axis=2)
+        gx = np.zeros((t, f, c))
+        gx[:, : f3 * 3] = gxr.reshape(t, f3 * 3, c)
+        return gx
+
+    return np.take_along_axis(xr, arg[:, :, None, :], axis=2)[:, :, 0, :], arg, backward
+
+
+def test_elu_training_matches_where_formulas():
+    x = edge_inputs((300, 7), 1)
+    x[:, 0] = EDGES[np.arange(300) % len(EDGES)]
+    gy = edge_inputs(x.shape, 2)
+    want_y, want_d = elu_ref(x)
+    layer = Elu()
+    before = x.copy()
+    y = layer.forward(x, training=True)
+    assert x.tobytes() == before.tobytes()  # the input is not written
+    assert y.tobytes() == want_y.tobytes()
+    assert layer.backward(gy).tobytes() == (gy * want_d).tobytes()
+    assert set(vars(layer)) == {"params", "grads", "_d"}
+    assert layer._d.tobytes() == want_d.tobytes()
+
+
+@pytest.mark.parametrize("bands", [3, 10, 26, 81])
+def test_maxpool_training_matches_argmax(bands):
+    # ties of every kind: signed zeros, repeated values, saturated ELUs;
+    # bands not divisible by 3 leave a remainder bin that gets no gradient
+    rng = np.random.default_rng(bands)
+    raw = rng.choice(np.concatenate([EDGES, [2.0, 2.0, -1.5]]), size=(60, bands, 5))
+    for x in (raw, elu_ref(raw)[0], edge_inputs((60, bands, 5), bands)):
+        want_y, want_arg, want_backward = pool_ref(x)
+        layer = MaxPoolFreq3()
+        y = layer.forward(x, training=True)
+        assert y.tobytes() == want_y.tobytes()
+        assert layer._arg.dtype == np.uint8
+        assert np.array_equal(layer._arg, want_arg)
+        gy = edge_inputs(y.shape, bands + 1)
+        assert layer.backward(gy).tobytes() == want_backward(gy).tobytes()
+
+
+def stage_ref(stage, x, rng, gy):
+    """A conv stage's training forward and backward in the old formulas.
+
+    Returns (output, dLoss/dinput, conv weight grads)."""
+    conv = Conv2d(stage.conv.kt, stage.conv.kf, stage.conv.cin, stage.conv.cout)
+    conv.params = stage.conv.params
+    p = stage.pad_t
+    y = conv.forward(np.pad(x, ((p, p), (0, 0), (0, 0))), training=True)
+    y, d = elu_ref(y)
+    rate = stage.drop.rate
+    mask = (rng.random(y.shape) >= rate) / (1.0 - rate) if rate else None
+    if mask is not None:
+        y = y * mask
+    pool_backward = None
+    if stage.pool:
+        y, _, pool_backward = pool_ref(y)
+    g = pool_backward(gy) if pool_backward else gy
+    if mask is not None:
+        g = g * mask
+    gx = conv.backward(g * d)
+    return y, gx[p : gx.shape[0] - p], conv.grads
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
+def test_conv_stage_training_matches_old_formulas(variant, rate):
+    model = build_model(variant, seed=5, dropout_rate=rate)
+    bands, cin = 81, 1
+    for i, nl in enumerate(model.layers[:3]):
+        stage = nl.block
+        # zeroed input rows leave the bias alone, and a bias of -800 on one
+        # channel saturates its ELU: both give pooling ties
+        stage.conv.params["b"][...] = np.linspace(-1.0, 1.0, stage.conv.cout)
+        stage.conv.params["b"][0] = -800.0
+        x = edge_inputs((40, bands, cin), 10 + i)
+        x[::4] = 0.0
+        out_shape = (40, stage.out_bands(bands), stage.conv.cout)
+        gy = edge_inputs(out_shape, 20 + i)
+        want_y, want_gx, want_grads = stage_ref(stage, x, np.random.default_rng(i), gy)
+        y = stage.forward(x, True, np.random.default_rng(i))
+        assert y.tobytes() == want_y.tobytes(), (nl.name, rate)
+        gy_before = gy.copy()
+        gx = stage.backward(gy)
+        assert gy.tobytes() == gy_before.tobytes(), nl.name  # the gradient is not written
+        assert gx.tobytes() == want_gx.tobytes(), (nl.name, rate)
+        for k, v in want_grads.items():
+            assert stage.conv.grads[k].tobytes() == v.tobytes(), (nl.name, k, rate)
+        bands, cin = out_shape[1], out_shape[2]
+
+
+def _record_input_grad(monkeypatch, force=None):
+    """Spy on Model.backward; with force set, override the caller's flag."""
+    seen = []
+    original = Model.backward
+
+    def spy(self, g, input_grad=True):
+        seen.append(input_grad)
+        return original(self, g, input_grad=input_grad if force is None else force)
+
+    monkeypatch.setattr(Model, "backward", spy)
+    return seen
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_training_loops_skip_input_gradient_with_same_parameters(monkeypatch, variant):
+    rng = np.random.default_rng(40)
+    x = rng.uniform(0, 2, (60, 81))
+    targets = (rng.random(60) > 0.8).astype(float)
+    results = []
+    for force in (None, True):
+        with monkeypatch.context() as mp:
+            seen = _record_input_grad(mp, force)
+            trained, history = train(build_model(variant, seed=41), [(x, targets)], 2, seed=42)
+            adapted = [finetune(trained, (x, targets),
+                                FinetuneConfig(FreezeConfig.from_id(fid), seed=43, epochs=2))
+                       for fid in ("ft", "ft_Conv2", "ft_Tcn4-Tcn64")]
+            assert seen == [False] * 8
+        results.append([history] + [m.param_dict() for m in [trained] + adapted])
+    (h0, *plain), (h1, *forced) = results
+    assert h0 == h1
+    for a, b in zip(plain, forced):
+        for key, value in a.items():
+            assert value.tobytes() == b[key].tobytes(), key
+
+
+def test_input_grad_false_returns_none_with_same_gradients():
+    x = np.random.default_rng(44).uniform(0, 1, (50, 81))
+    g = bce_loss_grad(np.full(50, 0.4), np.zeros(50))
+    grads = []
+    for input_grad in (True, False):
+        m = build_model("tcn_v1", seed=45)
+        m.forward(x, training=True, rng=np.random.default_rng(46))
+        gx = m.backward(g, input_grad=input_grad)
+        assert (gx is None) == (not input_grad)
+        grads.append({k: v.tobytes() for k, v in m.grad_dict().items()})
+    assert grads[0] == grads[1]
