@@ -21,8 +21,9 @@ import json
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import ConfigError, DataError, OnsetKitError, SnippetError
 from .evaluate import EvalResult, PeakPickParams, aggregate, delta_pp, match_onsets, peak_pick
 from .features import extract_features
 from .models import (
+    LAYER_NAMES,
     VARIANTS,
     FreezeConfig,
     Model,
@@ -95,6 +97,12 @@ class ExperimentConfig:
             raise ConfigError("tolerance must be > 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0.0 < self.lr_scale <= 1.0:
+            raise ConfigError(f"lr_scale must be in (0, 1], got {self.lr_scale}")
+        if not self.base_lr > 0.0:
+            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
 
 
 @dataclass(frozen=True)
@@ -231,19 +239,49 @@ def _load_eval_file(pair: FilePair, cache: dict | None):
 
 def evaluate_model(model: Model, pairs, exclude_index: int | None,
                    params: PeakPickParams | None = None, tolerance: float = 0.025,
-                   cache: dict | None = None) -> EvalResult:
-    """Run the model over every file except the held-out one and score it."""
+                   cache: dict | None = None, start: int = 0,
+                   inputs: dict | None = None) -> EvalResult:
+    """Run the model over every file except the held-out one and score it.
+
+    With start > 0, inputs maps each file to the activation entering block
+    start (see _conv3_inputs), and each forward begins there: exact
+    when the model's blocks below start equal those of the model that made
+    the activations.
+    """
     counts, ids = [], []
     for pair in sorted(pairs, key=lambda p: p.index):
         if pair.index == exclude_index:
             continue
         feats, ref = _load_eval_file(pair, cache)
-        est = peak_pick(model.forward(feats), params)
-        counts.append(match_onsets(est, ref, tolerance))
+        act = model.forward(inputs[str(pair.wav)], start=start) if start else model.forward(feats)
+        counts.append(match_onsets(peak_pick(act, params), ref, tolerance))
         ids.append(pair.index)
     if not counts:
         raise ConfigError("no evaluation files left after holdout")
     return aggregate(counts, ids)
+
+
+# Scoring an adapted model that leaves Conv1 and Conv2 frozen (13 of the
+# 15 canonical ids) starts at Conv3, from the base's activation entering
+# it. Those two stages take most of an inference forward's time, and the
+# activation entering Conv3 (8 or 5 bands) weighs a fraction of the one
+# entering Conv2 (26 bands). Keeping one activation per freeze id's
+# lowest trainable block as well would weigh about 4.4 MiB more per 30 s
+# file to spare the small Conv3 and TCN forwards.
+_SCORING_START = LAYER_NAMES.index("Conv3")
+
+
+def _conv3_inputs(model: Model, pairs, exclude_index: int | None, cache: dict | None) -> dict:
+    """{file: the model's inference activation entering Conv3} for every
+    file except the held-out one; the arrays are read-only."""
+    inputs = {}
+    for pair in pairs:
+        if pair.index == exclude_index:
+            continue
+        act = model.forward(_load_eval_file(pair, cache)[0], stop=_SCORING_START)
+        act.flags.writeable = False
+        inputs[str(pair.wav)] = act
+    return inputs
 
 
 def row_seed(global_seed: int, model: str, instrument: str, freeze_id: str) -> int:
@@ -284,11 +322,13 @@ def _cycle_identity(instrument: str, freeze_id: str):
 
 def _adapt_and_score(base: Model, pairs, snippet, instrument: str, freeze_id: str,
                      config: ExperimentConfig, cache: dict | None,
-                     baseline: EvalResult | None) -> ResultRow:
+                     baseline: EvalResult | None, inputs: dict | None = None) -> ResultRow:
     """One cycle from a loaded base and its cut (features, targets, held) snippet.
 
     With no baseline given the base is also scored; either way it is only
-    read.
+    read. inputs holds the base's activations entering Conv3 (see
+    _conv3_inputs); when the freeze leaves Conv1 and Conv2 frozen, scoring
+    starts there, after the frozen tensors are checked bitwise.
     """
     t0 = time.perf_counter()
     feats, targets, held = snippet
@@ -299,7 +339,9 @@ def _adapt_and_score(base: Model, pairs, snippet, instrument: str, freeze_id: st
                         dropout_active=config.dropout_active)
     adapted = finetune(base, (feats, targets), ft)
     _check_frozen_unchanged(base, adapted, freeze)
-    result = evaluate_model(adapted, pairs, held, config.peak_pick, config.tolerance, cache)
+    from_conv3 = inputs is not None and freeze.lowest_trainable >= _SCORING_START
+    result = evaluate_model(adapted, pairs, held, config.peak_pick, config.tolerance, cache,
+                            _SCORING_START if from_conv3 else 0, inputs if from_conv3 else None)
     if baseline is None:
         baseline = evaluate_model(base, pairs, held, config.peak_pick, config.tolerance, cache)
     per_file = tuple(result.per_file[i][3] for i in sorted(result.per_file))
@@ -353,45 +395,21 @@ def run_grid(config: ExperimentConfig, threads: int = 1) -> list:
         if variant not in config.base_models:
             raise ConfigError(f"no base model configured for {variant}; pretrain first")
 
-    # Base model, snippet and baseline once per (variant, instrument). Scoring
-    # writes no layer state, and this pass fills the feature cache, so
-    # threaded cycles only read both.
-    cache: dict = {}
-    prepared = {}
+    bases = {}
     for variant in config.models:
-        base = load_model(config.base_models[variant])
-        if base.variant != variant:
-            raise ConfigError(f"{config.base_models[variant]} holds {base.variant}, expected {variant}")
-        for name in instruments:
-            try:
-                snippet = extract_snippet(dataset[name], config.snippet_offset,
-                                          config.snippet_duration)
-                baseline = evaluate_model(base, dataset[name], snippet[2],
-                                          config.peak_pick, config.tolerance, cache)
-                prepared[variant, name] = (base, snippet, baseline)
-            except Exception as e:  # recorded on every row of this pair, grid continues
-                prepared[variant, name] = e
-
-    jobs = [(variant, name, fid)
-            for variant in config.models
-            for name in instruments
-            for fid in config.freeze_configs]
+        bases[variant] = load_model(config.base_models[variant])
+        if bases[variant].variant != variant:
+            raise ConfigError(f"{config.base_models[variant]} holds {bases[variant].variant}, "
+                              f"expected {variant}")
+    cache: dict = {}
     rows: dict = {}
     journal = out / "journal.jsonl"
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
 
-    def one(job):
-        variant, name, fid = job
-        pair = prepared[variant, name]
-        if isinstance(pair, Exception):
-            raise pair
-        base, snippet, baseline = pair
-        with _cycle_identity(name, fid):
-            return _adapt_and_score(base, dataset[name], snippet, name, fid, config, cache,
-                                    baseline)
-
-    with open(journal, "w") as log:
+    with open(journal, "w") as log, pool:
         def record(job, row=None, error=None):
             if error is None:
+                rows[job] = row
                 entry = {"status": "ok", **row.to_dict()}
             else:
                 entry = {"status": "error", "model": job[0], "instrument": job[1],
@@ -399,24 +417,44 @@ def run_grid(config: ExperimentConfig, threads: int = 1) -> list:
             log.write(json.dumps(entry) + "\n")
             log.flush()
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = {pool.submit(one, job): job for job in jobs}
-                for fut in as_completed(futures):
-                    job = futures[fut]
+        # One (variant, instrument) pair at a time: its snippet, baseline and
+        # the base's activations entering Conv3 are made once and dropped
+        # after its cycles, which only read them and the feature cache,
+        # threaded if asked.
+        for variant in config.models:
+            base = bases[variant]
+            for name in instruments:
+                jobs = [(variant, name, fid) for fid in config.freeze_configs]
+                try:
+                    snippet = extract_snippet(dataset[name], config.snippet_offset,
+                                              config.snippet_duration)
+                    inputs = _conv3_inputs(base, dataset[name], snippet[2], cache)
+                    baseline = evaluate_model(base, dataset[name], snippet[2], config.peak_pick,
+                                              config.tolerance, cache, _SCORING_START, inputs)
+                except Exception as e:  # recorded on every row of this pair, grid continues
+                    for job in jobs:
+                        record(job, error=e)
+                    continue
+
+                def one(job):
+                    with _cycle_identity(name, job[2]):
+                        return _adapt_and_score(base, dataset[name], snippet, name, job[2],
+                                                config, cache, baseline, inputs)
+
+                if threads > 1:
+                    futures = {pool.submit(one, job): job for job in jobs}
+                    outcomes = ((futures[f], f.result) for f in as_completed(futures))
+                else:
+                    outcomes = ((job, partial(one, job)) for job in jobs)
+                for job, outcome in outcomes:
                     try:
-                        rows[job] = fut.result()
-                        record(job, row=rows[job])
+                        record(job, row=outcome())
                     except Exception as e:
                         record(job, error=e)
-        else:
-            for job in jobs:
-                try:
-                    rows[job] = one(job)
-                    record(job, row=rows[job])
-                except Exception as e:
-                    record(job, error=e)
-    return [rows[job] for job in jobs if job in rows]
+                del inputs  # before the next pair's are made
+    order = [(v, n, fid) for v in config.models for n in instruments
+             for fid in config.freeze_configs]
+    return [rows[job] for job in order if job in rows]
 
 
 def write_report(rows, out_dir) -> tuple:
@@ -460,9 +498,11 @@ def write_report(rows, out_dir) -> tuple:
 def read_results(path) -> list:
     """Parse a results.csv back into rows (inverse of write_report)."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read results {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from e
     lines = text.splitlines()
     if not lines or lines[0] != f"# results-format: {RESULTS_FORMAT}":
         raise DataError(f"{path}: not a results file")
@@ -481,11 +521,19 @@ def read_results(path) -> list:
                 mean_f1=float(d["mean_f1"]), baseline_f1=float(d["baseline_f1"]),
                 delta_pp=float(d["delta_pp"]), n_files=int(d["n_files"]),
                 seed=int(d["seed"]), wall_s=float(d["wall_s"]),
-                per_file_f1=tuple(float(v) for v in json.loads(d["per_file_f1"])),
+                per_file_f1=_per_file_scores(d["per_file_f1"]),
             ))
-        except (ValueError, json.JSONDecodeError) as e:
+        except (ValueError, OverflowError, ConfigError) as e:  # JSONDecodeError is a ValueError
             raise DataError(f"{path}: {e}") from e
     return rows
+
+
+def _per_file_scores(cell: str) -> tuple:
+    scores = json.loads(cell)
+    if not isinstance(scores, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in scores):
+        raise ValueError(f"per_file_f1 is not a list of numbers: {cell!r}")
+    return tuple(float(v) for v in scores)
 
 
 def strip_wall_column(csv_text: str) -> str:
@@ -524,6 +572,8 @@ def pretrain_model(corpus_dir, instruments, variant: str, epochs: int,
 
 
 def _profile_from_json(obj: dict) -> InstrumentProfile:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"an instrument profile must be an object, got {obj!r}")
     if set(obj) == {"name", "role", "profile_seed"}:
         return make_profile(obj["name"], obj["role"], int(obj["profile_seed"]))
     kw = dict(obj)
@@ -548,7 +598,7 @@ def _corpus_spec_from_json(obj: dict) -> CorpusSpec:
     unknown = set(obj) - known
     if unknown:
         raise ConfigError(f"unknown corpus keys {sorted(unknown)}")
-    if "instruments" not in obj:
+    if not isinstance(obj.get("instruments"), list):
         raise ConfigError("corpus spec needs an instruments list")
     profiles = tuple(_profile_from_json(it) for it in obj["instruments"])
     kw = {k: obj[k] for k in known - {"instruments"} if k in obj}
@@ -566,6 +616,18 @@ _CONFIG_KEYS = ("corpus", "base_models", "models", "instruments", "freeze_config
                 "dropout_active", "peak_pick", "tolerance", "seed", "out_dir")
 
 
+# JSON types of the scalar config keys (null stands for None)
+_SCALAR_TYPES = {"snippet_offset": (int, float, type(None)), "snippet_duration": (int, float),
+                 "epochs": (int,), "lr_scale": (int, float), "base_lr": (int, float),
+                 "dropout_active": (bool,), "tolerance": (int, float), "seed": (int,)}
+
+
+def _names(value, key: str) -> tuple:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{key} must be a list of names, got {value!r}")
+    return tuple(value)
+
+
 def config_from_json(obj: dict, base_dir=None) -> ExperimentConfig:
     """Build a config from parsed JSON; relative paths resolve against base_dir."""
     unknown = set(obj) - set(_CONFIG_KEYS)
@@ -581,14 +643,20 @@ def config_from_json(obj: dict, base_dir=None) -> ExperimentConfig:
 
     kw: dict = {}
     corpus = obj["corpus"]
-    kw["corpus"] = _corpus_spec_from_json(corpus) if isinstance(corpus, dict) else respath(corpus)
+    if isinstance(corpus, dict):
+        kw["corpus"] = _corpus_spec_from_json(corpus)
+    elif isinstance(corpus, str):
+        kw["corpus"] = respath(corpus)
+    else:
+        raise ConfigError(f"corpus must be a path or an inline spec, got {corpus!r}")
     if "base_models" in obj:
-        kw["base_models"] = {k: respath(v) for k, v in obj["base_models"].items()}
-    for key in ("models", "freeze_configs"):
-        if key in obj:
-            kw[key] = tuple(obj[key])
-    if obj.get("instruments") is not None:
-        kw["instruments"] = tuple(obj["instruments"])
+        models = obj["base_models"]
+        if not isinstance(models, dict) or not all(isinstance(v, str) for v in models.values()):
+            raise ConfigError(f"base_models must map variants to model paths, got {models!r}")
+        kw["base_models"] = {k: respath(v) for k, v in models.items()}
+    for key in ("models", "freeze_configs", "instruments"):
+        if key in obj and (key != "instruments" or obj[key] is not None):  # null: every instrument
+            kw[key] = _names(obj[key], key)
     if "peak_pick" in obj:
         pp = obj["peak_pick"]
         if not isinstance(pp, dict):
@@ -597,10 +665,13 @@ def config_from_json(obj: dict, base_dir=None) -> ExperimentConfig:
             kw["peak_pick"] = PeakPickParams(**pp)
         except TypeError as e:
             raise ConfigError(f"bad peak_pick: {e}") from e
-    for key in ("snippet_offset", "snippet_duration", "epochs", "lr_scale", "base_lr",
-                "dropout_active", "tolerance", "seed"):
+    for key, types in _SCALAR_TYPES.items():
         if key in obj:
-            kw[key] = obj[key]
+            value = obj[key]
+            # bool is an int to Python, but a JSON true is no number
+            if not isinstance(value, types) or isinstance(value, bool) != (types == (bool,)):
+                raise ConfigError(f"{key} has the wrong type: {value!r}")
+            kw[key] = value
     if "out_dir" in obj:
         kw["out_dir"] = respath(obj["out_dir"])
     try:

@@ -17,6 +17,10 @@ Conventions shared by every layer:
     Model.backward returns dLoss/dfeatures only when its first block is
     trainable and None otherwise; frozen blocks above it pass the gradient
     through with param_grads=False
+  - since backward never reaches them, the blocks below the lowest trainable
+    one may run a cache-free training forward: it draws every dropout mask
+    in its place and gives the training floats, but keeps nothing (no
+    im2col or tap matrix, ELU derivative, pool winners or dropout mask)
   - parameters live in self.params; compute runs in float64 regardless of
     the stored parameter dtype (models keep float32, gradcheck float64)
 
@@ -51,9 +55,21 @@ class Layer:
         raise NotImplementedError
 
 
+def _elu(x: np.ndarray, out=None) -> tuple:
+    """ELU of a float64 array into out (a new array when None), and
+    expm1(minimum(x, 0)), the derivative minus one, as a new array.
+
+    expm1(x) >= x below zero, and np.maximum returns its second operand on
+    equal inputs, so x >= 0 (and a -0.0 input) stays x.
+    """
+    d = np.minimum(x, 0.0)
+    np.expm1(d, out=d)
+    return np.maximum(d, x, out=out), d
+
+
 def elu_inplace(x: np.ndarray) -> np.ndarray:
     """ELU of a float64 array, written over it; returns the array."""
-    return np.expm1(x, out=x, where=x < 0)
+    return _elu(x, out=x)[0]
 
 
 def glorot(shape, fan_in, fan_out, rng, dtype):
@@ -223,12 +239,7 @@ class Elu(Layer):
     def forward(self, x, *, training=False, rng=None):
         if not training:
             return elu_inplace(np.array(x, dtype=np.float64))
-        x = _f64(x)
-        d = np.minimum(x, 0.0)
-        np.expm1(d, out=d)
-        # expm1(x) >= x below zero; np.maximum returns its second operand on
-        # equal inputs, so a -0.0 input stays -0.0
-        y = np.maximum(d, x)
+        y, d = _elu(_f64(x))
         d += 1.0
         self._d = d  # the derivative: expm1(x) + 1 below zero, 1 elsewhere
         return y
@@ -259,16 +270,19 @@ class Dropout(Layer):
             raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
 
-    def draw(self, shape, rng):
-        """Draw and keep the training mask for an input of this shape; at
-        rate 0 there is none and nothing is drawn. Returns the mask."""
+    def draw(self, shape, rng, keep=True):
+        """Draw the training mask for an input of this shape and, with keep,
+        keep it for backward; at rate 0 there is none and nothing is drawn.
+        Returns the mask."""
         if self.rate == 0.0:
-            self._mask = None
+            mask = None
         elif rng is None:
             raise ConfigError("training-mode dropout needs an rng")
         else:
-            self._mask = (rng.random(shape) >= self.rate) / (1.0 - self.rate)
-        return self._mask
+            mask = (rng.random(shape) >= self.rate) / (1.0 - self.rate)
+        if keep:
+            self._mask = mask
+        return mask
 
     def forward(self, x, *, training=False, rng=None):
         x = _f64(x)

@@ -71,17 +71,37 @@ class ConvStage:
         self.pad_t = (kt - 1) // 2
         self.rf_add = kt - 1
 
-    def forward(self, x, training, rng):
-        if self.pad_t:
-            x = np.pad(x, ((self.pad_t, self.pad_t), (0, 0), (0, 0)))
+    def _pad(self, x):
+        return np.pad(x, ((self.pad_t, self.pad_t), (0, 0), (0, 0))) if self.pad_t else x
+
+    def activate(self, x):
+        """pad -> conv -> ELU in training floats, keeping nothing: the part
+        of a training forward that stays the same while the stage is frozen
+        and its input does not change."""
+        return elu_inplace(self.conv.forward(self._pad(x)))
+
+    def forward(self, x, training, rng, keep=True, activated=False):
+        """keep=False runs a training forward cache-free (same dropout draws
+        and floats, nothing kept for backward). activated=True takes x as
+        this stage's own activate() output and only reads it; the forward
+        is then cache-free."""
         if not training:
-            x = self.conv.forward(x)
+            x = self.conv.forward(self._pad(x))
             return elu_inplace(self.pool.forward(x) if self.pool else x)
-        x = self.elu.forward(self.conv.forward(x, training=True), training=True)
-        mask = self.drop.draw(x.shape, rng)
+        keep = keep and not activated
+        if activated:
+            y = x
+        elif keep:
+            y = self.elu.forward(self.conv.forward(self._pad(x), training=True), training=True)
+        else:
+            y = self.activate(x)
+        mask = self.drop.draw(y.shape, rng, keep=keep)
         if mask is not None:
-            x *= mask
-        return self.pool.forward(x, training=True) if self.pool else x
+            if activated:
+                y = y * mask  # a fresh product: the activated input is only read
+            else:
+                y *= mask
+        return self.pool.forward(y, training=keep) if self.pool else y
 
     def backward(self, gy, input_grad=True, param_grads=True):
         # a fresh array, scaled in place below
@@ -123,14 +143,23 @@ class TcnLevel:
         self.mix = Dense(TCN_CHANNELS, TCN_CHANNELS, rng=rng, dtype=dtype)
         self.rf_add = 4 * dilation + (8 * dilation if double else 0)
 
-    def forward(self, x, training, rng):
+    def forward(self, x, training, rng, keep=True):
+        """keep=False runs a training forward cache-free (same dropout draws
+        and floats, nothing kept for backward)."""
+        keep = training and keep
         if self.adapter:
-            x = self.adapter.forward(x, training=training)
-        h = self.conv1.forward(x, training=training)
+            x = self.adapter.forward(x, training=keep)
+        h = self.conv1.forward(x, training=keep)
         if self.conv2:
-            h = self.conv2.forward(h, training=training)
-        h = self.drop.forward(self.elu.forward(h, training=training), training=training, rng=rng)
-        return x + self.mix.forward(h, training=training)
+            h = self.conv2.forward(h, training=keep)
+        if keep:
+            h = self.drop.forward(self.elu.forward(h, training=True), training=True, rng=rng)
+        else:
+            h = elu_inplace(h)  # the conv's own fresh output
+            mask = self.drop.draw(h.shape, rng, keep=False) if training else None
+            if mask is not None:
+                h *= mask
+        return x + self.mix.forward(h, training=keep)
 
     def backward(self, gy, input_grad=True, param_grads=True):
         gh = self.mix.backward(gy, param_grads=param_grads)
@@ -200,7 +229,7 @@ class Model:
         self.seed = seed
         self.layers = layers
         self.dropout_rate = dropout_rate
-        self._backward_ready = False  # the latest forward ran in training mode
+        self._kept_from = None  # lowest block whose caches the latest forward kept
 
     @property
     def optimizer_kind(self) -> str:
@@ -212,51 +241,72 @@ class Model:
                 return nl
         raise KeyError(f"unknown layer {name!r}")
 
-    def forward(self, features, training=False, rng=None):
+    @property
+    def lowest_trainable(self) -> int:
+        """Index of the lowest trainable block (Out is always trainable)."""
+        return next((i for i, nl in enumerate(self.layers) if nl.trainable), len(self.layers))
+
+    def forward(self, features, training=False, rng=None, *, start=0, stop=None):
         """Activation per frame. Only a training-mode forward keeps the
-        layer caches that backward reads; an inference forward stores
-        nothing on any layer (dropout is the identity there, and each
-        conv stage pools before its ELU)."""
-        self._backward_ready = False
-        x = np.asarray(getattr(features, "values", features), dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != N_BANDS:
-            raise ShapeError(f"expected (frames, {N_BANDS}) features, got {x.shape}")
-        n = x.shape[0]
-        x = x[:, :, None]  # time x freq x 1 channel
-        for nl in self.layers:
-            if nl.kind == "conv-stage":
-                x = nl.block.forward(x, training, rng)
-            elif nl.kind == "tcn-level":
-                if x.ndim == 3:  # leave the front-end: squeeze the unit band
-                    assert x.shape[1] == 1
-                    x = x[:, 0, :]
-                x = nl.block.forward(x, training, rng)
+        layer caches that backward reads, and only on the blocks backward
+        reaches: the blocks below the lowest trainable one run cache-free,
+        drawing their dropout in place but keeping nothing. An inference
+        forward stores nothing on any layer (dropout is the identity
+        there, and each conv stage pools before its ELU).
+
+        start/stop run blocks start..stop-1 only: with start > 0, features
+        is the activation entering block start, as a forward with
+        stop=start returns it, and is only read. A forward is a function of
+        that activation, so splitting one gives the same floats.
+        """
+        self._kept_from = None
+        if start == 0:
+            x = np.asarray(getattr(features, "values", features), dtype=np.float64)
+            if x.ndim != 2 or x.shape[1] != N_BANDS:
+                raise ShapeError(f"expected (frames, {N_BANDS}) features, got {x.shape}")
+            x = x[:, :, None]  # time x freq x 1 channel
+        else:
+            x = features
+        stop = len(self.layers) if stop is None else stop
+        lowest = self.lowest_trainable if training else 0
+        for i in range(start, stop):
+            nl = self.layers[i]
+            if nl.kind == "tcn-level" and x.ndim == 3:  # leave the front-end
+                assert x.shape[1] == 1
+                x = x[:, 0, :]
+            if i < lowest:
+                x = nl.block.forward(x, training, rng, keep=False)
             else:
                 x = nl.block.forward(x, training, rng)
-        assert x.shape == (n,)
-        self._backward_ready = bool(training)
+        if training and stop == len(self.layers):
+            self._kept_from = max(start, lowest)
         return x
 
     def backward(self, g_activation, input_grad=True):
         """Fill the grads of every trainable block from dLoss/dactivation.
 
-        Needs the caches of a training-mode forward: raises ConfigError
-        unless the latest forward ran with training=True. Blocks are walked
-        from Out down to the lowest trainable one and no further: blocks
-        below it run no backward, so they form no gradients (their grads
-        keep whatever they held), and the lowest one forms no input
-        gradient unless it is Conv1. Frozen blocks above it pass the input
-        gradient through and form no weight gradients either.
+        Needs the caches of a training-mode forward through Out: raises
+        ConfigError unless the latest forward ran with training=True and
+        kept the caches of every block from the lowest trainable one up
+        (a block it skipped or ran cache-free has since been made
+        trainable). Blocks are walked from Out down to the lowest trainable
+        one and no further: blocks below it run no backward, so they form no gradients
+        (their grads keep whatever they held), and the lowest one forms no
+        input gradient unless it is Conv1. Frozen blocks above it pass the
+        input gradient through and form no weight gradients either.
 
         input_grad=False skips dLoss/dfeatures even when Conv1 is
         trainable (training loops never read it); the parameter gradients
         are the same floats. Returns dLoss/dfeatures as (frames, bands, 1)
         when input_grad is set and Conv1 is trainable, otherwise None.
         """
-        if not self._backward_ready:
+        if self._kept_from is None:
             raise ConfigError("backward needs a training-mode forward first (training=True)")
+        lowest = self.lowest_trainable
+        if lowest < self._kept_from:
+            raise ConfigError(f"{self.layers[lowest].name} is trainable, but the latest forward "
+                              "kept no caches for it")
         g = np.asarray(g_activation, dtype=np.float64)
-        lowest = next((i for i, nl in enumerate(self.layers) if nl.trainable), len(self.layers))
         input_grad = input_grad and lowest == 0
         for i in reversed(range(lowest, len(self.layers))):
             nl = self.layers[i]
@@ -392,6 +442,11 @@ class FreezeConfig:
             raise ConfigError(f"freeze segment reversed in {spec!r}")
         return cls(id=spec, frozen=FREEZABLE[a : b + 1])
 
+    @property
+    def lowest_trainable(self) -> int:
+        """Index of the lowest block this config leaves trainable."""
+        return next(i for i, name in enumerate(LAYER_NAMES) if name not in self.frozen)
+
 
 def canonical_freeze_ids() -> list[str]:
     """The 15 canonical configs: none frozen plus every prefix."""
@@ -486,8 +541,13 @@ def load_model(path) -> Model:
     if len(blob) != declared * 4:
         raise ModelFormatError(f"blob holds {len(blob)} bytes, expected {declared * 4}")
 
-    model = build_model(fields["variant"], number(int, fields["seed"], "seed"),
-                        dropout_rate=number(float, fields["dropout"], "dropout"))
+    seed = number(int, fields["seed"], "seed")
+    if seed < 0:
+        raise ModelFormatError(f"seed must be >= 0, got {seed}")
+    dropout = number(float, fields["dropout"], "dropout")
+    if not 0.0 <= dropout < 1.0:
+        raise ModelFormatError(f"dropout must be in [0, 1), got {fields['dropout']!r}")
+    model = build_model(fields["variant"], seed, dropout_rate=dropout)
     params = model.param_dict()
     if [n for n, _ in tensors] != list(params):
         raise ModelFormatError("tensor list does not match the declared variant")

@@ -90,6 +90,12 @@ def finetune(model: Model, snippet, config: FinetuneConfig) -> Model:
     Frozen layers stay bitwise untouched; the input model is not modified.
     With dropout_active False the copy is built without dropout, so its
     training-mode forwards draw nothing.
+
+    The epochs give the floats and dropout draws of full training forwards
+    with less work on a frozen prefix: a frozen Conv1's pad + conv + ELU
+    output is computed once and each epoch draws its mask and pools a fresh
+    product, and the frozen blocks above it, up to the lowest trainable
+    one, run cache-free.
     """
     feats, targets = snippet
     x = _as_values(feats)
@@ -103,8 +109,18 @@ def finetune(model: Model, snippet, config: FinetuneConfig) -> Model:
     apply_freeze(adapted, config.freeze)
     opt = make_optimizer(adapted.optimizer_kind, config.base_lr * config.lr_scale)
     rng = np.random.default_rng(config.seed)
+    # a frozen Conv1's pre-dropout output is the same in every epoch; its
+    # dropout mask is not
+    conv1, const = adapted.layers[0].block, None
+    if adapted.lowest_trainable > 0:
+        const = conv1.activate(x[:, :, None])
+        const.flags.writeable = False
     for epoch in range(config.epochs):
-        act = adapted.forward(x, training=True, rng=rng)
+        if const is None:
+            act = adapted.forward(x, training=True, rng=rng)
+        else:
+            h = conv1.forward(const, True, rng, activated=True)
+            act = adapted.forward(h, training=True, rng=rng, start=1)
         loss = bce_loss(act, targets)
         if not np.isfinite(loss):
             raise DivergenceError(epoch)

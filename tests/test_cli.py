@@ -108,6 +108,19 @@ def test_detect_malformed_model_exits_2(corpus, model_file, tmp_path, capsys):
     assert err == ["error: header has no variant line"]
 
 
+@pytest.mark.parametrize("old, new", [(b"seed 0\n", b"seed -1\n"),
+                                      (b"dropout 0.1", b"dropout nan"),
+                                      (b"dropout 0.1", b"dropout 2.0")],
+                         ids=["seed-negative", "dropout-nan", "dropout-2"])
+def test_detect_model_with_bad_seed_or_dropout_exits_2(corpus, model_file, tmp_path, capsys,
+                                                       old, new):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(model_file.read_bytes().replace(old, new, 1))
+    assert main(["detect", str(bad), str(corpus / "drone_tone_02.wav")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_detect_wav_with_partial_trailing_sample(corpus, model_file, tmp_path, capsys):
     # a 16-bit data chunk with an odd byte count: the partial sample is dropped
     wav = corpus / "drone_tone_02.wav"
@@ -177,6 +190,29 @@ def test_grid_bad_peak_pick_exits_1(corpus, model_file, tmp_path, capsys, peak_p
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "peak_pick" in err[0]
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("key, value", [("corpus", 5), ("base_models", []),
+                                        ("freeze_configs", [1]), ("instruments", 7)])
+def test_grid_mistyped_config_exits_1(corpus, model_file, tmp_path, capsys, key, value):
+    config = {"corpus": str(corpus), "base_models": {"tcn_v1": str(model_file)},
+              "models": ["tcn_v1"], "out_dir": str(tmp_path / "results"), key: value}
+    (tmp_path / "exp.json").write_text(json.dumps(config))
+    assert main(["grid", "--config", str(tmp_path / "exp.json")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("cell", ["5", '"[[1]]"'])
+def test_report_malformed_results_exits_2(tmp_path, capsys, cell):
+    results = tmp_path / "results.csv"
+    results.write_text("# results-format: 1\n"
+                       "model,instrument,freeze_id,mean_f1,baseline_f1,delta_pp,n_files,seed,"
+                       f"wall_s,per_file_f1\ntcn_v1,a,ft,0.5,0.5,0.0,1,0,0.1,{cell}\n")
+    assert main(["report", str(results), "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_divergence_maps_to_exit_3(monkeypatch, corpus, model_file, tmp_path, capsys):

@@ -24,7 +24,13 @@ from onsetkit.experiment import (
     strip_wall_column,
     write_report,
 )
-from onsetkit.models import build_model, save_model
+from onsetkit.models import (
+    FreezeConfig,
+    build_model,
+    canonical_freeze_ids,
+    clone_model,
+    save_model,
+)
 from onsetkit.synth import CorpusSpec, generate_corpus, make_profile, render_file
 
 
@@ -169,6 +175,75 @@ def test_run_grid_prepares_each_pair_once(corpus, base_models, tmp_path, monkeyp
     assert calls.count("extract_snippet") == 4  # one per (model, instrument)
 
 
+def test_scoring_from_boundaries_is_the_full_forward(tmp_path, monkeypatch):
+    import onsetkit.experiment as experiment
+
+    spec = CorpusSpec((make_profile("alpha", "time-keeping", 0),),
+                      files_per_instrument=3, file_duration=5.0, tempo=180.0, seed=6)
+    generate_corpus(spec, tmp_path)
+    pairs = load_dataset(tmp_path)["alpha"]
+    acts = []
+    monkeypatch.setattr(experiment, "peak_pick",
+                        lambda act, params=None: acts.append(act.tobytes()) or OnsetAnnotations())
+    base = build_model("tcn_v2", seed=3)
+    cache = {}
+    conv3 = experiment._conv3_inputs(base, pairs, 1, cache)
+    assert sorted(conv3) == sorted(str(p.wav) for p in pairs if p.index != 1)
+    assert not any(a.flags.writeable for a in conv3.values())
+    starts = {FreezeConfig.from_id(fid).lowest_trainable for fid in canonical_freeze_ids()} - {0}
+    assert starts == set(range(1, 15))
+    boundaries = {block: {key: base.forward(cache[key][0], stop=block) for key in conv3}
+                  for block in starts}
+    assert all(boundaries[2][key].tobytes() == conv3[key].tobytes() for key in conv3)
+    evaluate_model(base, pairs, 1, cache=cache)
+    for block in starts:  # the base itself from each block's boundary
+        evaluate_model(base, pairs, 1, cache=cache, start=block, inputs=boundaries[block])
+    assert len(acts) == 2 * 15 and set(acts[0::2]) == {acts[0]} and set(acts[1::2]) == {acts[1]}
+    for fid in canonical_freeze_ids()[1:]:
+        start = FreezeConfig.from_id(fid).lowest_trainable
+        adapted = clone_model(base)
+        for key, value in adapted.param_dict().items():
+            if key.split(".")[0] not in FreezeConfig.from_id(fid).frozen:
+                value *= 1.5
+        acts.clear()
+        evaluate_model(adapted, pairs, 1, cache=cache)
+        evaluate_model(adapted, pairs, 1, cache=cache, start=start, inputs=boundaries[start])
+        assert len(acts) == 4 and acts[:2] == acts[2:], fid
+
+
+def test_run_grid_scores_from_the_base_conv3_inputs(corpus, base_models, tmp_path, monkeypatch):
+    import onsetkit.experiment as experiment
+
+    made, starts = [], []
+    make, inner = experiment._conv3_inputs, experiment.evaluate_model
+
+    def make_spy(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    def spy(model, pairs, exclude_index, *args, **kwargs):
+        start = args[3] if len(args) > 3 else kwargs.get("start", 0)
+        inputs = args[4] if len(args) > 4 else kwargs.get("inputs")
+        assert (inputs is made[-1]) == bool(start)
+        starts.append(start)
+        return inner(model, pairs, exclude_index, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_conv3_inputs", make_spy)
+    monkeypatch.setattr(experiment, "evaluate_model", spy)
+    fids = ("ft", "ft_Conv1", "ft_Conv2", "ft_Tcn16", "ft_Tcn4-Tcn64")
+    config = quick_config(corpus, base_models, tmp_path / "grid", epochs=1, instruments=("alpha",),
+                          freeze_configs=fids)
+    rows = run_grid(config)
+    # made once per pair; the baseline and the cycles that leave Conv1 and
+    # Conv2 frozen score from Conv3, the others from the features
+    assert len(made) == 1
+    assert starts == [2, 0, 0, 2, 2, 0]
+    monkeypatch.setattr(experiment, "evaluate_model", inner)
+    for row, fid in zip(rows, fids):
+        alone = run_cycle(base_models["tcn_v1"], "alpha", fid, config)
+        assert dataclasses.replace(alone, wall_s=0.0) == dataclasses.replace(row, wall_s=0.0)
+
+
 def test_run_grid_survives_cycle_failure(base_models, tmp_path):
     spec = CorpusSpec((make_profile("good", "voicing", 1),
                        dataclasses.replace(make_profile("bad", "voicing", 1),
@@ -211,6 +286,30 @@ def test_results_csv_errors(tmp_path):
         read_results(tmp_path / "missing.csv")
     with pytest.raises(DataError):
         strip_wall_column("just,a,csv\n")
+
+
+def test_read_results_malformed_rows_are_data_errors(tmp_path):
+    row = ResultRow(model="tcn_v1", instrument="a", freeze_id="ft", mean_f1=0.5,
+                    baseline_f1=0.25, delta_pp=25.0, n_files=2, seed=1, wall_s=0.1,
+                    per_file_f1=(0.5, 0.5))
+    good, _ = write_report([row], tmp_path)
+    text = good.read_text()
+    assert read_results(good) == [row]
+    bad = tmp_path / "bad.csv"
+    for old, new in [('"[0.5, 0.5]"', "5"), ('"[0.5, 0.5]"', '"[[1], [1]]"'),
+                     ('"[0.5, 0.5]"', '"{""a"": 1}"'), ('"[0.5, 0.5]"', '"""12"""'),
+                     ('"[0.5, 0.5]"', '"[true, 0.5]"'), ('"[0.5, 0.5]"', "[0.5"),
+                     ('"[0.5, 0.5]"', '"[1' + "0" * 400 + ', 0.5]"'),  # too big for a float
+                     ("0.5,0.25,25.0", "0.5,0.25,99.0"),  # delta_pp is not mean - baseline
+                     ("0.5,0.25,25.0", "1.5,0.25,125.0"),  # mean F1 out of range
+                     (",2,1,", ",3,1,")]:  # n_files does not match the list
+        assert old in text
+        bad.write_text(text.replace(old, new, 1))
+        with pytest.raises(DataError):
+            read_results(bad)
+    bad.write_bytes(text.encode().replace(b"tcn_v1", b"tcn_\xff1"))
+    with pytest.raises(DataError, match="UTF-8"):
+        read_results(bad)
 
 
 def test_real_layout_ingestion(tmp_path):
@@ -275,6 +374,16 @@ def test_config_json_inline_corpus_and_errors(tmp_path):
         config_from_json({"models": ["tcn_v1"]})  # corpus missing
     with pytest.raises(ConfigError):
         config_from_json({"corpus": ".", "models": ["tcn_v9"]})
+    for bad in ({"corpus": 5}, {"corpus": ".", "base_models": []},
+                {"corpus": ".", "base_models": {"tcn_v1": 3}}, {"corpus": ".", "models": "tcn_v1"},
+                {"corpus": ".", "freeze_configs": [1]}, {"corpus": ".", "instruments": 7},
+                {"corpus": {"instruments": 3}}, {"corpus": {"instruments": [3]}},
+                {"corpus": ".", "epochs": "ten"}, {"corpus": ".", "epochs": 0},
+                {"corpus": ".", "epochs": True}, {"corpus": ".", "lr_scale": -1},
+                {"corpus": ".", "base_lr": 0}, {"corpus": ".", "dropout_active": 1},
+                {"corpus": ".", "seed": 1.5}, {"corpus": ".", "snippet_offset": "0"}):
+        with pytest.raises(ConfigError):
+            config_from_json(bad)
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     with pytest.raises(DataError):

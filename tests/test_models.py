@@ -241,6 +241,75 @@ def test_backward_needs_training_forward():
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
+def test_frozen_prefix_runs_cache_free_with_the_same_draws(variant):
+    x = np.random.default_rng(60).normal(0.0, 2.0, (48, 81))
+    full = build_model(variant, seed=61, dropout_rate=0.3)
+    full_rng = np.random.default_rng(62)
+    want = full.forward(x, training=True, rng=full_rng)
+    after_full = full_rng.random()
+    for fid in ("ft_Conv1", "ft_Conv3", "ft_Tcn16", "ft_Tcn1024", "ft_Tcn4-Tcn64"):
+        m = apply_freeze(clone_model(full), FreezeConfig.from_id(fid))
+        lowest = m.lowest_trainable
+        fresh = _layer_state(m)
+        rng = np.random.default_rng(62)
+        got = m.forward(x, training=True, rng=rng)
+        assert got.tobytes() == want.tobytes(), fid
+        assert rng.random() == after_full, fid  # every mask drawn, none extra
+        after = _layer_state(m)
+        for key, attrs in fresh.items():
+            name = key if isinstance(key, str) else key[0]
+            if LAYER_NAMES.index(name) < lowest:  # no attribute added or replaced
+                assert after[key].keys() == attrs.keys(), (fid, key)
+                assert all(after[key][a] is v for a, v in attrs.items()), (fid, key)
+        for nl in m.layers[lowest:]:  # the rest keep what backward reads
+            part = "elu" if nl.kind != "output" else "sig"
+            assert after[nl.name, part].keys() > fresh[nl.name, part].keys(), (fid, nl.name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_backward_refuses_blocks_the_forward_kept_no_caches_for(variant):
+    x = np.random.default_rng(63).uniform(0, 1, (30, 81))
+    g = np.random.default_rng(64).standard_normal(30)
+    m = apply_freeze(build_model(variant, seed=65), FreezeConfig.from_id("ft_Tcn16"))
+    lowest = m.lowest_trainable
+    assert lowest == LAYER_NAMES.index("Tcn32")
+    m.forward(x, training=True, rng=np.random.default_rng(0))  # cache-free below Tcn32
+    assert m.backward(g) is None
+    for fid in ("ft_Tcn8", "ft_Tcn4-Tcn64", "ft"):
+        apply_freeze(m, FreezeConfig.from_id(fid))  # unfreezes a cache-free block
+        with pytest.raises(ConfigError, match="no caches"):
+            m.backward(g)
+    # the same after a forward that starts above the unfrozen blocks
+    apply_freeze(m, FreezeConfig.from_id("ft_Tcn16"))
+    h = m.forward(x, training=True, rng=np.random.default_rng(0), stop=lowest)
+    with pytest.raises(ConfigError):  # a forward that stops short leaves nothing to backward
+        m.backward(g)
+    m.forward(h, training=True, rng=np.random.default_rng(0), start=lowest)
+    assert m.backward(g) is None
+    apply_freeze(m, FreezeConfig.from_id("ft_Conv1"))
+    with pytest.raises(ConfigError, match="no caches"):
+        m.backward(g)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_forward_from_a_boundary_is_the_full_forward(variant):
+    x = np.random.default_rng(66).normal(0.0, 2.0, (300, 81))
+    base = build_model(variant, seed=67)
+    for fid in canonical_freeze_ids()[1:]:  # "ft" starts at Conv1: the full forward
+        start = FreezeConfig.from_id(fid).lowest_trainable
+        # an adapted model: the blocks from start up differ from the base
+        adapted = clone_model(base)
+        for key, value in adapted.param_dict().items():
+            if LAYER_NAMES.index(key.split(".")[0]) >= start:
+                value += 0.01
+        boundary = base.forward(x, stop=start)
+        boundary.flags.writeable = False
+        want = adapted.forward(x)
+        assert adapted.forward(boundary, start=start).tobytes() == want.tobytes(), fid
+        assert base.forward(boundary, start=start).tobytes() == base.forward(x).tobytes(), fid
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_frozen_blocks_above_a_trainable_one_form_no_weight_gradients(variant):
     x = np.random.default_rng(23).uniform(0, 1, (64, 81))
     g = np.random.default_rng(24).standard_normal(64)
@@ -367,7 +436,9 @@ def test_load_errors(tmp_path):
     for old, new in [(b"variant tcn_v1\n", b""), (b"seed 0\n", b""),
                      (b"dropout 0.1\n", b""), (b"onsetkit-model 1", b"onsetkit-model x"),
                      (b"seed 0", b"seed zero"), (b"dropout 0.1", b"dropout lots"),
-                     (b"variant tcn_v1", b"variant tcn_v9"), (b"seed 0\n", b"seed\n")]:
+                     (b"variant tcn_v1", b"variant tcn_v9"), (b"seed 0\n", b"seed\n"),
+                     (b"seed 0\n", b"seed -1\n"), (b"dropout 0.1", b"dropout nan"),
+                     (b"dropout 0.1", b"dropout 2.0"), (b"dropout 0.1", b"dropout -0.5")]:
         broken = tmp_path / "broken.model"
         broken.write_bytes(raw.replace(old, new, 1))
         with pytest.raises(ModelFormatError):

@@ -2,16 +2,28 @@
 
 The references below are the textbook forms: ELU through np.where with a
 cached output, pooling through argmax with take_along_axis and
-put_along_axis, dropout as a separate product. The layers now keep ELU's
-derivative and uint8 pool winners and work in place; every comparison is
-by tobytes(), so a changed sign of zero fails too.
+put_along_axis, dropout as a separate product, the in-place inference ELU
+as a masked expm1, and fine-tuning as a full training forward of every
+block in every epoch. The layers now keep ELU's derivative and uint8 pool
+winners and work in place, and fine-tuning computes a frozen Conv1's
+output once and runs the frozen blocks above it cache-free; every
+comparison is by tobytes(), so a changed sign of zero fails too.
 """
 
 import numpy as np
 import pytest
 
-from onsetkit.layers import Conv2d, Elu, MaxPoolFreq3, bce_loss_grad
-from onsetkit.models import VARIANTS, FreezeConfig, Model, build_model
+from onsetkit.layers import Conv2d, Elu, MaxPoolFreq3, bce_loss_grad, elu_inplace
+from onsetkit.models import (
+    VARIANTS,
+    FreezeConfig,
+    Model,
+    apply_freeze,
+    build_model,
+    canonical_freeze_ids,
+    clone_model,
+)
+from onsetkit.optim import make_optimizer
 from onsetkit.training import FinetuneConfig, finetune, train
 
 # signed zeros, subnormals, a value whose expm1 rounds to itself, and a
@@ -178,3 +190,46 @@ def test_input_grad_false_returns_none_with_same_gradients():
         assert (gx is None) == (not input_grad)
         grads.append({k: v.tobytes() for k, v in m.grad_dict().items()})
     assert grads[0] == grads[1]
+
+
+def test_elu_inplace_matches_masked_expm1():
+    specials = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, np.nan, np.inf, -np.inf,
+                         -745.0, 745.0, -1e-17, -800.0])
+    for x in (specials, EDGES, edge_inputs((200, 9), 3)):
+        want = np.expm1(x, out=x.copy(), where=x < 0)
+        y = x.copy()
+        assert elu_inplace(y) is y
+        assert y.tobytes() == want.tobytes()
+
+
+def finetune_ref(model, snippet, config):
+    """finetune with a full training forward of every block in every epoch."""
+    x, targets = snippet
+    adapted = clone_model(model, dropout_rate=None if config.dropout_active else 0.0)
+    apply_freeze(adapted, config.freeze)
+    opt = make_optimizer(adapted.optimizer_kind, config.base_lr * config.lr_scale)
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        apply_freeze(adapted, FreezeConfig.from_id("ft"))  # every block keeps its caches
+        act = adapted.forward(x, training=True, rng=rng)
+        apply_freeze(adapted, config.freeze)
+        adapted.backward(bce_loss_grad(act, targets), input_grad=False)
+        opt.step(adapted.param_dict(trainable_only=True), adapted.grad_dict(trainable_only=True))
+    return adapted
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("dropout_active", [True, False])
+def test_finetune_matches_full_training_forward(variant, dropout_active):
+    rng = np.random.default_rng(50)
+    x = np.abs(edge_inputs((36, 81), 51))
+    x[:, ::7] = -x[:, ::7]  # conv outputs on both sides of zero
+    targets = (rng.random(36) > 0.8).astype(float)
+    base = build_model(variant, seed=52, dropout_rate=0.3)
+    for fid in canonical_freeze_ids() + ["ft_Tcn4-Tcn64"]:
+        config = FinetuneConfig(FreezeConfig.from_id(fid), seed=53, epochs=3, lr_scale=1.0,
+                                dropout_active=dropout_active)
+        want = finetune_ref(base, (x, targets), config).param_dict()
+        got = finetune(base, (x, targets), config).param_dict()
+        for key, value in want.items():
+            assert got[key].tobytes() == value.tobytes(), (fid, key)
