@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from .errors import ConfigError, DivergenceError, OnsetKitError
 from .evaluate import PeakPickParams, compute_prf, match_onsets, peak_pick
 from .experiment import (
     _corpus_spec_from_json,
+    _read_json,
     extract_snippet,
     load_config,
     load_dataset,
@@ -46,8 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_synth(args) -> int:
     if args.config is not None:
-        obj = json.loads(Path(args.config).read_text())
-        spec = _corpus_spec_from_json(obj)
+        spec = _corpus_spec_from_json(_read_json(args.config, "corpus spec"))
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
     else:
@@ -228,7 +227,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (OnsetKitError, OSError, json.JSONDecodeError) as e:
+    except (OnsetKitError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

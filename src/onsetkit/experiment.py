@@ -594,6 +594,8 @@ def _profile_to_json(p: InstrumentProfile) -> dict:
 
 
 def _corpus_spec_from_json(obj: dict) -> CorpusSpec:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"corpus spec must be a JSON object, got {obj!r}")
     known = {"instruments", "files_per_instrument", "file_duration", "tempo", "seed"}
     unknown = set(obj) - known
     if unknown:
@@ -703,15 +705,22 @@ def config_to_json(config: ExperimentConfig) -> dict:
     return obj
 
 
+def _read_json(path, what):
+    """Parsed JSON of a UTF-8 file; unreadable or malformed files are DataError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from e
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: invalid JSON: {e}") from e
+
+
 def load_config(path) -> ExperimentConfig:
     """Read an experiment config JSON file."""
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except OSError as e:
-        raise DataError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: invalid JSON: {e}") from e
+    obj = _read_json(path, "config")
     if not isinstance(obj, dict):
         raise DataError(f"{path}: config must be a JSON object")
     return config_from_json(obj, base_dir=path.parent)

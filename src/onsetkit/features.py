@@ -22,6 +22,7 @@ FRAME_RATE = 100
 N_BANDS = 81
 FMIN = 30.0
 FMAX = 17000.0
+STFT_CHUNK = 64  # frames windowed and transformed at a time
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,8 @@ def _filterbank(n_bins: int, sample_rate: int) -> np.ndarray:
 
 
 _FB_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_WINDOW = np.hanning(WINDOW_SIZE)
+_WINDOW.flags.writeable = False
 
 
 def _cached_filterbank(n_bins: int, sample_rate: int) -> np.ndarray:
@@ -91,7 +94,11 @@ def extract_features(clip: AudioClip) -> FeatureMatrix:
     padded = np.pad(x, (half, half + HOP))
     frames = np.lib.stride_tricks.sliding_window_view(padded, WINDOW_SIZE)[::HOP]
     frames = frames[:n_frames]
-    window = np.hanning(WINDOW_SIZE)
-    mag = np.abs(np.fft.rfft(frames * window, axis=1))
+    # chunks keep the windowed frames and their spectrum cache-sized; each
+    # row's transform is the same whichever rows share its call
+    mag = np.empty((n_frames, WINDOW_SIZE // 2 + 1))
+    for s in range(0, n_frames, STFT_CHUNK):
+        chunk = frames[s : s + STFT_CHUNK] * _WINDOW
+        np.abs(np.fft.rfft(chunk, axis=1), out=mag[s : s + STFT_CHUNK])
     fb = _cached_filterbank(mag.shape[1], clip.sample_rate)
     return FeatureMatrix(values=np.log1p(mag @ fb))

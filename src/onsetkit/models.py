@@ -40,17 +40,18 @@ LAYER_NAMES = tuple(
     ["Conv1", "Conv2", "Conv3"] + [f"Tcn{2**i}" for i in range(11)] + ["Out"]
 )
 FREEZABLE = LAYER_NAMES[:-1]  # Out is always trainable
+# inference time block of a conv stage, in output frames: its im2col
+# matrix stays cache-sized, and at 128 frames every block's matmul gives
+# the floats of the whole-length one (at 64, tcn_v2's Conv3 does not)
+BLOCK_FRAMES = 128
 
 
-@dataclass(frozen=True)
-class ActivationFunction:
-    """Per-frame onset likelihoods in (0,1) at 100 frames/s."""
-
-    values: np.ndarray
-    frame_rate: int = 100
-
-    def __len__(self) -> int:
-        return len(self.values)
+def _time_blocks(frames):
+    """[s, e) spans of BLOCK_FRAMES frames; the remainder joins the last
+    span, so no span is shorter than a block unless the whole input is."""
+    n = max(1, frames // BLOCK_FRAMES)
+    edges = [i * BLOCK_FRAMES for i in range(n)] + [frames]
+    return zip(edges[:-1], edges[1:])
 
 
 class ConvStage:
@@ -58,7 +59,9 @@ class ConvStage:
 
     At inference dropout is the identity and ELU is non-decreasing, so the
     stage pools first and runs ELU in place on the pooled output: same
-    floats, and a pooling stage evaluates a third as many ELUs. In training
+    floats, and a pooling stage evaluates a third as many ELUs. Inference
+    also runs in time blocks (see _time_blocks), each block reading its
+    kt - 1 frames of context from the one padded input. In training
     the dropout mask multiplies the ELU output in place, and backward
     applies the mask and then ELU's derivative in place on the gradient.
     """
@@ -86,8 +89,16 @@ class ConvStage:
         this stage's own activate() output and only reads it; the forward
         is then cache-free."""
         if not training:
-            x = self.conv.forward(self._pad(x))
-            return elu_inplace(self.pool.forward(x) if self.pool else x)
+            xp = self._pad(x)
+            frames = xp.shape[0] - self.rf_add
+            out = None
+            for s, e in _time_blocks(frames):
+                y = self.conv.forward(xp[s : e + self.rf_add])
+                y = elu_inplace(self.pool.forward(y) if self.pool else y)
+                if out is None:
+                    out = np.empty((frames,) + y.shape[1:])
+                out[s:e] = y
+            return out
         keep = keep and not activated
         if activated:
             y = x
@@ -383,10 +394,6 @@ def build_model(
         layers.append(NamedLayer(f"Tcn{d}", "tcn-level", lvl, dilation=d))
     layers.append(NamedLayer("Out", "output", OutHead(rng, dtype)))
     return Model(variant, seed, layers, rate)
-
-
-def forward(model: Model, features, training=False, rng=None) -> ActivationFunction:
-    return ActivationFunction(values=model.forward(features, training=training, rng=rng))
 
 
 def count_params(model: Model) -> tuple[int, dict[str, int]]:

@@ -330,9 +330,11 @@ def load_manifest(path) -> tuple[dict, list[ManifestEntry]]:
     """Parse a corpus manifest into (metadata dict, file entries)."""
     path = Path(path)
     try:
-        raw = path.read_text()
+        raw = path.read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read manifest {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from e
     lines = [ln.strip() for ln in raw.splitlines() if ln.strip()]
     if not lines or lines[0] != f"{MANIFEST_MAGIC} {MANIFEST_VERSION}":
         raise DataError(f"{path}: not a corpus manifest")
@@ -362,4 +364,7 @@ def load_manifest(path) -> tuple[dict, list[ManifestEntry]]:
     missing = {"seed", "tempo", "file_duration", "files_per_instrument", "instruments"} - set(meta)
     if missing:
         raise DataError(f"{path}: manifest missing keys {sorted(missing)}")
+    stray = {e.instrument for e in entries} - set(meta["instruments"])
+    if stray:
+        raise DataError(f"{path}: file entries for {sorted(stray)}, not in the instruments line")
     return meta, entries

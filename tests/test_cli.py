@@ -81,6 +81,39 @@ def test_synth_corpus_config(tmp_path):
     assert (tmp_path / "c" / "solo_02.wav").exists()
 
 
+@pytest.mark.parametrize("text", ["5", '"x"', "null"])
+def test_synth_config_not_an_object_exits_1(tmp_path, capsys, text):
+    (tmp_path / "corpus.json").write_text(text)
+    assert main(["synth", "--out", str(tmp_path / "c"), "--config",
+                 str(tmp_path / "corpus.json")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "JSON object" in err[0], err
+    assert not (tmp_path / "c").exists()
+
+
+def test_synth_config_not_utf8_exits_2(tmp_path, capsys):
+    (tmp_path / "corpus.json").write_bytes(b'{"seed": "caf\xe9"}')
+    assert main(["synth", "--out", str(tmp_path / "c"), "--config",
+                 str(tmp_path / "corpus.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "not UTF-8" in err[0], err
+
+
+def test_finetune_non_utf8_manifest_exits_2(model_file, tmp_path, capsys):
+    (tmp_path / "manifest.txt").write_bytes(b"onsetkit-corpus 1\ninstruments caf\xe9\n")
+    assert main(["finetune", str(model_file), str(tmp_path), "ring_bell",
+                 "--out", str(tmp_path / "adapted.model")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "not UTF-8" in err[0], err
+
+
+def test_grid_non_utf8_config_exits_2(tmp_path, capsys):
+    (tmp_path / "exp.json").write_bytes(b'{"corpus": "caf\xe9"}')
+    assert main(["grid", "--config", str(tmp_path / "exp.json")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "not UTF-8" in err[0], err
+
+
 def test_features_command(corpus, tmp_path, capsys):
     wav = next(corpus.glob("*.wav"))
     out = tmp_path / "f.npz"

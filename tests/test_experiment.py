@@ -391,6 +391,9 @@ def test_config_json_inline_corpus_and_errors(tmp_path):
     p.write_text("[1, 2]")
     with pytest.raises(DataError):
         load_config(p)
+    p.write_bytes(b'{"corpus": "caf\xe9"}')
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_config(p)
 
 
 def test_config_relative_paths_resolve_against_file(tmp_path, corpus):

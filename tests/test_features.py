@@ -8,7 +8,10 @@ from onsetkit.errors import SampleRateError
 from onsetkit.features import (
     FMAX,
     FMIN,
+    HOP,
     N_BANDS,
+    STFT_CHUNK,
+    WINDOW_SIZE,
     band_centers,
     extract_features,
     n_frames_for,
@@ -38,6 +41,24 @@ def test_values_nonnegative_finite():
     feats = extract_features(clip_of(rng.uniform(-1, 1, 44100)))
     assert np.all(feats.values >= 0.0)
     assert np.all(np.isfinite(feats.values))
+
+
+def _whole_array_features(x):
+    """The STFT as one call over every frame, then the filterbank."""
+    n_frames = math.ceil(len(x) / HOP)
+    padded = np.pad(x, (WINDOW_SIZE // 2, WINDOW_SIZE // 2 + HOP))
+    frames = np.lib.stride_tricks.sliding_window_view(padded, WINDOW_SIZE)[::HOP][:n_frames]
+    mag = np.abs(np.fft.rfft(frames * np.hanning(WINDOW_SIZE), axis=1))
+    return np.log1p(mag @ _filterbank(mag.shape[1], 44100))
+
+
+def test_chunked_stft_matches_the_whole_array_stft():
+    rng = np.random.default_rng(12)
+    chunk = HOP * STFT_CHUNK
+    for n in (1, 100, 441, 442, chunk - HOP, chunk, chunk + 1, 30 * 44100):
+        x = rng.uniform(-1.0, 1.0, n)
+        got = extract_features(clip_of(x)).values
+        assert got.tobytes() == _whole_array_features(x).tobytes(), n
 
 
 def test_band_centers_grid():

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onsetkit.errors import ConfigError, ModelFormatError, ShapeError
-from onsetkit.layers import Layer
+from onsetkit.errors import ConfigError, ModelFormatError, OnsetKitError, ShapeError
+from onsetkit.layers import Layer, elu_inplace
 from onsetkit.models import (
+    BLOCK_FRAMES,
     FREEZABLE,
     LAYER_NAMES,
+    N_BANDS,
     VARIANTS,
     FreezeConfig,
+    Model,
     apply_freeze,
     build_model,
     canonical_freeze_ids,
     clone_model,
     count_params,
-    forward,
     layer_names,
     load_model,
     receptive_field,
@@ -118,9 +122,6 @@ def test_forward_range_length_determinism():
         assert a.shape == (500,)
         assert np.all((a > 0) & (a < 1))
         assert np.array_equal(a, b)
-        wrapped = forward(m, x)
-        assert wrapped.frame_rate == 100
-        assert np.array_equal(wrapped.values, a)
 
 
 def test_forward_training_mode_seeded():
@@ -366,6 +367,44 @@ def test_inference_matches_dropout_free_training_forward(variant):
         assert m.forward(x).tobytes() == want.tobytes(), frames
 
 
+def _whole_length_stage(stage, x):
+    """The inference conv stage as one call over the whole length."""
+    y = stage.conv.forward(stage._pad(x))
+    return elu_inplace(stage.pool.forward(y) if stage.pool else y)
+
+
+B = BLOCK_FRAMES
+BLOCK_PROBE_FRAMES = (1, 2, 7, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 500, 3000, 3001, 6007)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_blocked_conv_stages_match_the_whole_length_stage(variant):
+    m = build_model(variant, seed=23)
+    rng = np.random.default_rng(24)
+    for frames in BLOCK_PROBE_FRAMES:
+        bands = N_BANDS
+        for nl in m.layers[:3]:
+            stage = nl.block
+            # centred inputs put about half the conv outputs below zero
+            x = rng.normal(0.0, 1.0, (frames, bands, stage.conv.cin))
+            want = _whole_length_stage(stage, x)
+            got = stage.forward(x, False, None)
+            assert got.tobytes() == want.tobytes(), (nl.name, frames)
+            bands = stage.out_bands(bands)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_blocked_inference_forward_matches_the_whole_length_forward(variant):
+    m = build_model(variant, seed=25)
+    for frames in (500, 3000):
+        x = np.random.default_rng(frames).normal(0.0, 2.0, (frames, N_BANDS))
+        h = x[:, :, None]
+        for nl in m.layers[:3]:
+            h = _whole_length_stage(nl.block, h)
+        want = m.forward(h, start=3)
+        assert m.forward(x).tobytes() == want.tobytes(), frames
+
+
 def _layer_state(model):
     """Every attribute of every block and of the layers inside it."""
     state = {}
@@ -462,3 +501,54 @@ def test_clone_is_independent():
 def test_layer_names_helper():
     assert layer_names() == LAYER_NAMES
     assert layer_names(build_model("tcn_v1", seed=0)) == LAYER_NAMES
+
+
+_V1_SHAPES = [(k, v.shape) for k, v in build_model("tcn_v1", seed=0).param_dict().items()]
+_V1_SIZE = sum(int(np.prod(shape)) for _, shape in _V1_SHAPES)
+header_values = st.one_of(
+    st.sampled_from(["tcn_v1", "tcn_v2", "-1", "0", "3", "0.5", "1.0", "nan", "1e999", "x"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def model_files(draw):
+    """Model files, mostly well-formed, with a few header lines dropped,
+    repeated or given other values, and the blob size off by a little."""
+    lines = ["onsetkit-model 1", "variant tcn_v1", "seed 3", "dropout 0.1"]
+    lines += [f"tensor {name} {' '.join(map(str, shape))}" for name, shape in _V1_SHAPES]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "value", "dimension"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "value":
+            lines[i] = lines[i].split(" ")[0] + " " + draw(header_values)
+        else:
+            lines[i] += " " + draw(header_values)
+        if not lines:
+            break
+    declared = draw(st.sampled_from([str(_V1_SIZE)] * 3 + [str(_V1_SIZE + 1), "0", "-4", "x"]))
+    lines.append(f"blob {declared}")
+    blob = bytes(4 * _V1_SIZE + draw(st.sampled_from([0, 0, 0, 4, -4, -1])))
+    data = ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass") + blob
+    return data[: draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("property")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.one_of(st.binary(max_size=80), model_files()))
+def test_load_model_returns_or_raises_typed_error(scratch, data):
+    p = scratch / "any.model"
+    p.write_bytes(data)
+    try:
+        model = load_model(p)
+    except OnsetKitError:
+        return
+    assert isinstance(model, Model) and model.variant in VARIANTS

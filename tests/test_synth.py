@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onsetkit.audio import TARGET_RATE, load_annotations, load_audio
-from onsetkit.errors import ConfigError, DataError
+from onsetkit.errors import ConfigError, DataError, OnsetKitError
 from onsetkit.features import extract_features
 from onsetkit.synth import (
     CorpusSpec,
@@ -185,6 +187,51 @@ def test_manifest_errors(tmp_path):
         load_manifest(p)  # missing keys
     with pytest.raises(DataError):
         load_manifest(tmp_path / "absent.txt")
+    p.write_bytes(b"onsetkit-corpus 1\nseed 1\ninstruments caf\xe9\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_manifest(p)
+    p.write_text("onsetkit-corpus 1\nseed 1\ntempo 180\nfile_duration 5\n"
+                 "files_per_instrument 1\ninstruments a\nfile b_01 b 1 1-2-1\n")
+    with pytest.raises(DataError, match="not in the instruments line"):
+        load_manifest(p)
+
+
+_MANIFEST_KEYS = ["seed 1", "tempo 180", "file_duration 5", "files_per_instrument 2",
+                  "instruments a,b"]
+# the magic line, then (or not) every key a manifest needs, then anything
+manifest_text = st.tuples(
+    st.booleans(),
+    st.booleans(),
+    st.lists(
+        st.one_of(
+            st.sampled_from(_MANIFEST_KEYS + [
+                "file a_01 a 1 1-2-1", "file c_01 c 1 1-2-1", "file a_01 a x 1", "file a_01",
+                "seed x", "tempo nan", "bogus 1", "instruments", "", "  "]),
+            st.text(max_size=12),
+        ),
+        max_size=10,
+    ),
+).map(lambda t: ["onsetkit-corpus 1"] * t[0] + _MANIFEST_KEYS * t[1] + t[2])
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("property")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(
+    st.binary(max_size=80),
+    manifest_text.map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass")),
+))
+def test_load_manifest_returns_or_raises_typed_error(scratch, data):
+    p = scratch / "manifest.txt"
+    p.write_bytes(data)
+    try:
+        meta, entries = load_manifest(p)
+    except OnsetKitError:
+        return
+    assert all(e.instrument in meta["instruments"] for e in entries)
 
 
 def test_default_roster_shape():
