@@ -60,7 +60,6 @@ from .models import (
     canonical_freeze_ids,
     clone_model,
     count_params,
-    layer_names,
     load_model,
     receptive_field,
     save_model,

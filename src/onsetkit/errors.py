@@ -46,8 +46,11 @@ class SnippetError(DataError):
 
 
 class DivergenceError(OnsetKitError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss. last_loss is the loss of the step
+    before it, or None when the first step diverged."""
 
-    def __init__(self, epoch: int, message: str | None = None):
+    def __init__(self, epoch: int, last_loss: float | None = None, message: str | None = None):
         self.epoch = epoch
-        super().__init__(message or f"non-finite loss at epoch {epoch}")
+        self.last_loss = last_loss
+        super().__init__(message or f"non-finite loss at epoch {epoch} "
+                                    f"(last finite loss: {last_loss!r})")

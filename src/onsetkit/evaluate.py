@@ -8,8 +8,8 @@ import numpy as np
 
 from .audio import OnsetAnnotations
 from .errors import ConfigError
+from .features import FRAME_RATE
 
-FRAME_RATE = 100
 DEFAULT_TOLERANCE = 0.025
 
 

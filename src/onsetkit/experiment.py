@@ -22,7 +22,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -132,12 +132,6 @@ class ResultRow:
         d = {k: getattr(self, k) for k in CSV_COLUMNS}
         d["per_file_f1"] = list(self.per_file_f1)
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResultRow":
-        kw = {k: d[k] for k in CSV_COLUMNS}
-        kw["per_file_f1"] = tuple(float(v) for v in d["per_file_f1"])
-        return cls(**kw)
 
 
 def load_dataset(root) -> dict:
@@ -370,11 +364,11 @@ def _corpus_path(config: ExperimentConfig):
 
 def resolve_corpus(config: ExperimentConfig, threads: int = 1) -> Path:
     """Materialize an inline corpus spec under out_dir; pass paths through."""
-    if isinstance(config.corpus, CorpusSpec):
-        corpus_dir = Path(config.out_dir) / "corpus"
-        generate_corpus(config.corpus, corpus_dir, force=True, threads=threads)
-        return corpus_dir
-    return Path(config.corpus)
+    if not isinstance(config.corpus, CorpusSpec):
+        return _corpus_path(config)
+    corpus_dir = Path(config.out_dir) / "corpus"
+    generate_corpus(config.corpus, corpus_dir, force=True, threads=threads)
+    return corpus_dir
 
 
 def run_grid(config: ExperimentConfig, threads: int = 1) -> list:
@@ -468,10 +462,9 @@ def write_report(rows, out_dir) -> tuple:
         fh.write(f"# results-format: {RESULTS_FORMAT}\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
-        for r in rows:
-            w.writerow([r.model, r.instrument, r.freeze_id, repr(r.mean_f1),
-                        repr(r.baseline_f1), repr(r.delta_pp), r.n_files, r.seed,
-                        repr(r.wall_s), json.dumps(list(r.per_file_f1))])
+        for r in rows:  # numbers by repr, which gives floats back exactly
+            w.writerow([v if isinstance(v, str) else json.dumps(v) if isinstance(v, list)
+                        else repr(v) for v in r.to_dict().values()])
 
     groups: dict = {}
     for r in rows:
@@ -514,15 +507,8 @@ def read_results(path) -> list:
     for rec in reader:
         if len(rec) != len(CSV_COLUMNS):
             raise DataError(f"{path}: row with {len(rec)} cells")
-        d = dict(zip(CSV_COLUMNS, rec))
         try:
-            rows.append(ResultRow(
-                model=d["model"], instrument=d["instrument"], freeze_id=d["freeze_id"],
-                mean_f1=float(d["mean_f1"]), baseline_f1=float(d["baseline_f1"]),
-                delta_pp=float(d["delta_pp"]), n_files=int(d["n_files"]),
-                seed=int(d["seed"]), wall_s=float(d["wall_s"]),
-                per_file_f1=_per_file_scores(d["per_file_f1"]),
-            ))
+            rows.append(ResultRow(**{k: _CELL_PARSERS[k](v) for k, v in zip(CSV_COLUMNS, rec)}))
         except (ValueError, OverflowError, ConfigError) as e:  # JSONDecodeError is a ValueError
             raise DataError(f"{path}: {e}") from e
     return rows
@@ -534,6 +520,11 @@ def _per_file_scores(cell: str) -> tuple:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in scores):
         raise ValueError(f"per_file_f1 is not a list of numbers: {cell!r}")
     return tuple(float(v) for v in scores)
+
+
+_CELL_PARSERS = {"model": str, "instrument": str, "freeze_id": str, "mean_f1": float,
+                 "baseline_f1": float, "delta_pp": float, "n_files": int, "seed": int,
+                 "wall_s": float, "per_file_f1": _per_file_scores}
 
 
 def strip_wall_column(csv_text: str) -> str:
@@ -577,45 +568,27 @@ def _profile_from_json(obj: dict) -> InstrumentProfile:
     if set(obj) == {"name", "role", "profile_seed"}:
         return make_profile(obj["name"], obj["role"], int(obj["profile_seed"]))
     kw = dict(obj)
-    try:
-        kw["decay_span"] = tuple(kw["decay_span"])
-        if "partial_ratios" in kw:
-            kw["partial_ratios"] = tuple(kw["partial_ratios"])
-        return InstrumentProfile(**kw)
-    except (KeyError, TypeError) as e:
-        raise ConfigError(f"bad instrument profile {obj}: {e}") from e
-
-
-def _profile_to_json(p: InstrumentProfile) -> dict:
-    return {"name": p.name, "role": p.role, "decay_span": list(p.decay_span),
-            "spectral_mode": p.spectral_mode, "center_freq": p.center_freq,
-            "onset_density": p.onset_density, "amplitude_jitter": p.amplitude_jitter,
-            "partial_ratios": list(p.partial_ratios), "attack_ms": p.attack_ms}
+    kw["decay_span"] = tuple(kw["decay_span"])
+    if "partial_ratios" in kw:
+        kw["partial_ratios"] = tuple(kw["partial_ratios"])
+    return InstrumentProfile(**kw)
 
 
 def _corpus_spec_from_json(obj: dict) -> CorpusSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"corpus spec must be a JSON object, got {obj!r}")
-    known = {"instruments", "files_per_instrument", "file_duration", "tempo", "seed"}
-    unknown = set(obj) - known
+    unknown = set(obj) - {f.name for f in fields(CorpusSpec)}
     if unknown:
         raise ConfigError(f"unknown corpus keys {sorted(unknown)}")
     if not isinstance(obj.get("instruments"), list):
         raise ConfigError("corpus spec needs an instruments list")
-    profiles = tuple(_profile_from_json(it) for it in obj["instruments"])
-    kw = {k: obj[k] for k in known - {"instruments"} if k in obj}
-    return CorpusSpec(profiles, **kw)
-
-
-def _corpus_spec_to_json(spec: CorpusSpec) -> dict:
-    return {"instruments": [_profile_to_json(p) for p in spec.instruments],
-            "files_per_instrument": spec.files_per_instrument,
-            "file_duration": spec.file_duration, "tempo": spec.tempo, "seed": spec.seed}
-
-
-_CONFIG_KEYS = ("corpus", "base_models", "models", "instruments", "freeze_configs",
-                "snippet_offset", "snippet_duration", "epochs", "lr_scale", "base_lr",
-                "dropout_active", "peak_pick", "tolerance", "seed", "out_dir")
+    # the dataclasses check values, not JSON types: a value of the wrong type
+    # fails there as a TypeError (or a ValueError, AttributeError, KeyError)
+    try:
+        profiles = tuple(_profile_from_json(it) for it in obj["instruments"])
+        return CorpusSpec(**{**obj, "instruments": profiles})
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad corpus spec: {e!r}") from e
 
 
 # JSON types of the scalar config keys (null stands for None)
@@ -632,7 +605,7 @@ def _names(value, key: str) -> tuple:
 
 def config_from_json(obj: dict, base_dir=None) -> ExperimentConfig:
     """Build a config from parsed JSON; relative paths resolve against base_dir."""
-    unknown = set(obj) - set(_CONFIG_KEYS)
+    unknown = set(obj) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
     if "corpus" not in obj:
@@ -640,6 +613,8 @@ def config_from_json(obj: dict, base_dir=None) -> ExperimentConfig:
     base = Path(base_dir) if base_dir is not None else None
 
     def respath(p):
+        if not isinstance(p, str):
+            raise ConfigError(f"a path must be a string, got {p!r}")
         p = Path(p)
         return str(base / p) if base is not None and not p.is_absolute() else str(p)
 
@@ -683,25 +658,11 @@ def config_from_json(obj: dict, base_dir=None) -> ExperimentConfig:
 
 
 def config_to_json(config: ExperimentConfig) -> dict:
-    corpus = config.corpus
-    obj = {
-        "corpus": _corpus_spec_to_json(corpus) if isinstance(corpus, CorpusSpec) else str(corpus),
-        "base_models": {k: str(v) for k, v in config.base_models.items()},
-        "models": list(config.models),
-        "instruments": None if config.instruments is None else list(config.instruments),
-        "freeze_configs": list(config.freeze_configs),
-        "snippet_offset": config.snippet_offset,
-        "snippet_duration": config.snippet_duration,
-        "epochs": config.epochs,
-        "lr_scale": config.lr_scale,
-        "base_lr": config.base_lr,
-        "dropout_active": config.dropout_active,
-        "peak_pick": {k: getattr(config.peak_pick, k)
-                      for k in ("threshold", "w_max", "w_avg", "delta", "min_gap")},
-        "tolerance": config.tolerance,
-        "seed": config.seed,
-        "out_dir": str(config.out_dir),
-    }
+    obj = asdict(config)
+    if not isinstance(config.corpus, CorpusSpec):
+        obj["corpus"] = str(config.corpus)
+    obj["base_models"] = {k: str(v) for k, v in config.base_models.items()}
+    obj["out_dir"] = str(config.out_dir)
     return obj
 
 

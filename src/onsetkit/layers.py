@@ -237,11 +237,10 @@ class Dense(Layer):
 
 class Elu(Layer):
     def forward(self, x, *, training=False, rng=None):
-        if not training:
-            return elu_inplace(np.array(x, dtype=np.float64))
         y, d = _elu(_f64(x))
-        d += 1.0
-        self._d = d  # the derivative: expm1(x) + 1 below zero, 1 elsewhere
+        if training:
+            d += 1.0
+            self._d = d  # the derivative: expm1(x) + 1 below zero, 1 elsewhere
         return y
 
     def backward(self, gy):
@@ -295,84 +294,6 @@ class Dropout(Layer):
         if self._mask is None:
             return gy
         return gy * self._mask
-
-
-class Sequential(Layer):
-    """Chain of layers; backward runs them in reverse."""
-
-    def __init__(self, layers):
-        super().__init__()
-        self.layers = list(layers)
-
-    def forward(self, x, *, training=False, rng=None):
-        for layer in self.layers:
-            x = layer.forward(x, training=training, rng=rng)
-        return x
-
-    def backward(self, gy):
-        for layer in reversed(self.layers):
-            gy = layer.backward(gy)
-        return gy
-
-    @property
-    def params(self):
-        return {f"{i}.{k}": v for i, l in enumerate(self.layers) for k, v in l.params.items()}
-
-    @params.setter
-    def params(self, value):
-        if value:  # base __init__ assigns {}; nested params live in the layers
-            raise ConfigError("set parameters on the contained layers")
-
-    @property
-    def grads(self):
-        return {f"{i}.{k}": v for i, l in enumerate(self.layers) for k, v in l.grads.items()}
-
-    @grads.setter
-    def grads(self, value):
-        if value:
-            raise ConfigError("gradients live in the contained layers")
-
-
-def conv2d_valid(x, w, b):
-    """Functional valid 2-D cross-correlation plus bias."""
-    w = np.asarray(w)
-    if w.ndim != 4:
-        raise ShapeError(f"kernel must be (kt, kf, cin, cout), got {w.shape}")
-    layer = Conv2d(*w.shape)
-    layer.params["w"], layer.params["b"] = w, np.asarray(b)
-    return layer.forward(np.asarray(x))
-
-
-def maxpool_freq3(x):
-    return MaxPoolFreq3().forward(np.asarray(x))
-
-
-def dilated_conv1d(x, w, b, dilation):
-    w = np.asarray(w)
-    if w.ndim != 3:
-        raise ShapeError(f"kernel must be (k, cin, cout), got {w.shape}")
-    layer = DilatedConv1d(w.shape[0], w.shape[1], w.shape[2], dilation)
-    layer.params["w"], layer.params["b"] = w, np.asarray(b)
-    return layer.forward(np.asarray(x))
-
-
-def dense(x, w, b):
-    w = np.asarray(w)
-    layer = Dense(*w.shape)
-    layer.params["w"], layer.params["b"] = w, np.asarray(b)
-    return layer.forward(np.asarray(x))
-
-
-def activation(x, kind):
-    if kind == "elu":
-        return Elu().forward(np.asarray(x))
-    if kind == "sigmoid":
-        return Sigmoid().forward(np.asarray(x))
-    raise ConfigError(f"unknown activation kind {kind!r}")
-
-
-def dropout(x, rate, rng, training):
-    return Dropout(rate).forward(np.asarray(x), training=training, rng=rng)
 
 
 def bce_loss(p, target):

@@ -54,7 +54,34 @@ def _time_blocks(frames):
     return zip(edges[:-1], edges[1:])
 
 
-class ConvStage:
+class Block:
+    """One named layer of the model, built from parts (its inner layers).
+
+    params and grads map "<part>.<key>" to the part's tensors, in the order
+    of self.parts, which is the model file's order. Every block's forward
+    is forward(x, training=False, rng=None, keep=True): keep=False runs a
+    training forward cache-free (the same dropout draws and floats, nothing
+    kept for backward), and backward is backward(gy, input_grad=True,
+    param_grads=True), which returns None without input_grad.
+    """
+
+    rf_add = 0  # frames the block adds to the receptive field
+    parts: dict
+
+    def _tensors(self, attr):
+        return {f"{p}.{k}": v for p, layer in self.parts.items()
+                for k, v in getattr(layer, attr).items()}
+
+    @property
+    def params(self):
+        return self._tensors("params")
+
+    @property
+    def grads(self):
+        return self._tensors("grads")
+
+
+class ConvStage(Block):
     """conv -> ELU -> dropout (-> freq pool); time zero-padded to length.
 
     At inference dropout is the identity and ELU is non-decreasing, so the
@@ -71,23 +98,22 @@ class ConvStage:
         self.elu = Elu()
         self.drop = Dropout(rate)
         self.pool = MaxPoolFreq3() if pool else None
+        self.parts = {"conv": self.conv}
         self.pad_t = (kt - 1) // 2
         self.rf_add = kt - 1
 
     def _pad(self, x):
         return np.pad(x, ((self.pad_t, self.pad_t), (0, 0), (0, 0))) if self.pad_t else x
 
-    def activate(self, x):
-        """pad -> conv -> ELU in training floats, keeping nothing: the part
-        of a training forward that stays the same while the stage is frozen
-        and its input does not change."""
-        return elu_inplace(self.conv.forward(self._pad(x)))
+    def activate(self, x, keep=False):
+        """pad -> conv -> ELU in training floats; keep=False keeps nothing,
+        which is the part of a training forward that stays the same while
+        the stage is frozen and its input does not change."""
+        return self.elu.forward(self.conv.forward(self._pad(x), training=keep), training=keep)
 
-    def forward(self, x, training, rng, keep=True, activated=False):
-        """keep=False runs a training forward cache-free (same dropout draws
-        and floats, nothing kept for backward). activated=True takes x as
-        this stage's own activate() output and only reads it; the forward
-        is then cache-free."""
+    def forward(self, x, training=False, rng=None, keep=True, activated=False):
+        """activated=True takes x as this stage's own activate() output and
+        only reads it; the forward is then cache-free."""
         if not training:
             xp = self._pad(x)
             frames = xp.shape[0] - self.rf_add
@@ -100,18 +126,11 @@ class ConvStage:
                 out[s:e] = y
             return out
         keep = keep and not activated
-        if activated:
-            y = x
-        elif keep:
-            y = self.elu.forward(self.conv.forward(self._pad(x), training=True), training=True)
-        else:
-            y = self.activate(x)
+        y = x if activated else self.activate(x, keep)
         mask = self.drop.draw(y.shape, rng, keep=keep)
         if mask is not None:
-            if activated:
-                y = y * mask  # a fresh product: the activated input is only read
-            else:
-                y *= mask
+            # a fresh product when the activated input is only read
+            y = y * mask if activated else np.multiply(y, mask, out=y)
         return self.pool.forward(y, training=keep) if self.pool else y
 
     def backward(self, gy, input_grad=True, param_grads=True):
@@ -129,19 +148,15 @@ class ConvStage:
         bands = bands - self.conv.kf + 1
         return bands // 3 if self.pool else bands
 
-    @property
-    def params(self):
-        return {f"conv.{k}": v for k, v in self.conv.params.items()}
 
-    @property
-    def grads(self):
-        return {f"conv.{k}": v for k, v in self.conv.grads.items()}
+class TcnLevel(Block):
+    """Dilated conv(s) -> ELU -> dropout -> 1x1 mix -> residual add.
 
+    The first level (entry=True) takes the front end's (frames, 1, ch)
+    output and drops its band axis; its input gradient gets it back.
+    """
 
-class TcnLevel:
-    """Dilated conv(s) -> ELU -> dropout -> 1x1 mix -> residual add."""
-
-    def __init__(self, dilation, double, adapter_in, rate, rng, dtype=np.float32):
+    def __init__(self, dilation, double, adapter_in, rate, rng, dtype=np.float32, entry=False):
         self.adapter = Dense(adapter_in, TCN_CHANNELS, rng=rng, dtype=dtype) if adapter_in else None
         self.conv1 = DilatedConv1d(5, TCN_CHANNELS, TCN_CHANNELS, dilation, rng=rng, dtype=dtype)
         self.conv2 = (
@@ -152,24 +167,24 @@ class TcnLevel:
         self.elu = Elu()
         self.drop = Dropout(rate)
         self.mix = Dense(TCN_CHANNELS, TCN_CHANNELS, rng=rng, dtype=dtype)
+        parts = {"conv1": self.conv1, "mix": self.mix, "conv2": self.conv2, "adapter": self.adapter}
+        self.parts = {name: layer for name, layer in parts.items() if layer is not None}
+        self.entry = entry
         self.rf_add = 4 * dilation + (8 * dilation if double else 0)
 
-    def forward(self, x, training, rng, keep=True):
-        """keep=False runs a training forward cache-free (same dropout draws
-        and floats, nothing kept for backward)."""
+    def forward(self, x, training=False, rng=None, keep=True):
         keep = training and keep
+        if self.entry:
+            x = x[:, 0, :]
         if self.adapter:
             x = self.adapter.forward(x, training=keep)
         h = self.conv1.forward(x, training=keep)
         if self.conv2:
             h = self.conv2.forward(h, training=keep)
-        if keep:
-            h = self.drop.forward(self.elu.forward(h, training=True), training=True, rng=rng)
-        else:
-            h = elu_inplace(h)  # the conv's own fresh output
-            mask = self.drop.draw(h.shape, rng, keep=False) if training else None
-            if mask is not None:
-                h *= mask
+        h = self.elu.forward(h, training=keep)
+        mask = self.drop.draw(h.shape, rng, keep=keep) if training else None
+        if mask is not None:
+            h *= mask
         return x + self.mix.forward(h, training=keep)
 
     def backward(self, gy, input_grad=True, param_grads=True):
@@ -182,55 +197,31 @@ class TcnLevel:
         if gx is None:
             return None
         gx += gy
-        return self.adapter.backward(gx, input_grad, param_grads) if self.adapter else gx
-
-    def _subs(self):
-        subs = {"conv1": self.conv1, "mix": self.mix}
-        if self.conv2:
-            subs["conv2"] = self.conv2
         if self.adapter:
-            subs["adapter"] = self.adapter
-        return subs
-
-    @property
-    def params(self):
-        return {f"{s}.{k}": v for s, l in self._subs().items() for k, v in l.params.items()}
-
-    @property
-    def grads(self):
-        return {f"{s}.{k}": v for s, l in self._subs().items() for k, v in l.grads.items()}
+            gx = self.adapter.backward(gx, input_grad, param_grads)
+        return gx[:, None, :] if self.entry and gx is not None else gx
 
 
-class OutHead:
+class OutHead(Block):
     """Dense to one unit per frame, sigmoid."""
-
-    rf_add = 0
 
     def __init__(self, rng, dtype=np.float32):
         self.dense = Dense(TCN_CHANNELS, 1, rng=rng, dtype=dtype)
         self.sig = Sigmoid()
+        self.parts = {"dense": self.dense}
 
-    def forward(self, x, training, rng):
-        return self.sig.forward(self.dense.forward(x, training=training), training=training)[:, 0]
+    def forward(self, x, training=False, rng=None, keep=True):
+        keep = training and keep
+        return self.sig.forward(self.dense.forward(x, training=keep), training=keep)[:, 0]
 
     def backward(self, gy, input_grad=True, param_grads=True):
         return self.dense.backward(self.sig.backward(gy[:, None]), input_grad, param_grads)
-
-    @property
-    def params(self):
-        return {f"dense.{k}": v for k, v in self.dense.params.items()}
-
-    @property
-    def grads(self):
-        return {f"dense.{k}": v for k, v in self.dense.grads.items()}
 
 
 @dataclass
 class NamedLayer:
     name: str
-    kind: str  # conv-stage | tcn-level | output
-    block: object
-    dilation: int | None = None
+    block: Block
     trainable: bool = True
 
 
@@ -245,12 +236,6 @@ class Model:
     @property
     def optimizer_kind(self) -> str:
         return "adam" if self.variant == "tcn_v1" else "radam_lookahead"
-
-    def layer(self, name: str) -> NamedLayer:
-        for nl in self.layers:
-            if nl.name == name:
-                return nl
-        raise KeyError(f"unknown layer {name!r}")
 
     @property
     def lowest_trainable(self) -> int:
@@ -281,14 +266,7 @@ class Model:
         stop = len(self.layers) if stop is None else stop
         lowest = self.lowest_trainable if training else 0
         for i in range(start, stop):
-            nl = self.layers[i]
-            if nl.kind == "tcn-level" and x.ndim == 3:  # leave the front-end
-                assert x.shape[1] == 1
-                x = x[:, 0, :]
-            if i < lowest:
-                x = nl.block.forward(x, training, rng, keep=False)
-            else:
-                x = nl.block.forward(x, training, rng)
+            x = self.layers[i].block.forward(x, training, rng, keep=i >= lowest)
         if training and stop == len(self.layers):
             self._kept_from = max(start, lowest)
         return x
@@ -321,35 +299,19 @@ class Model:
         input_grad = input_grad and lowest == 0
         for i in reversed(range(lowest, len(self.layers))):
             nl = self.layers[i]
-            if i == lowest and not input_grad:  # nothing reads its input gradient
-                nl.block.backward(g, input_grad=False)
-                return None
-            g = nl.block.backward(g, param_grads=nl.trainable)
-            if nl.name == "Tcn1":  # entering the front-end: restore band axis
-                g = g[:, None, :]
-        return g if input_grad else None
+            # nothing reads the lowest block's input gradient unless it is Conv1's
+            g = nl.block.backward(g, input_grad=i > lowest or input_grad, param_grads=nl.trainable)
+        return g
+
+    def _tensors(self, attr, trainable_only):
+        return {f"{nl.name}.{k}": v for nl in self.layers if nl.trainable or not trainable_only
+                for k, v in getattr(nl.block, attr).items()}
 
     def param_dict(self, trainable_only=False) -> dict[str, np.ndarray]:
-        out = {}
-        for nl in self.layers:
-            if trainable_only and not nl.trainable:
-                continue
-            for k, v in nl.block.params.items():
-                out[f"{nl.name}.{k}"] = v
-        return out
+        return self._tensors("params", trainable_only)
 
     def grad_dict(self, trainable_only=False) -> dict[str, np.ndarray]:
-        out = {}
-        for nl in self.layers:
-            if trainable_only and not nl.trainable:
-                continue
-            for k, v in nl.block.grads.items():
-                out[f"{nl.name}.{k}"] = v
-        return out
-
-
-def layer_names(model: Model | None = None) -> tuple[str, ...]:
-    return LAYER_NAMES
+        return self._tensors("grads", trainable_only)
 
 
 def build_model(
@@ -381,18 +343,17 @@ def build_model(
         ]
     bands = n_bands
     for i, st in enumerate(stages):
-        layers.append(NamedLayer(f"Conv{i + 1}", "conv-stage", st))
+        layers.append(NamedLayer(f"Conv{i + 1}", st))
         bands = st.out_bands(bands)
     assert bands == 1, f"front-end must end at 1 band, got {bands}"
     front_channels = stages[-1].conv.cout
     for i in range(11):
         d = 2**i
         adapter_in = front_channels if i == 0 and front_channels != TCN_CHANNELS else None
-        lvl = TcnLevel(
-            d, double=(variant == "tcn_v2"), adapter_in=adapter_in, rate=rate, rng=rng, dtype=dtype
-        )
-        layers.append(NamedLayer(f"Tcn{d}", "tcn-level", lvl, dilation=d))
-    layers.append(NamedLayer("Out", "output", OutHead(rng, dtype)))
+        lvl = TcnLevel(d, double=(variant == "tcn_v2"), adapter_in=adapter_in, rate=rate,
+                       rng=rng, dtype=dtype, entry=i == 0)
+        layers.append(NamedLayer(f"Tcn{d}", lvl))
+    layers.append(NamedLayer("Out", OutHead(rng, dtype)))
     return Model(variant, seed, layers, rate)
 
 
@@ -485,7 +446,6 @@ def clone_model(model: Model, dropout_rate: float | None = None) -> Model:
 
 def save_model(model: Model, path) -> None:
     """Text header (variant, seed, tensor shapes) + little-endian f32 blob."""
-    names = list(model.param_dict())
     arrays = model.param_dict()
     lines = [
         f"{MAGIC} {FORMAT_VERSION}",
@@ -494,12 +454,11 @@ def save_model(model: Model, path) -> None:
         f"dropout {model.dropout_rate!r}",
     ]
     total = 0
-    for name in names:
-        shape = arrays[name].shape
-        lines.append(f"tensor {name} {' '.join(map(str, shape))}")
-        total += arrays[name].size
+    for name, arr in arrays.items():
+        lines.append(f"tensor {name} {' '.join(map(str, arr.shape))}")
+        total += arr.size
     lines.append(f"blob {total}")
-    blob = b"".join(arrays[n].astype("<f4", copy=False).tobytes() for n in names)
+    blob = b"".join(arr.astype("<f4", copy=False).tobytes() for arr in arrays.values())
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
         fh.write(blob)

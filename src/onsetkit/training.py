@@ -8,11 +8,10 @@ import numpy as np
 
 from .audio import OnsetAnnotations
 from .errors import AnnotationError, ConfigError, DivergenceError, ShapeError
+from .features import FRAME_RATE
 from .layers import bce_loss, bce_loss_grad
 from .models import FreezeConfig, Model, apply_freeze, clone_model
 from .optim import make_optimizer
-
-FRAME_RATE = 100
 
 
 def make_targets(onsets: OnsetAnnotations, n_frames: int) -> np.ndarray:
@@ -49,7 +48,7 @@ def train(model: Model, corpus, epochs: int, lr: float = 1e-3, seed: int = 0):
 
     rng = np.random.default_rng(seed)
     opt = make_optimizer(model.optimizer_kind, lr)
-    history = []
+    history, last = [], None
     for epoch in range(epochs):
         order = rng.permutation(len(pairs))
         losses = []
@@ -58,7 +57,8 @@ def train(model: Model, corpus, epochs: int, lr: float = 1e-3, seed: int = 0):
             act = model.forward(x, training=True, rng=rng)
             loss = bce_loss(act, targets)
             if not np.isfinite(loss):
-                raise DivergenceError(epoch)
+                raise DivergenceError(epoch, last)
+            last = loss
             model.backward(bce_loss_grad(act, targets), input_grad=False)
             opt.step(model.param_dict(trainable_only=True), model.grad_dict(trainable_only=True))
             losses.append(loss)
@@ -115,6 +115,7 @@ def finetune(model: Model, snippet, config: FinetuneConfig) -> Model:
     if adapted.lowest_trainable > 0:
         const = conv1.activate(x[:, :, None])
         const.flags.writeable = False
+    last = None
     for epoch in range(config.epochs):
         if const is None:
             act = adapted.forward(x, training=True, rng=rng)
@@ -123,7 +124,8 @@ def finetune(model: Model, snippet, config: FinetuneConfig) -> Model:
             act = adapted.forward(h, training=True, rng=rng, start=1)
         loss = bce_loss(act, targets)
         if not np.isfinite(loss):
-            raise DivergenceError(epoch)
+            raise DivergenceError(epoch, last)
+        last = loss
         adapted.backward(bce_loss_grad(act, targets), input_grad=False)
         opt.step(
             adapted.param_dict(trainable_only=True), adapted.grad_dict(trainable_only=True)

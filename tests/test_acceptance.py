@@ -229,7 +229,7 @@ def test_criterion_03_frontend_band_arithmetic():
         model = build_model(variant, seed=0)
         got = [81]
         for nl in model.layers:
-            if nl.kind != "conv-stage":
+            if not nl.name.startswith("Conv"):
                 break
             got.append(got[-1] - nl.block.conv.kf + 1)
             if nl.block.pool:
@@ -263,7 +263,7 @@ class _PinnedDropout:
 def _pool_winners(model):
     # pooling argmaxes from the latest forward; the model's only kinks
     return [nl.block.pool._arg.copy() for nl in model.layers
-            if nl.kind == "conv-stage" and nl.block.pool]
+            if nl.name.startswith("Conv") and nl.block.pool]
 
 
 def _composition_fd(model, x, seed, h=1e-5, max_coords=6):

@@ -3,11 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onsetkit.audio import OnsetAnnotations, save_annotations, save_wav
-from onsetkit.errors import ConfigError, DataError, SnippetError
+from onsetkit.errors import ConfigError, DataError, OnsetKitError, SnippetError
 from onsetkit.evaluate import PeakPickParams
 from onsetkit.experiment import (
+    CSV_COLUMNS,
     ExperimentConfig,
     ResultRow,
     config_from_json,
@@ -403,3 +406,152 @@ def test_config_relative_paths_resolve_against_file(tmp_path, corpus):
     assert config.corpus == str(tmp_path / "data")
     assert config.base_models["tcn_v1"] == str(tmp_path / "m" / "v1.model")
     assert config.out_dir == str(tmp_path / "runs")
+
+
+# -- properties of the two parsers ------------------------------------------
+
+# what a cell of a results row may hold: no line breaks, which read_results
+# would split a row at (str.splitlines also breaks at \x1c-\x1e, \x85, ...)
+cell_text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+unit_floats = st.floats(0.0, 1.0)
+
+
+@st.composite
+def result_rows(draw):
+    mean, baseline = draw(unit_floats), draw(unit_floats)
+    per_file = tuple(draw(st.lists(unit_floats, max_size=5)))
+    return ResultRow(draw(cell_text), draw(cell_text), draw(cell_text), mean, baseline,
+                     (mean - baseline) * 100.0, len(per_file), draw(st.integers(0, 2**32 - 1)),
+                     draw(st.floats(0.0, 1e6)), per_file)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("property")
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(result_rows(), min_size=1, max_size=4))
+def test_results_csv_round_trips(scratch, rows):
+    csv_path, _ = write_report(rows, scratch)
+    assert read_results(csv_path) == rows
+
+
+results_cells = st.one_of(
+    st.sampled_from(["tcn_v1", "ft", "0.5", "0.25", "25.0", "1", "-1", "nan", "inf", "1e999",
+                     "[0.5]", "[]", '"[0.5, 0.5]"', "[true]", '"x""y"', "", " "]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def results_texts(draw):
+    """Results files, mostly with the right header lines and rows of ten cells."""
+    lines = []
+    if draw(st.integers(0, 5)):
+        lines.append("# results-format: 1")
+    if draw(st.integers(0, 5)):
+        lines.append(",".join(CSV_COLUMNS))
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.sampled_from([10, 10, 10, 9, 11]))
+        lines.append(",".join(draw(results_cells) for _ in range(n)))
+    text = "\n".join(lines) + "\n"
+    return draw(st.text(max_size=60)) if draw(st.integers(0, 9)) == 0 else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=results_texts())
+def test_read_results_returns_or_raises_typed_error(scratch, text):
+    p = scratch / "any.csv"
+    p.write_text(text, encoding="utf-8", errors="surrogatepass")
+    try:
+        rows = read_results(p)
+    except OnsetKitError:
+        return
+    assert all(isinstance(r, ResultRow) for r in rows)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(["", ".", "tcn_v1", "tcn_v9", "ft", "ft_Tcn4", "alpha", "voicing",
+                       "time-keeping", "damped-tone"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=8)
+_VALID_PROFILE = {"name": "b", "role": "voicing", "decay_span": [80.0, 120.0],
+                  "spectral_mode": "noise-burst", "center_freq": 0.0, "onset_density": 8.9,
+                  "amplitude_jitter": 0.1}
+_VALID_CONFIG = {
+    "corpus": {"instruments": [{"name": "a", "role": "time-keeping", "profile_seed": 1},
+                               _VALID_PROFILE],
+               "files_per_instrument": 2, "file_duration": 5.0, "tempo": 170.0, "seed": 4},
+    "base_models": {"tcn_v1": "m.model"}, "models": ["tcn_v1"], "instruments": ["a"],
+    "freeze_configs": ["ft", "ft_Tcn4"], "snippet_offset": 0.5, "snippet_duration": 5.0,
+    "epochs": 3, "lr_scale": 0.5, "base_lr": 0.001, "dropout_active": True,
+    "peak_pick": {"threshold": 0.4, "w_max": 1, "w_avg": 2, "delta": 0.0, "min_gap": 0.03},
+    "tolerance": 0.025, "seed": 2, "out_dir": "out",
+}
+
+
+@st.composite
+def config_objects(draw):
+    """A valid config with up to three values (top-level, in the corpus spec
+    or in one of its profiles) replaced by arbitrary JSON or dropped."""
+    obj = json.loads(json.dumps(_VALID_CONFIG))
+    corpus, peak_pick = obj["corpus"], obj["peak_pick"]
+    nested = [obj, corpus, corpus["instruments"][0], corpus["instruments"][1], peak_pick]
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(nested))
+        key = draw(st.sampled_from(sorted(target) + ["extra"]))
+        if draw(st.integers(0, 4)) == 0:
+            target.pop(key, None)
+        else:
+            target[key] = draw(json_values)
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=config_objects())
+def test_config_from_json_returns_or_raises_typed_error(obj):
+    try:
+        config = config_from_json(obj)
+    except OnsetKitError:
+        return
+    assert isinstance(config, ExperimentConfig)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.text(max_size=80))
+def test_load_config_on_any_text_returns_or_raises_typed_error(scratch, text):
+    p = scratch / "any.json"
+    p.write_text(text, encoding="utf-8", errors="surrogatepass")
+    try:
+        config = load_config(p)
+    except OnsetKitError:
+        return
+    assert isinstance(config, ExperimentConfig)
+
+
+corpus_choices = st.one_of(
+    st.sampled_from(["/abs/corpus", "/abs/dir with space"]),  # relative ones load resolved
+    st.builds(lambda files, seed: CorpusSpec((make_profile("a", "time-keeping", seed),
+                                              make_profile("b", "voicing", seed + 1)),
+                                             files_per_instrument=files, seed=seed),
+              st.integers(2, 4), st.integers(0, 50)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=corpus_choices, epochs=st.integers(1, 100), offset=st.none() | st.floats(0, 60),
+       threshold=st.floats(0.01, 0.99), models=st.sampled_from([("tcn_v1",), ("tcn_v1", "tcn_v2")]),
+       instruments=st.none() | st.just(("a",)), seed=st.integers(0, 99))
+def test_save_config_round_trips(scratch, corpus, epochs, offset, threshold, models,
+                                 instruments, seed):
+    config = ExperimentConfig(corpus=corpus, base_models={"tcn_v1": "/m/v1.model"},
+                              models=models, instruments=instruments,
+                              freeze_configs=("ft", "ft_Conv3"), snippet_offset=offset,
+                              epochs=epochs, peak_pick=PeakPickParams(threshold=threshold),
+                              seed=seed, out_dir="/o")
+    p = scratch / "exp.json"
+    save_config(config, p)
+    assert load_config(p) == config

@@ -9,18 +9,12 @@ from onsetkit.layers import (
     Dropout,
     Elu,
     MaxPoolFreq3,
-    Sequential,
     Sigmoid,
-    activation,
     bce_loss,
     bce_loss_grad,
-    conv2d_valid,
-    dense,
-    dilated_conv1d,
-    dropout,
     gradcheck,
-    maxpool_freq3,
 )
+from onsetkit.models import ConvStage, OutHead
 
 
 # naive reference implementations, deliberately written as plain loops
@@ -59,8 +53,15 @@ def dilated_ref(x, w, b, d):
     return out
 
 
+def with_params(layer, w, b):
+    """The layer with its weights and bias replaced by w and b."""
+    layer.params.update(w=np.asarray(w, dtype=float), b=np.asarray(b, dtype=float))
+    return layer
+
+
 def test_conv2d_zero_kernel_bias():
-    y = conv2d_valid(np.ones((5, 5, 1)), np.zeros((3, 3, 1, 1)), np.array([0.5]))
+    layer = with_params(Conv2d(3, 3, 1, 1), np.zeros((3, 3, 1, 1)), [0.5])
+    y = layer.forward(np.ones((5, 5, 1)))
     assert y.shape == (3, 3, 1)
     assert np.all(y == 0.5)
 
@@ -68,7 +69,7 @@ def test_conv2d_zero_kernel_bias():
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((7, 4, 1))
-    y = conv2d_valid(x, np.ones((1, 1, 1, 1)), np.zeros(1))
+    y = with_params(Conv2d(1, 1, 1, 1), np.ones((1, 1, 1, 1)), np.zeros(1)).forward(x)
     assert np.array_equal(y, x)
 
 
@@ -77,27 +78,28 @@ def test_conv2d_matches_loop_oracle():
     x = rng.standard_normal((6, 6, 2))
     w = rng.standard_normal((3, 3, 2, 4))
     b = rng.standard_normal(4)
-    assert np.max(np.abs(conv2d_valid(x, w, b) - conv2d_ref(x, w, b))) < 1e-6
+    y = with_params(Conv2d(3, 3, 2, 4), w, b).forward(x)
+    assert np.max(np.abs(y - conv2d_ref(x, w, b))) < 1e-6
 
 
 def test_conv2d_shape_errors():
     with pytest.raises(ShapeError):
-        conv2d_valid(np.ones((2, 2, 1)), np.zeros((3, 3, 1, 1)), np.zeros(1))
+        Conv2d(3, 3, 1, 1).forward(np.ones((2, 2, 1)))
     with pytest.raises(ShapeError):
-        conv2d_valid(np.ones((5, 5, 2)), np.zeros((3, 3, 1, 1)), np.zeros(1))
+        Conv2d(3, 3, 1, 1).forward(np.ones((5, 5, 2)))
 
 
 def test_maxpool_row():
     x = np.array([1, 5, 2, 0, 0, 7], dtype=float).reshape(1, 6, 1)
-    y = maxpool_freq3(x)
+    y = MaxPoolFreq3().forward(x)
     assert y.shape == (1, 2, 1)
     assert list(y[0, :, 0]) == [5.0, 7.0]
 
 
 def test_maxpool_81_to_27_and_remainder():
-    assert maxpool_freq3(np.zeros((4, 81, 2))).shape == (4, 27, 2)
+    assert MaxPoolFreq3().forward(np.zeros((4, 81, 2))).shape == (4, 27, 2)
     # remainder bins dropped: 80 -> 26
-    assert maxpool_freq3(np.zeros((4, 80, 2))).shape == (4, 26, 2)
+    assert MaxPoolFreq3().forward(np.zeros((4, 80, 2))).shape == (4, 26, 2)
 
 
 def test_maxpool_tie_gradient_to_first():
@@ -122,14 +124,14 @@ def test_maxpool_inference_is_training_values():
 
 def test_maxpool_needs_three_bins():
     with pytest.raises(ShapeError):
-        maxpool_freq3(np.zeros((4, 2, 1)))
+        MaxPoolFreq3().forward(np.zeros((4, 2, 1)))
 
 
 def test_dilated_identity():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((20, 3))
     # k=1 identity map per channel
-    y = dilated_conv1d(x, np.eye(3)[None], np.zeros(3), 4)
+    y = with_params(DilatedConv1d(1, 3, 3, dilation=4), np.eye(3)[None], np.zeros(3)).forward(x)
     assert np.allclose(y, x)
 
 
@@ -140,7 +142,7 @@ def test_dilated_impulse_taps():
     w = np.arange(1.0, 6.0).reshape(5, 1, 1)
     x = np.zeros((200, 1))
     x[100, 0] = 1.0
-    y = dilated_conv1d(x, w, np.zeros(1), 8)
+    y = with_params(DilatedConv1d(5, 1, 1, dilation=8), w, np.zeros(1)).forward(x)
     assert y.shape == (200, 1)
     nz = np.flatnonzero(y[:, 0])
     assert list(nz) == [84, 92, 100, 108, 116]
@@ -152,7 +154,7 @@ def test_dilated_matches_loop_oracle():
     x = rng.standard_normal((64, 3))
     w = rng.standard_normal((5, 3, 2))
     b = rng.standard_normal(2)
-    y = dilated_conv1d(x, w, b, 4)
+    y = with_params(DilatedConv1d(5, 3, 2, dilation=4), w, b).forward(x)
     assert y.shape == (64, 2)
     assert np.max(np.abs(y - dilated_ref(x, w, b, 4))) < 1e-6
 
@@ -160,20 +162,20 @@ def test_dilated_matches_loop_oracle():
 def test_dilated_length_preserved_when_short():
     # dilation span exceeds the sequence: still same length out
     x = np.ones((7, 1))
-    y = dilated_conv1d(x, np.ones((5, 1, 1)), np.zeros(1), 16)
+    y = with_params(DilatedConv1d(5, 1, 1, dilation=16), np.ones((5, 1, 1)), np.zeros(1)).forward(x)
     assert y.shape == (7, 1)
 
 
 def test_dilated_rejects_even_kernel():
     with pytest.raises(ConfigError):
-        dilated_conv1d(np.ones((10, 1)), np.ones((4, 1, 1)), np.zeros(1), 2)
+        DilatedConv1d(4, 1, 1, dilation=2)
 
 
 def test_dense_identity_and_sum():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((9, 5))
-    assert np.allclose(dense(x, np.eye(5), np.zeros(5)), x)
-    y = dense(np.ones((3, 16)), np.ones((16, 1)), np.ones(1))
+    assert np.allclose(with_params(Dense(5, 5), np.eye(5), np.zeros(5)).forward(x), x)
+    y = with_params(Dense(16, 1), np.ones((16, 1)), np.ones(1)).forward(np.ones((3, 16)))
     assert np.all(y == 17.0)
 
 
@@ -186,24 +188,22 @@ def test_dense_matches_loop_oracle():
     for t in range(8):
         for o in range(3):
             ref[t, o] = b[o] + sum(w[c, o] * x[t, c] for c in range(6))
-    assert np.max(np.abs(dense(x, w, b) - ref)) < 1e-6
+    assert np.max(np.abs(with_params(Dense(6, 3), w, b).forward(x) - ref)) < 1e-6
 
 
 def test_activation_fixed_points():
-    assert activation(np.zeros(3), "elu")[0] == 0.0
-    assert activation(np.zeros(3), "sigmoid")[0] == 0.5
+    assert Elu().forward(np.zeros(3))[0] == 0.0
+    assert Sigmoid().forward(np.zeros(3))[0] == 0.5
     # strictly above -1 where float64 can resolve it
-    v10 = activation(np.array([-10.0]), "elu")[0]
+    v10 = Elu().forward(np.array([-10.0]))[0]
     assert -1.0 < v10 < -0.9999
     # exp(-50)-1 rounds to exactly -1.0 in double precision
-    v50 = activation(np.array([-50.0]), "elu")[0]
+    v50 = Elu().forward(np.array([-50.0]))[0]
     assert -1.0 <= v50 < -0.9999
-    with pytest.raises(ConfigError):
-        activation(np.zeros(3), "relu")
 
 
 def test_sigmoid_range_extremes():
-    y = activation(np.array([-1000.0, 1000.0]), "sigmoid")
+    y = Sigmoid().forward(np.array([-1000.0, 1000.0]))
     assert np.all(np.isfinite(y))
     assert 0.0 <= y[0] < 1e-12
     assert 1.0 - 1e-12 < y[1] <= 1.0
@@ -212,15 +212,15 @@ def test_sigmoid_range_extremes():
 def test_dropout_identity_modes():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((10, 4))
-    assert np.array_equal(dropout(x, 0.0, np.random.default_rng(0), True), x)
-    assert np.array_equal(dropout(x, 0.5, np.random.default_rng(0), False), x)
+    assert np.array_equal(Dropout(0.0).forward(x, training=True, rng=np.random.default_rng(0)), x)
+    assert np.array_equal(Dropout(0.5).forward(x, training=False, rng=np.random.default_rng(0)), x)
     with pytest.raises(ConfigError):
-        dropout(x, 1.0, np.random.default_rng(0), True)
+        Dropout(1.0)
 
 
 def test_dropout_mean_preserved():
     x = np.ones(10**6)
-    y = dropout(x, 0.1, np.random.default_rng(7), True)
+    y = Dropout(0.1).forward(x, training=True, rng=np.random.default_rng(7))
     assert 0.995 <= y.mean() <= 1.005
     # survivors scaled by exactly 1/(1-rate)
     survivors = y[y != 0]
@@ -288,18 +288,15 @@ def test_gradcheck_conv2d():
 
 
 def test_gradcheck_composition():
+    # pad -> conv -> ELU -> pool, as a conv stage of the model runs it
     rng = np.random.default_rng(14)
-    net = Sequential([
-        Conv2d(3, 3, 1, 4, rng=rng, dtype=np.float64),
-        Elu(),
-        MaxPoolFreq3(),
-    ])
+    stage = ConvStage(3, 3, 1, 4, pool=True, rate=0.0, rng=rng, dtype=np.float64)
     x = rng.standard_normal((10, 11, 1))
-    assert gradcheck(net, x, seed=103) < 1e-4
+    assert gradcheck(stage, x, seed=103) < 1e-4
 
 
 def test_gradcheck_sigmoid_head():
     rng = np.random.default_rng(15)
-    net = Sequential([Dense(4, 1, rng=rng, dtype=np.float64), Sigmoid()])
-    x = rng.standard_normal((20, 4))
-    assert gradcheck(net, x, seed=104) < 1e-4
+    head = OutHead(rng, dtype=np.float64)
+    x = rng.standard_normal((20, 16))
+    assert gradcheck(head, x, seed=104) < 1e-4

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from onsetkit.models import (
     canonical_freeze_ids,
     clone_model,
     count_params,
-    layer_names,
     load_model,
     receptive_field,
     save_model,
@@ -33,7 +34,7 @@ def test_layer_names_shared_skeleton():
     for variant in ("tcn_v1", "tcn_v2"):
         m = build_model(variant, seed=0)
         assert tuple(nl.name for nl in m.layers) == LAYER_NAMES
-        dils = [nl.dilation for nl in m.layers if nl.kind == "tcn-level"]
+        dils = [nl.block.conv1.dilation for nl in m.layers if nl.name.startswith("Tcn")]
         assert dils == [2**i for i in range(11)]
 
 
@@ -263,7 +264,7 @@ def test_frozen_prefix_runs_cache_free_with_the_same_draws(variant):
                 assert after[key].keys() == attrs.keys(), (fid, key)
                 assert all(after[key][a] is v for a, v in attrs.items()), (fid, key)
         for nl in m.layers[lowest:]:  # the rest keep what backward reads
-            part = "elu" if nl.kind != "output" else "sig"
+            part = "sig" if nl.name == "Out" else "elu"
             assert after[nl.name, part].keys() > fresh[nl.name, part].keys(), (fid, nl.name)
 
 
@@ -498,9 +499,50 @@ def test_clone_is_independent():
     assert not np.array_equal(c.forward(x), m.forward(x))
 
 
-def test_layer_names_helper():
-    assert layer_names() == LAYER_NAMES
-    assert layer_names(build_model("tcn_v1", seed=0)) == LAYER_NAMES
+# sha256 of save_model(build_model(variant, 0)): parameter names, their
+# order (each block's parts order, not its attribute order), glorot draws
+# and the header, all at once
+MODEL_FILE_SHA256 = {
+    "tcn_v1": "a2da9f7c6bc1d57ffcae48216d548dedf1da2573ee9c8757febc1ab7bf760ecf",
+    "tcn_v2": "cb860f6a2baefb64fad07937459e0304cce323f30debd61299b60599ed0289c6",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_model_file_bytes_are_pinned(variant, tmp_path):
+    p = tmp_path / "m.model"
+    save_model(build_model(variant, 0), p)
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == MODEL_FILE_SHA256[variant]
+
+
+def _shadow_blocks(model, calls):
+    """Shadow every block's forward/backward with instance attributes that
+    log the call, the way an outside tracer hooks a built model."""
+    for nl in model.layers:
+        def hook(kind, inner, name=nl.name):
+            def call(*args, **kwargs):
+                calls.append((kind, name))
+                return inner(*args, **kwargs)
+            return call
+        nl.block.forward = hook("fwd", nl.block.forward)
+        nl.block.backward = hook("bwd", nl.block.backward)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_block_hooks_see_every_call(variant):
+    x = np.random.default_rng(70).uniform(0, 1, (40, 81))
+    m = build_model(variant, seed=71)
+    calls = []
+    _shadow_blocks(m, calls)
+    m.forward(x)
+    assert calls == [("fwd", name) for name in LAYER_NAMES]
+    calls.clear()
+    apply_freeze(m, FreezeConfig.from_id("ft_Tcn16"))
+    act = m.forward(x, training=True, rng=np.random.default_rng(72))
+    assert m.backward(np.ones_like(act), input_grad=False) is None
+    lowest = LAYER_NAMES.index("Tcn32")
+    assert calls == ([("fwd", name) for name in LAYER_NAMES]
+                     + [("bwd", name) for name in reversed(LAYER_NAMES[lowest:])])
 
 
 _V1_SHAPES = [(k, v.shape) for k, v in build_model("tcn_v1", seed=0).param_dict().items()]

@@ -88,6 +88,33 @@ def test_train_divergence_reports_epoch():
     with pytest.raises(DivergenceError) as err:
         train(m, poisoned, epochs=3)
     assert err.value.epoch == 0
+    assert err.value.last_loss is None  # the first step diverged
+
+
+def _losses_then_nan(monkeypatch, finite):
+    """Make the training loops see the given losses, then NaN."""
+    import onsetkit.training as training
+
+    seen = iter(finite)
+    monkeypatch.setattr(training, "bce_loss", lambda p, t: next(seen, float("nan")))
+
+
+def test_train_divergence_carries_last_finite_loss(monkeypatch):
+    _losses_then_nan(monkeypatch, [0.75, 0.625])
+    x = np.zeros((10, 81))
+    with pytest.raises(DivergenceError) as err:
+        train(build_model("tcn_v1", seed=0), [(x, np.zeros(10)), (x, np.zeros(10))], epochs=3)
+    assert (err.value.epoch, err.value.last_loss) == (1, 0.625)
+    assert "0.625" in str(err.value)
+
+
+def test_finetune_divergence_carries_last_finite_loss(monkeypatch):
+    _losses_then_nan(monkeypatch, [0.75])
+    cfg = FinetuneConfig(freeze=FreezeConfig.from_id("ft_Conv3"), seed=0, epochs=3)
+    with pytest.raises(DivergenceError) as err:
+        finetune(build_model("tcn_v2", seed=0), (np.zeros((10, 81)), np.zeros(10)), cfg)
+    assert (err.value.epoch, err.value.last_loss) == (1, 0.75)
+    assert "0.75" in str(err.value)
 
 
 def test_finetune_config_validation():
