@@ -31,8 +31,10 @@ class PeakPickParams:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.w_max < 0 or self.w_avg < 0:
             raise ConfigError("window half-widths must be >= 0")
-        if self.min_gap < 1.0 / FRAME_RATE:
-            raise ConfigError(f"minimum gap below one frame (10 ms): {self.min_gap}")
+        if not 1.0 / FRAME_RATE <= self.min_gap < np.inf:
+            raise ConfigError(f"minimum gap below one frame (10 ms) or infinite: {self.min_gap}")
+        if not -np.inf < self.delta < np.inf:
+            raise ConfigError(f"delta must be finite, got {self.delta}")
 
 
 def _windowed(x: np.ndarray, half: int):
@@ -78,6 +80,8 @@ def match_onsets(
     estimate in its window. For uniform windows this greedy attains the
     maximum matching cardinality (verified against brute force in tests).
     """
+    if not 0.0 < tolerance < np.inf:
+        raise ConfigError(f"tolerance must be > 0 s, got {tolerance}")
     est = np.asarray(getattr(estimates, "times", estimates), dtype=np.float64)
     ref = np.asarray(getattr(reference, "times", reference), dtype=np.float64)
     pairs = []

@@ -42,9 +42,9 @@ from .models import (
     load_model,
 )
 from .synth import MANIFEST_NAME, CorpusSpec, InstrumentProfile, generate_corpus, load_manifest, make_profile
-from .training import FinetuneConfig, finetune, make_targets, train
+from .training import FinetuneConfig, check_schedule, finetune, make_targets, train
 
-RESULTS_FORMAT = 1
+RESULTS_FORMAT_LINE = "# results-format: 1"  # a results file's first line
 CSV_COLUMNS = ("model", "instrument", "freeze_id", "mean_f1", "baseline_f1",
                "delta_pp", "n_files", "seed", "wall_s", "per_file_f1")
 EXCLUDED_REAL_INDEX = 34
@@ -89,20 +89,16 @@ class ExperimentConfig:
             raise ConfigError("need at least one model variant")
         for fid in self.freeze_configs:
             FreezeConfig.from_id(fid)
-        if self.snippet_duration <= 0:
-            raise ConfigError("snippet duration must be > 0")
-        if self.snippet_offset is not None and self.snippet_offset < 0:
-            raise ConfigError("snippet offset must be >= 0")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be > 0")
+        # each range check is written so that NaN and infinity fail it
+        if not 0.0 < self.snippet_duration < np.inf:
+            raise ConfigError(f"snippet duration must be > 0 s, got {self.snippet_duration}")
+        if self.snippet_offset is not None and not 0.0 <= self.snippet_offset < np.inf:
+            raise ConfigError(f"snippet offset must be >= 0 s, got {self.snippet_offset}")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ConfigError(f"tolerance must be > 0 s, got {self.tolerance}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 < self.lr_scale <= 1.0:
-            raise ConfigError(f"lr_scale must be in (0, 1], got {self.lr_scale}")
-        if not self.base_lr > 0.0:
-            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
+        check_schedule(self.epochs, self.lr_scale, self.base_lr)
 
 
 @dataclass(frozen=True)
@@ -286,8 +282,7 @@ def row_seed(global_seed: int, model: str, instrument: str, freeze_id: str) -> i
 
 
 def run_cycle(model_path, instrument: str, freeze_id: str, config: ExperimentConfig,
-              dataset: dict | None = None, cache: dict | None = None,
-              baseline: EvalResult | None = None) -> ResultRow:
+              dataset: dict | None = None, cache: dict | None = None) -> ResultRow:
     """Load base model, freeze, fine-tune on the snippet, evaluate held-in files.
 
     Verifies that every frozen tensor survives fine-tuning bitwise unchanged.
@@ -300,6 +295,8 @@ def run_cycle(model_path, instrument: str, freeze_id: str, config: ExperimentCon
             raise ConfigError(f"instrument {instrument!r} not in dataset")
         pairs = dataset[instrument]
         snippet = extract_snippet(pairs, config.snippet_offset, config.snippet_duration)
+        baseline = evaluate_model(base, pairs, snippet[2], config.peak_pick, config.tolerance,
+                                  cache)
         return _adapt_and_score(base, pairs, snippet, instrument, freeze_id, config,
                                 cache, baseline)
 
@@ -316,13 +313,12 @@ def _cycle_identity(instrument: str, freeze_id: str):
 
 def _adapt_and_score(base: Model, pairs, snippet, instrument: str, freeze_id: str,
                      config: ExperimentConfig, cache: dict | None,
-                     baseline: EvalResult | None, inputs: dict | None = None) -> ResultRow:
-    """One cycle from a loaded base and its cut (features, targets, held) snippet.
-
-    With no baseline given the base is also scored; either way it is only
-    read. inputs holds the base's activations entering Conv3 (see
-    _conv3_inputs); when the freeze leaves Conv1 and Conv2 frozen, scoring
-    starts there, after the frozen tensors are checked bitwise.
+                     baseline: EvalResult, inputs: dict | None = None) -> ResultRow:
+    """One cycle from a loaded base, its cut (features, targets, held)
+    snippet and its baseline score; the base is only read. inputs holds the
+    base's activations entering Conv3 (see _conv3_inputs); when the freeze
+    leaves Conv1 and Conv2 frozen, scoring starts there, after the frozen
+    tensors are checked bitwise.
     """
     t0 = time.perf_counter()
     feats, targets, held = snippet
@@ -336,8 +332,6 @@ def _adapt_and_score(base: Model, pairs, snippet, instrument: str, freeze_id: st
     from_conv3 = inputs is not None and freeze.lowest_trainable >= _SCORING_START
     result = evaluate_model(adapted, pairs, held, config.peak_pick, config.tolerance, cache,
                             _SCORING_START if from_conv3 else 0, inputs if from_conv3 else None)
-    if baseline is None:
-        baseline = evaluate_model(base, pairs, held, config.peak_pick, config.tolerance, cache)
     per_file = tuple(result.per_file[i][3] for i in sorted(result.per_file))
     return ResultRow(
         model=base.variant, instrument=instrument, freeze_id=freeze_id,
@@ -459,7 +453,7 @@ def write_report(rows, out_dir) -> tuple:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
     with open(csv_path, "w", newline="") as fh:
-        fh.write(f"# results-format: {RESULTS_FORMAT}\n")
+        fh.write(RESULTS_FORMAT_LINE + "\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
         for r in rows:  # numbers by repr, which gives floats back exactly
@@ -496,15 +490,8 @@ def read_results(path) -> list:
         raise DataError(f"cannot read results {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text: {e}") from e
-    lines = text.splitlines()
-    if not lines or lines[0] != f"# results-format: {RESULTS_FORMAT}":
-        raise DataError(f"{path}: not a results file")
-    reader = csv.reader(lines[1:])
-    header = next(reader, None)
-    if tuple(header or ()) != CSV_COLUMNS:
-        raise DataError(f"{path}: unexpected columns {header}")
     rows = []
-    for rec in reader:
+    for rec in _result_records(text, path):
         if len(rec) != len(CSV_COLUMNS):
             raise DataError(f"{path}: row with {len(rec)} cells")
         try:
@@ -527,16 +514,26 @@ _CELL_PARSERS = {"model": str, "instrument": str, "freeze_id": str, "mean_f1": f
                  "wall_s": float, "per_file_f1": _per_file_scores}
 
 
+def _result_records(text: str, source):
+    """The csv records of a results file's rows, after its format line and
+    header; rows end where the csv format ends them, not at str.splitlines
+    breaks such as U+001C or U+2028."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    if next(reader, None) != [RESULTS_FORMAT_LINE]:
+        raise DataError(f"{source}: not a results file")
+    header = next(reader, None)
+    if tuple(header or ()) != CSV_COLUMNS:
+        raise DataError(f"{source}: unexpected columns {header}")
+    return reader
+
+
 def strip_wall_column(csv_text: str) -> str:
     """Results CSV minus the wall-time column, for determinism comparisons."""
-    lines = csv_text.splitlines()
-    if not lines or not lines[0].startswith("# results-format:"):
-        raise DataError("not a results file")
     drop = CSV_COLUMNS.index("wall_s")
     buf = io.StringIO()
-    buf.write(lines[0] + "\n")
+    buf.write(RESULTS_FORMAT_LINE + "\n")
     w = csv.writer(buf, lineterminator="\n")
-    for rec in csv.reader(lines[1:]):
+    for rec in [CSV_COLUMNS, *_result_records(csv_text, "results text")]:
         w.writerow(rec[:drop] + rec[drop + 1:])
     return buf.getvalue()
 

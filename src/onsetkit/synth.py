@@ -66,14 +66,14 @@ class InstrumentProfile:
         lo, hi = self.decay_span
         if not (50.0 <= lo <= hi <= 450.0):
             raise ConfigError(f"decay span must satisfy 50 <= lo <= hi <= 450 ms, got {self.decay_span}")
-        if self.onset_density < 0:
-            raise ConfigError("onset density must be >= 0")
-        if self.amplitude_jitter < 0:
-            raise ConfigError("amplitude jitter must be >= 0")
-        if self.attack_ms <= 0:
-            raise ConfigError("attack must be > 0 ms")
-        if self.spectral_mode != "noise-burst" and self.center_freq <= 0:
-            raise ConfigError("tone modes need a positive center frequency")
+        if not 0.0 <= self.onset_density < np.inf:
+            raise ConfigError(f"onset density must be >= 0, got {self.onset_density}")
+        if not 0.0 <= self.amplitude_jitter < np.inf:
+            raise ConfigError(f"amplitude jitter must be >= 0, got {self.amplitude_jitter}")
+        if not 0.0 < self.attack_ms < np.inf:
+            raise ConfigError(f"attack must be > 0 ms, got {self.attack_ms}")
+        if self.spectral_mode != "noise-burst" and not 0.0 < self.center_freq < np.inf:
+            raise ConfigError("tone modes need a positive, finite center frequency")
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ class CorpusSpec:
             raise ConfigError("instrument names must be unique")
         if self.files_per_instrument < 2:
             raise ConfigError("need >= 2 files per instrument (snippet source + eval)")
-        if self.file_duration < 5.0:
-            raise ConfigError("file duration must be >= 5 s")
+        if not 5.0 <= self.file_duration < np.inf:
+            raise ConfigError(f"file duration must be >= 5 s, got {self.file_duration}")
         if not (165.0 <= self.tempo <= 180.0):
             raise ConfigError(f"tempo must lie in [165, 180] bpm, got {self.tempo}")
         if self.seed < 0:

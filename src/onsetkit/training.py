@@ -29,32 +29,56 @@ def make_targets(onsets: OnsetAnnotations, n_frames: int) -> np.ndarray:
     return y
 
 
-def _as_values(features) -> np.ndarray:
-    return np.asarray(getattr(features, "values", features), dtype=np.float64)
+def check_schedule(epochs: int, lr_scale: float = 1.0, base_lr: float = 1e-3) -> None:
+    """Raise ConfigError unless epochs >= 1, 0 < lr_scale <= 1 and base_lr is
+    positive and finite; NaN fails every check."""
+    if not epochs >= 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    if not 0.0 < lr_scale <= 1.0:
+        raise ConfigError(f"lr_scale must be in (0, 1], got {lr_scale}")
+    if not 0.0 < base_lr < np.inf:
+        raise ConfigError(f"base_lr must be > 0 and finite, got {base_lr}")
 
 
 def train(model: Model, corpus, epochs: int, lr: float = 1e-3, seed: int = 0):
     """Train in place: per epoch, one full-sequence gradient step per item
-    in seeded shuffled order. Returns (model, per-epoch mean losses)."""
+    in seeded shuffled order. Returns (model, per-epoch mean losses).
+
+    Frozen layers stay bitwise untouched. Each step gives the floats and
+    dropout draws of a full training forward: a frozen Conv1's pad + conv +
+    ELU output is computed once per item (each step draws its mask and
+    pools a fresh product), and the frozen blocks above it, up to the
+    lowest trainable one, run cache-free.
+    """
+    check_schedule(epochs)
     if not corpus:
         raise ConfigError("training corpus is empty")
-    pairs = []
+    frozen_conv1 = model.layers[0].block if model.lowest_trainable > 0 else None
+    items = []
     for feats, targets in corpus:
-        x = _as_values(feats)
+        x = np.asarray(getattr(feats, "values", feats), dtype=np.float64)
         targets = np.asarray(targets, dtype=np.float64)
+        if not x.shape[0]:
+            raise ConfigError("empty training item")
         if targets.shape != (x.shape[0],):
             raise ShapeError(f"targets {targets.shape} vs {x.shape[0]} frames")
-        pairs.append((x, targets))
+        if frozen_conv1 is not None:
+            x = frozen_conv1.activate(model.forward(x, stop=0))  # the checked input to Conv1
+            x.flags.writeable = False
+        items.append((x, targets))
 
     rng = np.random.default_rng(seed)
     opt = make_optimizer(model.optimizer_kind, lr)
     history, last = [], None
     for epoch in range(epochs):
-        order = rng.permutation(len(pairs))
         losses = []
-        for idx in order:
-            x, targets = pairs[idx]
-            act = model.forward(x, training=True, rng=rng)
+        for idx in rng.permutation(len(items)):
+            x, targets = items[idx]
+            if frozen_conv1 is not None:
+                h = frozen_conv1.forward(x, True, rng, activated=True)
+                act = model.forward(h, training=True, rng=rng, start=1)
+            else:
+                act = model.forward(x, training=True, rng=rng)
             loss = bce_loss(act, targets)
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, last)
@@ -76,58 +100,18 @@ class FinetuneConfig:
     dropout_active: bool = True
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 < self.lr_scale <= 1.0:
-            raise ConfigError(f"lr_scale must be in (0, 1], got {self.lr_scale}")
+        check_schedule(self.epochs, self.lr_scale, self.base_lr)
 
 
 def finetune(model: Model, snippet, config: FinetuneConfig) -> Model:
-    """Adapt a copy of the model to one snippet.
+    """Adapt a copy of the model to one (features, targets) snippet.
 
-    One full-snippet gradient step per epoch with the variant's own
-    optimizer kind, fresh optimizer state, learning rate base_lr*lr_scale.
-    Frozen layers stay bitwise untouched; the input model is not modified.
-    With dropout_active False the copy is built without dropout, so its
-    training-mode forwards draw nothing.
-
-    The epochs give the floats and dropout draws of full training forwards
-    with less work on a frozen prefix: a frozen Conv1's pad + conv + ELU
-    output is computed once and each epoch draws its mask and pools a fresh
-    product, and the frozen blocks above it, up to the lowest trainable
-    one, run cache-free.
+    train on a clone with the config's freeze applied: one full-snippet
+    gradient step per epoch with the variant's own optimizer kind, fresh
+    optimizer state, learning rate base_lr*lr_scale. The input model is
+    not modified. With dropout_active False the copy is built without
+    dropout, so its training-mode forwards draw nothing.
     """
-    feats, targets = snippet
-    x = _as_values(feats)
-    targets = np.asarray(targets, dtype=np.float64)
-    if x.shape[0] == 0:
-        raise ConfigError("empty snippet")
-    if targets.shape != (x.shape[0],):
-        raise ShapeError(f"targets {targets.shape} vs {x.shape[0]} frames")
-
     adapted = clone_model(model, dropout_rate=None if config.dropout_active else 0.0)
-    apply_freeze(adapted, config.freeze)
-    opt = make_optimizer(adapted.optimizer_kind, config.base_lr * config.lr_scale)
-    rng = np.random.default_rng(config.seed)
-    # a frozen Conv1's pre-dropout output is the same in every epoch; its
-    # dropout mask is not
-    conv1, const = adapted.layers[0].block, None
-    if adapted.lowest_trainable > 0:
-        const = conv1.activate(x[:, :, None])
-        const.flags.writeable = False
-    last = None
-    for epoch in range(config.epochs):
-        if const is None:
-            act = adapted.forward(x, training=True, rng=rng)
-        else:
-            h = conv1.forward(const, True, rng, activated=True)
-            act = adapted.forward(h, training=True, rng=rng, start=1)
-        loss = bce_loss(act, targets)
-        if not np.isfinite(loss):
-            raise DivergenceError(epoch, last)
-        last = loss
-        adapted.backward(bce_loss_grad(act, targets), input_grad=False)
-        opt.step(
-            adapted.param_dict(trainable_only=True), adapted.grad_dict(trainable_only=True)
-        )
-    return adapted
+    return train(apply_freeze(adapted, config.freeze), [snippet], config.epochs,
+                 config.base_lr * config.lr_scale, config.seed)[0]

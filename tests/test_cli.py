@@ -259,3 +259,38 @@ def test_divergence_maps_to_exit_3(monkeypatch, corpus, model_file, tmp_path, ca
                  "--out", str(tmp_path / "x.model"), "--epochs", "1"])
     assert code == 3
     assert "epoch 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["detect", "{model}", "{wav}", "--out", "{out}", "--min-gap", "nan"], 1),
+    (["detect", "{model}", "{wav}", "--out", "{out}", "--min-gap", "inf"], 1),
+    (["detect", "{model}", "{wav}", "--out", "{out}", "--delta", "nan"], 1),
+    (["synth", "--out", "{out}", "--duration", "nan"], 1),
+    (["synth", "--out", "{out}", "--duration", "inf"], 1),
+    (["eval", "{onsets}", "{onsets}", "--tolerance", "nan"], 1),
+    (["eval", "{onsets}", "{onsets}", "--tolerance", "-1"], 1),
+    (["eval", "{inf_onsets}", "{onsets}"], 2),
+    (["grid", "--config", "{nan_grid}"], 1),
+    (["finetune", "{model}", "{corpus}", "ring_bell", "--out", "{out}", "--lr", "-1"], 1),
+    (["finetune", "{model}", "{corpus}", "ring_bell", "--out", "{out}", "--epochs", "1",
+      "--lr", "nan"], 1),
+    (["pretrain", "{corpus}", "--out", "{out}", "--epochs", "0"], 1),
+], ids=["detect-min-gap-nan", "detect-min-gap-inf", "detect-delta-nan", "synth-duration-nan",
+        "synth-duration-inf", "eval-tolerance-nan", "eval-tolerance-negative",
+        "eval-inf-onset", "grid-tolerance-nan", "finetune-lr-negative", "finetune-lr-nan",
+        "pretrain-epochs-0"])
+def test_out_of_range_values_exit_with_one_error_line(corpus, model_file, tmp_path, capsys,
+                                                      argv, code):
+    """1 for a config value, 2 for a data file; nothing is written."""
+    (tmp_path / "inf.onsets").write_text("0.5\ninf\n")
+    # json.dumps writes NaN, which json.loads reads back
+    (tmp_path / "grid.json").write_text(json.dumps(
+        {"corpus": str(corpus), "base_models": {"tcn_v1": str(model_file)},
+         "models": ["tcn_v1"], "tolerance": float("nan"), "out_dir": str(tmp_path / "out")}))
+    paths = {"model": model_file, "wav": corpus / "drone_tone_02.wav", "corpus": corpus,
+             "onsets": corpus / "drone_tone_02.onsets", "inf_onsets": tmp_path / "inf.onsets",
+             "nan_grid": tmp_path / "grid.json", "out": tmp_path / "out"}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "out").exists()

@@ -89,6 +89,17 @@ def test_peak_pick_param_validation():
         PeakPickParams(w_max=-1)
     with pytest.raises(ConfigError):
         PeakPickParams(min_gap=0.005)
+    for bad in (dict(min_gap=np.nan), dict(min_gap=np.inf), dict(delta=np.nan),
+                dict(delta=np.inf), dict(delta=-np.inf)):
+        with pytest.raises(ConfigError):
+            PeakPickParams(**bad)
+    assert PeakPickParams(delta=-0.1).delta == -0.1
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -0.025, np.nan, np.inf])
+def test_match_rejects_tolerance_not_positive_and_finite(tolerance):
+    with pytest.raises(ConfigError):
+        match_onsets(OnsetAnnotations(times=[0.5]), OnsetAnnotations(times=[0.5]), tolerance)
 
 
 def test_match_within_tolerance():

@@ -1,9 +1,11 @@
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onsetkit.audio import OnsetAnnotations, save_annotations, save_wav
@@ -384,7 +386,12 @@ def test_config_json_inline_corpus_and_errors(tmp_path):
                 {"corpus": ".", "epochs": "ten"}, {"corpus": ".", "epochs": 0},
                 {"corpus": ".", "epochs": True}, {"corpus": ".", "lr_scale": -1},
                 {"corpus": ".", "base_lr": 0}, {"corpus": ".", "dropout_active": 1},
-                {"corpus": ".", "seed": 1.5}, {"corpus": ".", "snippet_offset": "0"}):
+                {"corpus": ".", "seed": 1.5}, {"corpus": ".", "snippet_offset": "0"},
+                {"corpus": ".", "tolerance": float("nan")}, {"corpus": ".", "tolerance": -1},
+                {"corpus": ".", "snippet_duration": float("inf")},
+                {"corpus": ".", "snippet_offset": float("nan")},
+                {"corpus": ".", "base_lr": float("nan")}, {"corpus": ".", "lr_scale": float("nan")},
+                {"corpus": ".", "peak_pick": {"min_gap": float("inf")}}):
         with pytest.raises(ConfigError):
             config_from_json(bad)
     p = tmp_path / "bad.json"
@@ -410,9 +417,10 @@ def test_config_relative_paths_resolve_against_file(tmp_path, corpus):
 
 # -- properties of the two parsers ------------------------------------------
 
-# what a cell of a results row may hold: no line breaks, which read_results
-# would split a row at (str.splitlines also breaks at \x1c-\x1e, \x85, ...)
-cell_text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+# what a cell of a results row may hold: any text but surrogates, which
+# UTF-8 cannot encode, and a lone \r, which csv.writer leaves unquoted
+cell_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"),
+                    max_size=12)
 unit_floats = st.floats(0.0, 1.0)
 
 
@@ -432,9 +440,13 @@ def scratch(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(rows=st.lists(result_rows(), min_size=1, max_size=4))
+@example(rows=[ResultRow("tcn_v1", name, "ft", 0.5, 0.25, 25.0, 1, 0, 0.1, (0.5,))
+               for name in ("a\x1cb", "c\x85d", "e\u2028f", "g\nh", "i,\"j\"")])
 def test_results_csv_round_trips(scratch, rows):
     csv_path, _ = write_report(rows, scratch)
     assert read_results(csv_path) == rows
+    stripped = strip_wall_column(csv_path.read_text(encoding="utf-8"))
+    assert len(list(csv.reader(io.StringIO(stripped, newline="")))) == len(rows) + 2
 
 
 results_cells = st.one_of(

@@ -47,6 +47,14 @@ def test_profile_validation():
         CorpusSpec((tone_profile(),), tempo=120.0)
     with pytest.raises(ConfigError):
         CorpusSpec((tone_profile(), tone_profile()))  # duplicate names
+    for bad in (dict(onset_density=np.nan), dict(onset_density=np.inf),
+                dict(amplitude_jitter=np.nan), dict(attack_ms=np.nan), dict(attack_ms=np.inf),
+                dict(center_freq=np.nan), dict(center_freq=np.inf)):
+        with pytest.raises(ConfigError):
+            tone_profile(**bad)
+    for duration in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            CorpusSpec((tone_profile(),), file_duration=duration)
 
 
 def test_make_profile_deterministic():

@@ -3,7 +3,7 @@ import pytest
 
 from onsetkit.audio import OnsetAnnotations
 from onsetkit.errors import AnnotationError, ConfigError, DivergenceError, ShapeError
-from onsetkit.models import FreezeConfig, build_model, save_model
+from onsetkit.models import FreezeConfig, apply_freeze, build_model, save_model
 from onsetkit.training import FinetuneConfig, finetune, make_targets, train
 
 
@@ -77,9 +77,16 @@ def test_train_errors():
     m = build_model("tcn_v1", seed=0)
     with pytest.raises(ConfigError):
         train(m, [], epochs=1)
+    with pytest.raises(ConfigError):
+        train(m, tiny_corpus(), epochs=0)
+    with pytest.raises(ConfigError):
+        train(m, tiny_corpus() + [(np.zeros((0, 81)), np.zeros(0))], epochs=1)
     bad = [(np.zeros((10, 81)), np.zeros(9))]
     with pytest.raises(ShapeError):
         train(m, bad, epochs=1)
+    apply_freeze(m, FreezeConfig.from_id("ft_Conv1"))  # features go to a frozen Conv1 first
+    with pytest.raises(ShapeError):
+        train(m, [(np.zeros((10, 80)), np.zeros(10))], epochs=1)
 
 
 def test_train_divergence_reports_epoch():
@@ -125,6 +132,10 @@ def test_finetune_config_validation():
         FinetuneConfig(freeze=cfg, seed=0, lr_scale=0.0)
     with pytest.raises(ConfigError):
         FinetuneConfig(freeze=cfg, seed=0, lr_scale=1.5)
+    for bad in (dict(lr_scale=np.nan), dict(base_lr=-1.0), dict(base_lr=0.0),
+                dict(base_lr=np.nan), dict(base_lr=np.inf)):
+        with pytest.raises(ConfigError):
+            FinetuneConfig(freeze=cfg, seed=0, **bad)
     assert FinetuneConfig(freeze=cfg, seed=0).epochs == 50
     assert FinetuneConfig(freeze=cfg, seed=0).lr_scale == 0.25
 

@@ -3,17 +3,17 @@
 The references below are the textbook forms: ELU through np.where with a
 cached output, pooling through argmax with take_along_axis and
 put_along_axis, dropout as a separate product, the in-place inference ELU
-as a masked expm1, and fine-tuning as a full training forward of every
-block in every epoch. The layers now keep ELU's derivative and uint8 pool
-winners and work in place, and fine-tuning computes a frozen Conv1's
-output once and runs the frozen blocks above it cache-free; every
+as a masked expm1, and training as a full training forward of every
+block in every step. The layers now keep ELU's derivative and uint8 pool
+winners and work in place, and training computes a frozen Conv1's output
+once per item and runs the frozen blocks above it cache-free; every
 comparison is by tobytes(), so a changed sign of zero fails too.
 """
 
 import numpy as np
 import pytest
 
-from onsetkit.layers import Conv2d, Elu, MaxPoolFreq3, bce_loss_grad, elu_inplace
+from onsetkit.layers import Conv2d, Elu, MaxPoolFreq3, bce_loss, bce_loss_grad, elu_inplace
 from onsetkit.models import (
     VARIANTS,
     FreezeConfig,
@@ -202,20 +202,55 @@ def test_elu_inplace_matches_masked_expm1():
         assert y.tobytes() == want.tobytes()
 
 
+def train_ref(model, corpus, epochs, lr, seed):
+    """train with a full training forward of every block in every step."""
+    trainable = [nl.trainable for nl in model.layers]
+    opt = make_optimizer(model.optimizer_kind, lr)
+    rng = np.random.default_rng(seed)
+    history = []
+    for _ in range(epochs):
+        losses = []
+        # one item is taken without a shuffle, so that fine-tuning checks
+        # that train's rng.permutation(1) draws nothing
+        for idx in rng.permutation(len(corpus)) if len(corpus) > 1 else [0]:
+            x, targets = corpus[idx]
+            for nl in model.layers:
+                nl.trainable = True  # every block keeps its caches
+            act = model.forward(x, training=True, rng=rng)
+            for nl, flag in zip(model.layers, trainable):
+                nl.trainable = flag
+            losses.append(bce_loss(act, targets))
+            model.backward(bce_loss_grad(act, targets), input_grad=False)
+            opt.step(model.param_dict(trainable_only=True), model.grad_dict(trainable_only=True))
+        history.append(float(np.mean(losses)))
+    return model, history
+
+
 def finetune_ref(model, snippet, config):
-    """finetune with a full training forward of every block in every epoch."""
-    x, targets = snippet
+    """finetune through train_ref."""
     adapted = clone_model(model, dropout_rate=None if config.dropout_active else 0.0)
-    apply_freeze(adapted, config.freeze)
-    opt = make_optimizer(adapted.optimizer_kind, config.base_lr * config.lr_scale)
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.epochs):
-        apply_freeze(adapted, FreezeConfig.from_id("ft"))  # every block keeps its caches
-        act = adapted.forward(x, training=True, rng=rng)
-        apply_freeze(adapted, config.freeze)
-        adapted.backward(bce_loss_grad(act, targets), input_grad=False)
-        opt.step(adapted.param_dict(trainable_only=True), adapted.grad_dict(trainable_only=True))
-    return adapted
+    return train_ref(apply_freeze(adapted, config.freeze), [snippet], config.epochs,
+                     config.base_lr * config.lr_scale, config.seed)[0]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_train_on_frozen_model_matches_full_training_forward(variant):
+    # three lengths: the shuffle and each item's own frozen Conv1 output count
+    rng = np.random.default_rng(60)
+    corpus = []
+    for i, frames in enumerate((36, 23, 41)):
+        x = np.abs(edge_inputs((frames, 81), 61 + i))
+        x[:, ::7] = -x[:, ::7]  # conv outputs on both sides of zero
+        corpus.append((x, (rng.random(frames) > 0.8).astype(float)))
+    base = build_model(variant, seed=62, dropout_rate=0.3)
+    for fid in ("ft", "ft_Conv1", "ft_Tcn16", "ft_Tcn4-Tcn64"):
+        freeze = FreezeConfig.from_id(fid)
+        want, want_history = train_ref(apply_freeze(clone_model(base), freeze), corpus, 3,
+                                       2e-3, 63)
+        got, history = train(apply_freeze(clone_model(base), freeze), corpus, 3, 2e-3, 63)
+        assert history == want_history, fid
+        for key, value in want.param_dict().items():
+            assert got.param_dict()[key].tobytes() == value.tobytes(), (fid, key)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
