@@ -44,6 +44,7 @@ from .experiment import (
     evaluate_model,
     extract_snippet,
     load_config,
+    load_corpus_spec,
     load_dataset,
     pretrain_model,
     read_results,

@@ -18,10 +18,9 @@ from .audio import load_annotations, load_audio, save_annotations
 from .errors import ConfigError, DivergenceError, OnsetKitError
 from .evaluate import PeakPickParams, compute_prf, match_onsets, peak_pick
 from .experiment import (
-    _corpus_spec_from_json,
-    _read_json,
     extract_snippet,
     load_config,
+    load_corpus_spec,
     load_dataset,
     pretrain_model,
     read_results,
@@ -46,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_synth(args) -> int:
     if args.config is not None:
-        spec = _corpus_spec_from_json(_read_json(args.config, "corpus spec"))
+        spec = load_corpus_spec(args.config)
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
     else:

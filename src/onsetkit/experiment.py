@@ -22,9 +22,11 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -45,8 +47,6 @@ from .synth import MANIFEST_NAME, CorpusSpec, InstrumentProfile, generate_corpus
 from .training import FinetuneConfig, check_schedule, finetune, make_targets, train
 
 RESULTS_FORMAT_LINE = "# results-format: 1"  # a results file's first line
-CSV_COLUMNS = ("model", "instrument", "freeze_id", "mean_f1", "baseline_f1",
-               "delta_pp", "n_files", "seed", "wall_s", "per_file_f1")
 EXCLUDED_REAL_INDEX = 34
 SNIPPET_OFFSET_GRID = 0.1  # s, scan step for the default snippet offset
 
@@ -66,10 +66,10 @@ class ExperimentConfig:
     """Everything a grid run needs; mirrors the JSON config file 1:1."""
 
     corpus: str | Path | CorpusSpec
-    base_models: dict = field(default_factory=dict)  # variant -> model path
-    models: tuple = tuple(VARIANTS)
-    instruments: tuple | None = None  # None = every instrument in the corpus
-    freeze_configs: tuple = tuple(canonical_freeze_ids())
+    base_models: dict[str, str | Path] = field(default_factory=dict)  # variant -> model path
+    models: tuple[str, ...] = tuple(VARIANTS)
+    instruments: tuple[str, ...] | None = None  # None = every instrument in the corpus
+    freeze_configs: tuple[str, ...] = tuple(canonical_freeze_ids())
     snippet_offset: float | None = None  # None = earliest annotated window
     snippet_duration: float = 5.0
     epochs: int = 50
@@ -128,6 +128,9 @@ class ResultRow:
         d = {k: getattr(self, k) for k in CSV_COLUMNS}
         d["per_file_f1"] = list(self.per_file_f1)
         return d
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def load_dataset(root) -> dict:
@@ -453,12 +456,10 @@ def write_report(rows, out_dir) -> tuple:
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
     with open(csv_path, "w", newline="") as fh:
-        fh.write(RESULTS_FORMAT_LINE + "\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
+        fh.write(RESULTS_FORMAT_LINE + "\n" + _csv_record(CSV_COLUMNS))
         for r in rows:  # numbers by repr, which gives floats back exactly
-            w.writerow([v if isinstance(v, str) else json.dumps(v) if isinstance(v, list)
-                        else repr(v) for v in r.to_dict().values()])
+            fh.write(_csv_record([v if isinstance(v, str) else json.dumps(v) if isinstance(v, list)
+                                  else repr(v) for v in r.to_dict().values()]))
 
     groups: dict = {}
     for r in rows:
@@ -482,10 +483,20 @@ def write_report(rows, out_dir) -> tuple:
     return csv_path, md_path
 
 
+def _csv_record(cells) -> str:
+    """One csv record ending in a line feed. csv.writer quotes a cell only
+    for the characters of its line terminator, and a reader also ends a row
+    at a bare carriage return, so the record is written with CR LF, which
+    quotes a cell holding either, and then ends in LF alone."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def read_results(path) -> list:
     """Parse a results.csv back into rows (inverse of write_report)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")  # no newline translation
     except OSError as e:
         raise DataError(f"cannot read results {path}: {e}") from e
     except UnicodeDecodeError as e:
@@ -514,28 +525,28 @@ _CELL_PARSERS = {"model": str, "instrument": str, "freeze_id": str, "mean_f1": f
                  "wall_s": float, "per_file_f1": _per_file_scores}
 
 
-def _result_records(text: str, source):
+def _result_records(text: str, source) -> list:
     """The csv records of a results file's rows, after its format line and
     header; rows end where the csv format ends them, not at str.splitlines
     breaks such as U+001C or U+2028."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    if next(reader, None) != [RESULTS_FORMAT_LINE]:
+    try:
+        records = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as e:  # such as a cell over the csv field size limit
+        raise DataError(f"{source}: {e}") from e
+    if records[:1] != [[RESULTS_FORMAT_LINE]]:
         raise DataError(f"{source}: not a results file")
-    header = next(reader, None)
+    header = records[1] if len(records) > 1 else None
     if tuple(header or ()) != CSV_COLUMNS:
         raise DataError(f"{source}: unexpected columns {header}")
-    return reader
+    return records[2:]
 
 
 def strip_wall_column(csv_text: str) -> str:
     """Results CSV minus the wall-time column, for determinism comparisons."""
     drop = CSV_COLUMNS.index("wall_s")
-    buf = io.StringIO()
-    buf.write(RESULTS_FORMAT_LINE + "\n")
-    w = csv.writer(buf, lineterminator="\n")
-    for rec in [CSV_COLUMNS, *_result_records(csv_text, "results text")]:
-        w.writerow(rec[:drop] + rec[drop + 1:])
-    return buf.getvalue()
+    return RESULTS_FORMAT_LINE + "\n" + "".join(
+        _csv_record(rec[:drop] + rec[drop + 1:])
+        for rec in [CSV_COLUMNS, *_result_records(csv_text, "results text")])
 
 
 def pretrain_model(corpus_dir, instruments, variant: str, epochs: int,
@@ -546,6 +557,7 @@ def pretrain_model(corpus_dir, instruments, variant: str, epochs: int,
     Targets come from each file's own annotations, so supervising on
     time-keeping instruments alone trains a beat-style detector.
     """
+    check_schedule(epochs, base_lr=base_lr)
     dataset = load_dataset(corpus_dir)
     items = []
     for name in instruments:
@@ -559,99 +571,69 @@ def pretrain_model(corpus_dir, instruments, variant: str, epochs: int,
     return train(model, items, epochs=epochs, lr=base_lr, seed=seed)
 
 
-def _profile_from_json(obj: dict) -> InstrumentProfile:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"an instrument profile must be an object, got {obj!r}")
-    if set(obj) == {"name", "role", "profile_seed"}:
-        return make_profile(obj["name"], obj["role"], int(obj["profile_seed"]))
-    kw = dict(obj)
-    kw["decay_span"] = tuple(kw["decay_span"])
-    if "partial_ratios" in kw:
-        kw["partial_ratios"] = tuple(kw["partial_ratios"])
-    return InstrumentProfile(**kw)
+# for each kind of annotation: what json.loads gives for it, and its JSON name
+_JSON_KINDS = {bool: (bool, "true or false"), int: (int, "an integer"),
+               float: ((int, float), "a number"), str: (str, "a string"),
+               type(None): (type(None), "null"), tuple: (list, "an array"),
+               dict: (dict, "a JSON object")}
+_PROFILE_SHORTHAND = {"name": str, "role": str, "profile_seed": int}  # make_profile's arguments
 
 
-def _corpus_spec_from_json(obj: dict) -> CorpusSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"corpus spec must be a JSON object, got {obj!r}")
-    unknown = set(obj) - {f.name for f in fields(CorpusSpec)}
+def _json_kind(tp) -> tuple:
+    """(Python type of the JSON form, JSON name) of an annotation; Path has
+    no JSON form and loads through the str beside it in a union."""
+    return _JSON_KINDS.get(dict if is_dataclass(tp) else get_origin(tp) or tp, ((), ""))
+
+
+def _from_json(tp, value, key: str):
+    """A parsed JSON value as the annotation tp; ConfigError names the key.
+
+    Arrays become tuples, and objects a dict or the dataclass tp names,
+    whose unknown keys are rejected. A JSON integer passes for a float and
+    stays an int, so a loaded config saves to the same bytes; true and
+    false pass only for a bool. A union takes its first member of the
+    value's JSON type. Range checks are the dataclasses' own.
+    """
+    members = get_args(tp) if get_origin(tp) is UnionType else (tp,)
+    tp = next((m for m in members if isinstance(value, _json_kind(m)[0])
+               and isinstance(value, bool) == (m is bool)), None)
+    if tp is None:
+        expected = " or ".join(name for name in (_json_kind(m)[1] for m in members) if name)
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        types = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(types) != len(value):
+            raise ConfigError(f"{key} must hold {len(types)} items, got {value!r}")
+        return tuple(_from_json(t, v, f"{key}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
+    if get_origin(tp) is dict:
+        return {k: _from_json(get_args(tp)[1], v, f"{key}.{k}") for k, v in value.items()}
+    if not is_dataclass(tp):
+        return value
+    if tp is InstrumentProfile and value.keys() == _PROFILE_SHORTHAND.keys():
+        return make_profile(*(_from_json(t, value[k], f"{key}.{k}")
+                              for k, t in _PROFILE_SHORTHAND.items()))
+    unknown = set(value) - {f.name for f in fields(tp)}
     if unknown:
-        raise ConfigError(f"unknown corpus keys {sorted(unknown)}")
-    if not isinstance(obj.get("instruments"), list):
-        raise ConfigError("corpus spec needs an instruments list")
-    # the dataclasses check values, not JSON types: a value of the wrong type
-    # fails there as a TypeError (or a ValueError, AttributeError, KeyError)
-    try:
-        profiles = tuple(_profile_from_json(it) for it in obj["instruments"])
-        return CorpusSpec(**{**obj, "instruments": profiles})
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad corpus spec: {e!r}") from e
-
-
-# JSON types of the scalar config keys (null stands for None)
-_SCALAR_TYPES = {"snippet_offset": (int, float, type(None)), "snippet_duration": (int, float),
-                 "epochs": (int,), "lr_scale": (int, float), "base_lr": (int, float),
-                 "dropout_active": (bool,), "tolerance": (int, float), "seed": (int,)}
-
-
-def _names(value, key: str) -> tuple:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{key} must be a list of names, got {value!r}")
-    return tuple(value)
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {key}")
+    missing = {f.name for f in fields(tp) if f.default is MISSING
+               and f.default_factory is MISSING} - set(value)
+    if missing:
+        raise ConfigError(f"{key} needs {sorted(missing)}")
+    hints = get_type_hints(tp)
+    return tp(**{k: _from_json(hints[k], v, f"{key}.{k}") for k, v in value.items()})
 
 
 def config_from_json(obj: dict, base_dir=None) -> ExperimentConfig:
     """Build a config from parsed JSON; relative paths resolve against base_dir."""
-    unknown = set(obj) - {f.name for f in fields(ExperimentConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    if "corpus" not in obj:
-        raise ConfigError("config needs a corpus (path or inline spec)")
-    base = Path(base_dir) if base_dir is not None else None
-
-    def respath(p):
-        if not isinstance(p, str):
-            raise ConfigError(f"a path must be a string, got {p!r}")
-        p = Path(p)
-        return str(base / p) if base is not None and not p.is_absolute() else str(p)
-
-    kw: dict = {}
-    corpus = obj["corpus"]
-    if isinstance(corpus, dict):
-        kw["corpus"] = _corpus_spec_from_json(corpus)
-    elif isinstance(corpus, str):
-        kw["corpus"] = respath(corpus)
-    else:
-        raise ConfigError(f"corpus must be a path or an inline spec, got {corpus!r}")
-    if "base_models" in obj:
-        models = obj["base_models"]
-        if not isinstance(models, dict) or not all(isinstance(v, str) for v in models.values()):
-            raise ConfigError(f"base_models must map variants to model paths, got {models!r}")
-        kw["base_models"] = {k: respath(v) for k, v in models.items()}
-    for key in ("models", "freeze_configs", "instruments"):
-        if key in obj and (key != "instruments" or obj[key] is not None):  # null: every instrument
-            kw[key] = _names(obj[key], key)
-    if "peak_pick" in obj:
-        pp = obj["peak_pick"]
-        if not isinstance(pp, dict):
-            raise ConfigError(f"peak_pick must be an object, got {type(pp).__name__}")
-        try:
-            kw["peak_pick"] = PeakPickParams(**pp)
-        except TypeError as e:
-            raise ConfigError(f"bad peak_pick: {e}") from e
-    for key, types in _SCALAR_TYPES.items():
-        if key in obj:
-            value = obj[key]
-            # bool is an int to Python, but a JSON true is no number
-            if not isinstance(value, types) or isinstance(value, bool) != (types == (bool,)):
-                raise ConfigError(f"{key} has the wrong type: {value!r}")
-            kw[key] = value
-    if "out_dir" in obj:
-        kw["out_dir"] = respath(obj["out_dir"])
-    try:
-        return ExperimentConfig(**kw)
-    except TypeError as e:
-        raise ConfigError(f"bad config: {e}") from e
+    config = _from_json(ExperimentConfig, obj, "config")
+    base = Path(base_dir or ".")
+    paths = {"base_models": {k: str(base / v) for k, v in config.base_models.items()}}
+    if not isinstance(config.corpus, CorpusSpec):
+        paths["corpus"] = str(base / config.corpus)
+    if "out_dir" in obj:  # the default stays relative to the working directory
+        paths["out_dir"] = str(base / config.out_dir)
+    return replace(config, **paths)
 
 
 def config_to_json(config: ExperimentConfig) -> dict:
@@ -673,6 +655,11 @@ def _read_json(path, what):
         raise DataError(f"{path}: not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON: {e}") from e
+
+
+def load_corpus_spec(path) -> CorpusSpec:
+    """Read a corpus spec JSON file, which has the form of an inline corpus."""
+    return _from_json(CorpusSpec, _read_json(path, "corpus spec"), "corpus")
 
 
 def load_config(path) -> ExperimentConfig:

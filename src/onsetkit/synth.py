@@ -42,6 +42,11 @@ _DECAY_TAU_DIV = 5.0
 _END_MARGIN = 0.1  # s kept free of hits at the end of a file
 
 
+def _check_name(name: str) -> None:
+    if not name or not all(c.isalnum() or c == "_" for c in name):
+        raise ConfigError(f"instrument name must be alphanumeric/underscore: {name!r}")
+
+
 @dataclass(frozen=True)
 class InstrumentProfile:
     """Acoustic and rhythmic description of one synthetic instrument."""
@@ -57,8 +62,7 @@ class InstrumentProfile:
     attack_ms: float = 2.0
 
     def __post_init__(self):
-        if not self.name or not all(c.isalnum() or c == "_" for c in self.name):
-            raise ConfigError(f"instrument name must be alphanumeric/underscore: {self.name!r}")
+        _check_name(self.name)
         if self.role not in ROLES:
             raise ConfigError(f"unknown role {self.role!r}, expected one of {ROLES}")
         if self.spectral_mode not in SPECTRAL_MODES:
@@ -131,8 +135,11 @@ def default_corpus_spec(seed: int = 0, files_per_instrument: int = 10,
 
 def make_profile(name: str, role: str, seed: int) -> InstrumentProfile:
     """Draw a deterministic role-typical profile from (name, role, seed)."""
+    _check_name(name)
     if role not in ROLES:
         raise ConfigError(f"unknown role {role!r}, expected one of {ROLES}")
+    if seed < 0:
+        raise ConfigError(f"profile seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence([seed, zlib.crc32(name.encode()), zlib.crc32(role.encode())])
     rng = np.random.default_rng(ss)
     if role == "time-keeping":

@@ -81,6 +81,18 @@ def test_synth_corpus_config(tmp_path):
     assert (tmp_path / "c" / "solo_02.wav").exists()
 
 
+@pytest.mark.parametrize("key, value", [("files_per_instrument", 2.5), ("seed", 1.5)])
+def test_synth_config_mistyped_integer_exits_1(tmp_path, capsys, key, value):
+    spec = {"instruments": [{"name": "solo", "role": "voicing", "profile_seed": 2}],
+            "files_per_instrument": 2, "file_duration": 5.0, "tempo": 170.0, "seed": 1, key: value}
+    (tmp_path / "corpus.json").write_text(json.dumps(spec))
+    assert main(["synth", "--out", str(tmp_path / "c"), "--config",
+                 str(tmp_path / "corpus.json")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("text", ["5", '"x"', "null"])
 def test_synth_config_not_an_object_exits_1(tmp_path, capsys, text):
     (tmp_path / "corpus.json").write_text(text)
@@ -237,7 +249,8 @@ def test_grid_mistyped_config_exits_1(corpus, model_file, tmp_path, capsys, key,
     assert not (tmp_path / "results").exists()
 
 
-@pytest.mark.parametrize("cell", ["5", '"[[1]]"'])
+@pytest.mark.parametrize("cell", ["5", '"[[1]]"',
+                                  pytest.param("9" * 131_073, id="over-csv-field-limit")])
 def test_report_malformed_results_exits_2(tmp_path, capsys, cell):
     results = tmp_path / "results.csv"
     results.write_text("# results-format: 1\n"
@@ -275,10 +288,13 @@ def test_divergence_maps_to_exit_3(monkeypatch, corpus, model_file, tmp_path, ca
     (["finetune", "{model}", "{corpus}", "ring_bell", "--out", "{out}", "--epochs", "1",
       "--lr", "nan"], 1),
     (["pretrain", "{corpus}", "--out", "{out}", "--epochs", "0"], 1),
+    *[(["pretrain", "{corpus}", "--out", "{out}", "--epochs", "1", "--lr", lr], 1)
+      for lr in ("-1", "0", "nan", "inf")],
 ], ids=["detect-min-gap-nan", "detect-min-gap-inf", "detect-delta-nan", "synth-duration-nan",
         "synth-duration-inf", "eval-tolerance-nan", "eval-tolerance-negative",
         "eval-inf-onset", "grid-tolerance-nan", "finetune-lr-negative", "finetune-lr-nan",
-        "pretrain-epochs-0"])
+        "pretrain-epochs-0", "pretrain-lr-negative", "pretrain-lr-0", "pretrain-lr-nan",
+        "pretrain-lr-inf"])
 def test_out_of_range_values_exit_with_one_error_line(corpus, model_file, tmp_path, capsys,
                                                       argv, code):
     """1 for a config value, 2 for a data file; nothing is written."""

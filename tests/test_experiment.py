@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from onsetkit.audio import OnsetAnnotations, save_annotations, save_wav
 from onsetkit.errors import ConfigError, DataError, OnsetKitError, SnippetError
-from onsetkit.evaluate import PeakPickParams
+from onsetkit.evaluate import PeakPickParams, peak_pick
 from onsetkit.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -36,7 +36,7 @@ from onsetkit.models import (
     clone_model,
     save_model,
 )
-from onsetkit.synth import CorpusSpec, generate_corpus, make_profile, render_file
+from onsetkit.synth import CorpusSpec, file_seed, generate_corpus, make_profile, render_file
 
 
 @pytest.fixture(scope="module")
@@ -383,6 +383,9 @@ def test_config_json_inline_corpus_and_errors(tmp_path):
                 {"corpus": ".", "base_models": {"tcn_v1": 3}}, {"corpus": ".", "models": "tcn_v1"},
                 {"corpus": ".", "freeze_configs": [1]}, {"corpus": ".", "instruments": 7},
                 {"corpus": {"instruments": 3}}, {"corpus": {"instruments": [3]}},
+                {"corpus": {"instruments": [{"name": "a", "role": "voicing", "profile_seed": -1}]}},
+                {"corpus": {"instruments": [{"name": "\ud800", "role": "voicing",
+                                             "profile_seed": 1}]}},
                 {"corpus": ".", "epochs": "ten"}, {"corpus": ".", "epochs": 0},
                 {"corpus": ".", "epochs": True}, {"corpus": ".", "lr_scale": -1},
                 {"corpus": ".", "base_lr": 0}, {"corpus": ".", "dropout_active": 1},
@@ -393,6 +396,17 @@ def test_config_json_inline_corpus_and_errors(tmp_path):
                 {"corpus": ".", "base_lr": float("nan")}, {"corpus": ".", "lr_scale": float("nan")},
                 {"corpus": ".", "peak_pick": {"min_gap": float("inf")}}):
         with pytest.raises(ConfigError):
+            config_from_json(bad)
+    spec = obj["corpus"]
+    for bad, key in (({"corpus": ".", "peak_pick": {"w_max": 1.5}}, "w_max"),
+                     ({"corpus": ".", "peak_pick": {"w_max": True}}, "w_max"),
+                     ({"corpus": {**spec, "files_per_instrument": 2.5}}, "files_per_instrument"),
+                     ({"corpus": {**spec, "seed": 1.5}}, "corpus.seed"),
+                     ({"corpus": {**spec, "instruments": [
+                         {"name": "a", "role": "voicing", "profile_seed": "7"}]}}, "profile_seed"),
+                     ({"corpus": {**spec, "instruments": [
+                         {"name": "a", "role": "voicing", "profile_seed": 7.9}]}}, "profile_seed")):
+        with pytest.raises(ConfigError, match=key):
             config_from_json(bad)
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -418,9 +432,8 @@ def test_config_relative_paths_resolve_against_file(tmp_path, corpus):
 # -- properties of the two parsers ------------------------------------------
 
 # what a cell of a results row may hold: any text but surrogates, which
-# UTF-8 cannot encode, and a lone \r, which csv.writer leaves unquoted
-cell_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"),
-                    max_size=12)
+# UTF-8 cannot encode
+cell_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 unit_floats = st.floats(0.0, 1.0)
 
 
@@ -441,7 +454,7 @@ def scratch(tmp_path_factory):
 @settings(max_examples=150, deadline=None)
 @given(rows=st.lists(result_rows(), min_size=1, max_size=4))
 @example(rows=[ResultRow("tcn_v1", name, "ft", 0.5, 0.25, 25.0, 1, 0, 0.1, (0.5,))
-               for name in ("a\x1cb", "c\x85d", "e\u2028f", "g\nh", "i,\"j\"")])
+               for name in ("a\x1cb", "c\x85d", "e\u2028f", "g\nh", "i,\"j\"", "k\rl", "m\r\nn")])
 def test_results_csv_round_trips(scratch, rows):
     csv_path, _ = write_report(rows, scratch)
     assert read_results(csv_path) == rows
@@ -508,10 +521,14 @@ _VALID_CONFIG = {
 @st.composite
 def config_objects(draw):
     """A valid config with up to three values (top-level, in the corpus spec
-    or in one of its profiles) replaced by arbitrary JSON or dropped."""
+    or in one of its profiles) replaced by arbitrary JSON or dropped, and
+    maybe an integer field holding a non-integer float or true."""
     obj = json.loads(json.dumps(_VALID_CONFIG))
-    corpus, peak_pick = obj["corpus"], obj["peak_pick"]
-    nested = [obj, corpus, corpus["instruments"][0], corpus["instruments"][1], peak_pick]
+    corpus, picking = obj["corpus"], obj["peak_pick"]
+    nested = [obj, corpus, corpus["instruments"][0], corpus["instruments"][1], picking]
+    int_fields = [(obj, "epochs"), (obj, "seed"), (corpus, "files_per_instrument"),
+                  (corpus, "seed"), (nested[2], "profile_seed"), (picking, "w_max"),
+                  (picking, "w_avg")]
     for _ in range(draw(st.integers(0, 3))):
         target = draw(st.sampled_from(nested))
         key = draw(st.sampled_from(sorted(target) + ["extra"]))
@@ -519,17 +536,28 @@ def config_objects(draw):
             target.pop(key, None)
         else:
             target[key] = draw(json_values)
+    if draw(st.booleans()):
+        target, key = draw(st.sampled_from(int_fields))
+        target[key] = draw(st.just(True) | st.floats(allow_nan=False).filter(
+            lambda v: not v.is_integer()))
     return obj
 
 
 @settings(max_examples=300, deadline=None)
 @given(obj=config_objects())
 def test_config_from_json_returns_or_raises_typed_error(obj):
+    """A config that loads can be used: a bad type fails loading, not later."""
     try:
         config = config_from_json(obj)
     except OnsetKitError:
         return
     assert isinstance(config, ExperimentConfig)
+    peak_pick(np.zeros(8), config.peak_pick)
+    if isinstance(config.corpus, CorpusSpec):
+        spec = config.corpus
+        for profile in spec.instruments:
+            for i in range(spec.files_per_instrument):
+                file_seed(spec.seed, profile.name, i)
 
 
 @settings(max_examples=100, deadline=None)
