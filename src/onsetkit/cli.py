@@ -60,7 +60,8 @@ def _cmd_synth(args) -> int:
 def _cmd_features(args) -> int:
     feats = extract_features(load_audio(args.audio))
     out = Path(args.out) if args.out else Path(args.audio).with_suffix(".features.npz")
-    np.savez(out, values=feats.values, frame_rate=feats.frame_rate)
+    with open(out, "wb") as fh:  # np.savez would append .npz to a path
+        np.savez(fh, values=feats.values, frame_rate=feats.frame_rate)
     print(f"{feats.n_frames} frames x {feats.values.shape[1]} bands -> {out}")
     return 0
 

@@ -61,6 +61,15 @@ class FilePair:
     onsets: Path
 
 
+def check_snippet_window(offset: float | None, duration: float) -> None:
+    """Raise ConfigError unless duration > 0 s and offset, when given, is
+    >= 0 s, both finite; NaN fails every check."""
+    if not 0.0 < duration < np.inf:
+        raise ConfigError(f"snippet duration must be > 0 s, got {duration}")
+    if offset is not None and not 0.0 <= offset < np.inf:
+        raise ConfigError(f"snippet offset must be >= 0 s, got {offset}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a grid run needs; mirrors the JSON config file 1:1."""
@@ -87,13 +96,14 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown model variant {m!r}")
         if not self.models:
             raise ConfigError("need at least one model variant")
+        if self.instruments is not None and not self.instruments:
+            raise ConfigError("need at least one instrument (null for every one)")
+        if not self.freeze_configs:
+            raise ConfigError("need at least one freeze config")
         for fid in self.freeze_configs:
             FreezeConfig.from_id(fid)
         # each range check is written so that NaN and infinity fail it
-        if not 0.0 < self.snippet_duration < np.inf:
-            raise ConfigError(f"snippet duration must be > 0 s, got {self.snippet_duration}")
-        if self.snippet_offset is not None and not 0.0 <= self.snippet_offset < np.inf:
-            raise ConfigError(f"snippet offset must be >= 0 s, got {self.snippet_offset}")
+        check_snippet_window(self.snippet_offset, self.snippet_duration)
         if not 0.0 < self.tolerance < np.inf:
             raise ConfigError(f"tolerance must be > 0 s, got {self.tolerance}")
         if self.seed < 0:
@@ -182,6 +192,7 @@ def extract_snippet(pairs, offset: float | None = None, duration: float = 5.0):
     offset=None the earliest 0.1 s-grid offset whose window contains an
     annotation is used.
     """
+    check_snippet_window(offset, duration)
     if not pairs:
         raise ConfigError("no files for snippet extraction")
     first = min(pairs, key=lambda p: p.index)

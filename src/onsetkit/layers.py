@@ -1,26 +1,19 @@
-"""Deterministic tensor layers with exact forward and gradient contracts.
+"""Deterministic parameter layers and the functions between them.
 
-Conventions shared by every layer:
-  - forward(x, training=..., rng=...) caches whatever backward needs, only
-    in training mode; an inference forward stores nothing on the layer, so
-    backward follows a training-mode forward
-  - the caches are only what backward reads: ELU keeps its derivative
-    (not its input or output) and the frequency pool keeps each group's
-    first winning bin as uint8 (the argmax, without computing one)
-  - backward(gy) returns the input gradient and fills self.grads; layers
-    with parameters take input_grad=False to fill self.grads only and
-    return None, and param_grads=False to leave self.grads untouched and
-    form the input gradient only
-  - a model calls backward only on its blocks from the output down to the
-    lowest trainable one, and that block forms no input gradient unless it
-    is the first; below it, layers skip backward entirely, so
-    Model.backward returns dLoss/dfeatures only when its first block is
-    trainable and None otherwise; frozen blocks above it pass the gradient
-    through with param_grads=False
-  - since backward never reaches them, the blocks below the lowest trainable
-    one may run a cache-free training forward: it draws every dropout mask
-    in its place and gives the training floats, but keeps nothing (no
-    im2col or tap matrix, ELU derivative, pool winners or dropout mask)
+Conv2d, DilatedConv1d and Dense hold parameters; ELU, sigmoid, dropout and
+the frequency pool are plain functions. The model's blocks compose them
+and hold every cache a backward reads:
+  - a layer's forward(x, training=...) caches what its backward needs, only
+    in training mode; an inference forward stores nothing, so backward
+    follows a training-mode forward
+  - backward(gy, input_grad=True, param_grads=True) returns the input
+    gradient and fills self.grads; input_grad=False fills self.grads only
+    and returns None, and param_grads=False leaves self.grads untouched
+  - the functions return what their backward needs instead of keeping it:
+    elu gives the derivative minus one, and pool_freq3 gives each group's
+    first winning bin as uint8 (the argmax, without computing one); the
+    blocks keep these, and the dropout mask, only on the forwards whose
+    backward will run (see Model.forward and Model.backward)
   - parameters live in self.params; compute runs in float64 regardless of
     the stored parameter dtype (models keep float32, gradcheck float64)
 
@@ -42,20 +35,14 @@ def _f64(a: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    """Base: parameter/gradient dicts plus the forward/backward protocol."""
+    """Base of the parameter layers: their parameter and gradient dicts."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
-    def forward(self, x, *, training=False, rng=None):
-        raise NotImplementedError
 
-    def backward(self, gy):
-        raise NotImplementedError
-
-
-def _elu(x: np.ndarray, out=None) -> tuple:
+def elu(x: np.ndarray, out=None) -> tuple:
     """ELU of a float64 array into out (a new array when None), and
     expm1(minimum(x, 0)), the derivative minus one, as a new array.
 
@@ -67,9 +54,19 @@ def _elu(x: np.ndarray, out=None) -> tuple:
     return np.maximum(d, x, out=out), d
 
 
-def elu_inplace(x: np.ndarray) -> np.ndarray:
-    """ELU of a float64 array, written over it; returns the array."""
-    return _elu(x, out=x)[0]
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    s = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + s), s / (1.0 + s))
+
+
+def dropout_mask(shape, rate, rng):
+    """Inverted-dropout training mask, survivors scaled by 1/(1-rate);
+    None at rate 0, where nothing is drawn."""
+    if rate == 0.0:
+        return None
+    if rng is None:
+        raise ConfigError("training-mode dropout needs an rng")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def glorot(shape, fan_in, fan_out, rng, dtype):
@@ -102,7 +99,7 @@ class Conv2d(Layer):
         self.params["w"] = glorot((kt, kf, cin, cout), kt * kf * cin, kt * kf * cout, rng, dtype)
         self.params["b"] = np.zeros(cout, dtype=dtype)
 
-    def forward(self, x, *, training=False, rng=None):
+    def forward(self, x, *, training=False):
         if x.ndim != 3 or x.shape[2] != self.cin:
             raise ShapeError(f"conv2d expects (time, freq, {self.cin}), got {x.shape}")
         if x.shape[0] < self.kt or x.shape[1] < self.kf:
@@ -133,33 +130,35 @@ class Conv2d(Layer):
         return gx
 
 
-class MaxPoolFreq3(Layer):
-    """Non-overlapping max over groups of 3 frequency bins; remainder dropped."""
+def pool_freq3(x, keep=False):
+    """Non-overlapping max over groups of 3 frequency bins, remainder
+    dropped. Returns (y, winners), winners (what unpool_freq3 reads) only
+    with keep and None otherwise."""
+    if x.ndim != 3 or x.shape[1] < 3:
+        raise ShapeError(f"pool_freq3 needs (time, freq>=3, ch), got {x.shape}")
+    f3 = x.shape[1] // 3
+    xr = _f64(x[:, : f3 * 3]).reshape(x.shape[0], f3, 3, x.shape[2])
+    # np.maximum returns its second operand on equal inputs, so taking
+    # the bins last to first keeps argmax's first-index pick (it shows
+    # only in the sign of a zero)
+    y = np.maximum(np.maximum(xr[:, :, 2], xr[:, :, 1]), xr[:, :, 0])
+    if not keep:
+        return y, None
+    # first bin equal to the max: 0, else 1 if bin 1 is, else 2
+    arg = np.not_equal(xr[:, :, 0], y).view(np.uint8)
+    arg += arg & (xr[:, :, 1] != y)
+    return y, arg
 
-    def forward(self, x, *, training=False, rng=None):
-        if x.ndim != 3 or x.shape[1] < 3:
-            raise ShapeError(f"maxpool_freq3 needs (time, freq>=3, ch), got {x.shape}")
-        f3 = x.shape[1] // 3
-        xr = _f64(x[:, : f3 * 3]).reshape(x.shape[0], f3, 3, x.shape[2])
-        # np.maximum returns its second operand on equal inputs, so taking
-        # the bins last to first keeps argmax's first-index pick (it shows
-        # only in the sign of a zero)
-        y = np.maximum(np.maximum(xr[:, :, 2], xr[:, :, 1]), xr[:, :, 0])
-        if training:
-            # first bin equal to the max: 0, else 1 if bin 1 is, else 2
-            arg = np.not_equal(xr[:, :, 0], y).view(np.uint8)
-            arg += arg & (xr[:, :, 1] != y)
-            self._arg, self._in_shape = arg, x.shape
-        return y
 
-    def backward(self, gy):
-        t, f, c = self._in_shape
-        f3 = f // 3
-        gx = np.zeros((t, f, c))
-        gxr = gx[:, : f3 * 3].reshape(t, f3, 3, c)
-        for k in range(3):
-            np.copyto(gxr[:, :, k], gy, where=self._arg == k)
-        return gx
+def unpool_freq3(gy, winners, in_shape):
+    """Backward of pool_freq3 for an input of in_shape."""
+    t, f, c = in_shape
+    f3 = f // 3
+    gx = np.zeros((t, f, c))
+    gxr = gx[:, : f3 * 3].reshape(t, f3, 3, c)
+    for k in range(3):
+        np.copyto(gxr[:, :, k], gy, where=winners == k)
+    return gx
 
 
 class DilatedConv1d(Layer):
@@ -177,7 +176,7 @@ class DilatedConv1d(Layer):
         self.params["w"] = glorot((k, cin, cout), k * cin, k * cout, rng, dtype)
         self.params["b"] = np.zeros(cout, dtype=dtype)
 
-    def forward(self, x, *, training=False, rng=None):
+    def forward(self, x, *, training=False):
         if x.ndim != 2 or x.shape[1] != self.cin:
             raise ShapeError(f"dilated_conv1d expects (time, {self.cin}), got {x.shape}")
         k, d = self.k, self.dilation
@@ -220,7 +219,7 @@ class Dense(Layer):
         self.params["w"] = glorot((cin, cout), cin, cout, rng, dtype)
         self.params["b"] = np.zeros(cout, dtype=dtype)
 
-    def forward(self, x, *, training=False, rng=None):
+    def forward(self, x, *, training=False):
         if x.ndim != 2 or x.shape[1] != self.cin:
             raise ShapeError(f"dense expects (time, {self.cin}), got {x.shape}")
         x = _f64(x)
@@ -233,67 +232,6 @@ class Dense(Layer):
             self.grads["w"] = self._x.T @ gy
             self.grads["b"] = gy.sum(axis=0)
         return gy @ _f64(self.params["w"]).T if input_grad else None
-
-
-class Elu(Layer):
-    def forward(self, x, *, training=False, rng=None):
-        y, d = _elu(_f64(x))
-        if training:
-            d += 1.0
-            self._d = d  # the derivative: expm1(x) + 1 below zero, 1 elsewhere
-        return y
-
-    def backward(self, gy):
-        return gy * self._d
-
-
-class Sigmoid(Layer):
-    def forward(self, x, *, training=False, rng=None):
-        x = _f64(x)
-        s = np.exp(-np.abs(x))
-        y = np.where(x >= 0, 1.0 / (1.0 + s), s / (1.0 + s))
-        if training:
-            self._y = y
-        return y
-
-    def backward(self, gy):
-        return gy * self._y * (1.0 - self._y)
-
-
-class Dropout(Layer):
-    """Inverted dropout: scale survivors by 1/(1-rate) during training."""
-
-    def __init__(self, rate=0.1):
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-
-    def draw(self, shape, rng, keep=True):
-        """Draw the training mask for an input of this shape and, with keep,
-        keep it for backward; at rate 0 there is none and nothing is drawn.
-        Returns the mask."""
-        if self.rate == 0.0:
-            mask = None
-        elif rng is None:
-            raise ConfigError("training-mode dropout needs an rng")
-        else:
-            mask = (rng.random(shape) >= self.rate) / (1.0 - self.rate)
-        if keep:
-            self._mask = mask
-        return mask
-
-    def forward(self, x, *, training=False, rng=None):
-        x = _f64(x)
-        if not training:
-            return x
-        mask = self.draw(x.shape, rng)
-        return x if mask is None else x * mask
-
-    def backward(self, gy):
-        if self._mask is None:
-            return gy
-        return gy * self._mask
 
 
 def bce_loss(p, target):

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ModelFormatError, ShapeError
-from .layers import Conv2d, Dense, DilatedConv1d, Dropout, Elu, MaxPoolFreq3, Sigmoid, elu_inplace
+from .layers import (Conv2d, Dense, DilatedConv1d, dropout_mask, elu, pool_freq3, sigmoid,
+                     unpool_freq3)
 
 VARIANTS = ("tcn_v1", "tcn_v2")
 TCN_CHANNELS = 16
@@ -55,7 +56,8 @@ def _time_blocks(frames):
 
 
 class Block:
-    """One named layer of the model, built from parts (its inner layers).
+    """One named layer of the model, built from parts (its parameter
+    layers); it keeps the caches of its ELU, dropout, pool or sigmoid.
 
     params and grads map "<part>.<key>" to the part's tensors, in the order
     of self.parts, which is the model file's order. Every block's forward
@@ -85,19 +87,18 @@ class ConvStage(Block):
     """conv -> ELU -> dropout (-> freq pool); time zero-padded to length.
 
     At inference dropout is the identity and ELU is non-decreasing, so the
-    stage pools first and runs ELU in place on the pooled output: same
-    floats, and a pooling stage evaluates a third as many ELUs. Inference
-    also runs in time blocks (see _time_blocks), each block reading its
-    kt - 1 frames of context from the one padded input. In training
-    the dropout mask multiplies the ELU output in place, and backward
-    applies the mask and then ELU's derivative in place on the gradient.
+    stage pools first and writes ELU of the pooled output into its own
+    output: same floats, and a pooling stage evaluates a third as many
+    ELUs. Inference also runs in time blocks (see _time_blocks), each
+    block reading its kt - 1 frames of context from the one padded input.
+    In training the dropout mask multiplies the ELU output in place, and
+    backward applies the mask and then ELU's derivative in place on the
+    gradient.
     """
 
     def __init__(self, kt, kf, cin, cout, pool, rate, rng, dtype=np.float32):
         self.conv = Conv2d(kt, kf, cin, cout, rng=rng, dtype=dtype)
-        self.elu = Elu()
-        self.drop = Dropout(rate)
-        self.pool = MaxPoolFreq3() if pool else None
+        self.pool, self.rate = pool, rate
         self.parts = {"conv": self.conv}
         self.pad_t = (kt - 1) // 2
         self.rf_add = kt - 1
@@ -109,7 +110,11 @@ class ConvStage(Block):
         """pad -> conv -> ELU in training floats; keep=False keeps nothing,
         which is the part of a training forward that stays the same while
         the stage is frozen and its input does not change."""
-        return self.elu.forward(self.conv.forward(self._pad(x), training=keep), training=keep)
+        y, d = elu(self.conv.forward(self._pad(x), training=keep))
+        if keep:
+            d += 1.0
+            self._d = d  # ELU's derivative: expm1(x) + 1 below zero, 1 elsewhere
+        return y
 
     def forward(self, x, training=False, rng=None, keep=True, activated=False):
         """activated=True takes x as this stage's own activate() output and
@@ -120,25 +125,32 @@ class ConvStage(Block):
             out = None
             for s, e in _time_blocks(frames):
                 y = self.conv.forward(xp[s : e + self.rf_add])
-                y = elu_inplace(self.pool.forward(y) if self.pool else y)
+                y = pool_freq3(y)[0] if self.pool else y
                 if out is None:
                     out = np.empty((frames,) + y.shape[1:])
-                out[s:e] = y
+                elu(y, out=out[s:e])
             return out
         keep = keep and not activated
         y = x if activated else self.activate(x, keep)
-        mask = self.drop.draw(y.shape, rng, keep=keep)
+        mask = dropout_mask(y.shape, self.rate, rng)
         if mask is not None:
             # a fresh product when the activated input is only read
             y = y * mask if activated else np.multiply(y, mask, out=y)
-        return self.pool.forward(y, training=keep) if self.pool else y
+        if keep:
+            self._mask = mask
+        if not self.pool:
+            return y
+        y, arg = pool_freq3(y, keep)
+        if keep:
+            self._arg = arg
+        return y
 
     def backward(self, gy, input_grad=True, param_grads=True):
         # a fresh array, scaled in place below
-        g = self.pool.backward(gy) if self.pool else gy.copy()
-        if self.drop._mask is not None:
-            g *= self.drop._mask
-        g *= self.elu._d
+        g = unpool_freq3(gy, self._arg, self._d.shape) if self.pool else gy.copy()
+        if self._mask is not None:
+            g *= self._mask
+        g *= self._d
         g = self.conv.backward(g, input_grad, param_grads)
         if g is None or not self.pad_t:
             return g
@@ -164,8 +176,7 @@ class TcnLevel(Block):
             if double
             else None
         )
-        self.elu = Elu()
-        self.drop = Dropout(rate)
+        self.rate = rate
         self.mix = Dense(TCN_CHANNELS, TCN_CHANNELS, rng=rng, dtype=dtype)
         parts = {"conv1": self.conv1, "mix": self.mix, "conv2": self.conv2, "adapter": self.adapter}
         self.parts = {name: layer for name, layer in parts.items() if layer is not None}
@@ -181,15 +192,20 @@ class TcnLevel(Block):
         h = self.conv1.forward(x, training=keep)
         if self.conv2:
             h = self.conv2.forward(h, training=keep)
-        h = self.elu.forward(h, training=keep)
-        mask = self.drop.draw(h.shape, rng, keep=keep) if training else None
+        h, d = elu(h)
+        mask = dropout_mask(h.shape, self.rate, rng) if training else None
+        if keep:
+            d += 1.0
+            self._d, self._mask = d, mask
         if mask is not None:
             h *= mask
         return x + self.mix.forward(h, training=keep)
 
     def backward(self, gy, input_grad=True, param_grads=True):
         gh = self.mix.backward(gy, param_grads=param_grads)
-        gh = self.elu.backward(self.drop.backward(gh))
+        if self._mask is not None:
+            gh *= self._mask
+        gh *= self._d
         if self.conv2:
             gh = self.conv2.backward(gh, param_grads=param_grads)
         # the adapter's weight gradient needs the gradient at its output
@@ -207,15 +223,18 @@ class OutHead(Block):
 
     def __init__(self, rng, dtype=np.float32):
         self.dense = Dense(TCN_CHANNELS, 1, rng=rng, dtype=dtype)
-        self.sig = Sigmoid()
         self.parts = {"dense": self.dense}
 
     def forward(self, x, training=False, rng=None, keep=True):
         keep = training and keep
-        return self.sig.forward(self.dense.forward(x, training=keep), training=keep)[:, 0]
+        y = sigmoid(self.dense.forward(x, training=keep))
+        if keep:
+            self._y = y
+        return y[:, 0]
 
     def backward(self, gy, input_grad=True, param_grads=True):
-        return self.dense.backward(self.sig.backward(gy[:, None]), input_grad, param_grads)
+        g = gy[:, None] * self._y * (1.0 - self._y)
+        return self.dense.backward(g, input_grad, param_grads)
 
 
 @dataclass
@@ -244,10 +263,10 @@ class Model:
 
     def forward(self, features, training=False, rng=None, *, start=0, stop=None):
         """Activation per frame. Only a training-mode forward keeps the
-        layer caches that backward reads, and only on the blocks backward
+        block caches that backward reads, and only on the blocks backward
         reaches: the blocks below the lowest trainable one run cache-free,
         drawing their dropout in place but keeping nothing. An inference
-        forward stores nothing on any layer (dropout is the identity
+        forward stores nothing on any block (dropout is the identity
         there, and each conv stage pools before its ELU).
 
         start/stop run blocks start..stop-1 only: with start > 0, features
@@ -326,6 +345,8 @@ def build_model(
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if n_bands != N_BANDS:
         raise ConfigError(f"the front-ends require {N_BANDS} bands, got {n_bands}")
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     rng = np.random.default_rng(seed)
     rate = dropout_rate
     layers = []

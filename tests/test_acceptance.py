@@ -38,11 +38,12 @@ from onsetkit.layers import (
     Conv2d,
     Dense,
     DilatedConv1d,
-    Dropout,
-    Elu,
-    MaxPoolFreq3,
-    Sigmoid,
+    dropout_mask,
+    elu,
     gradcheck,
+    pool_freq3,
+    sigmoid,
+    unpool_freq3,
 )
 from onsetkit.models import (
     VARIANTS,
@@ -243,26 +244,53 @@ def test_criterion_03_frontend_band_arithmetic():
     assert time.perf_counter() - t0 < 1.0
 
 
-class _PinnedDropout:
-    """Training-mode dropout reseeded per call, so the mask is a fixed
-    function of nothing and finite differences see a smooth map."""
+class _FnLayer:
+    """gradcheck's layer protocol over a function: fn(x) returns the
+    output and its backward, a function of the output gradient."""
 
-    def __init__(self, rate, seed):
-        self._inner = Dropout(rate)
-        self._seed = seed
+    def __init__(self, fn):
+        self._fn = fn
         self.params = {}
         self.grads = {}
 
     def forward(self, x, training=False):
-        return self._inner.forward(x, training=True, rng=np.random.default_rng(self._seed))
+        y, self._backward = self._fn(x)
+        return y
 
     def backward(self, gy):
-        return self._inner.backward(gy)
+        return self._backward(gy)
+
+
+def _pool_fn(x):
+    y, winners = pool_freq3(x, keep=True)
+    return y, lambda gy: unpool_freq3(gy, winners, x.shape)
+
+
+def _elu_fn(x):
+    y, d = elu(x)
+    d += 1.0
+    return y, lambda gy: gy * d
+
+
+def _sigmoid_fn(x):
+    y = sigmoid(x)
+    return y, lambda gy: gy * y * (1.0 - y)
+
+
+def _pinned_dropout_fn(rate, seed):
+    """Training-mode dropout reseeded per call, so the mask is a fixed
+    function of nothing and finite differences see a smooth map."""
+
+    def fn(x):
+        mask = dropout_mask(x.shape, rate, np.random.default_rng(seed))
+        return x * mask, lambda gy: gy * mask
+
+    return fn
 
 
 def _pool_winners(model):
     # pooling argmaxes from the latest forward; the model's only kinks
-    return [nl.block.pool._arg.copy() for nl in model.layers
+    return [nl.block._arg.copy() for nl in model.layers
             if nl.name.startswith("Conv") and nl.block.pool]
 
 
@@ -316,16 +344,16 @@ def test_criterion_04_gradient_correctness():
     worst["conv2d"] = gradcheck(
         Conv2d(3, 3, 2, 4, rng=rng, dtype=np.float64), rng.standard_normal((9, 9, 2)), seed=201)
     worst["maxpool_freq3"] = gradcheck(
-        MaxPoolFreq3(), rng.standard_normal((6, 9, 3)), seed=202)
+        _FnLayer(_pool_fn), rng.standard_normal((6, 9, 3)), seed=202)
     worst["dilated_conv1d"] = gradcheck(
         DilatedConv1d(5, 3, 3, dilation=8, rng=rng, dtype=np.float64),
         rng.standard_normal((48, 3)), seed=203)
     worst["dense"] = gradcheck(
         Dense(7, 4, rng=rng, dtype=np.float64), rng.standard_normal((15, 7)), seed=204)
-    worst["elu"] = gradcheck(Elu(), rng.standard_normal((10, 6)), seed=205)
-    worst["sigmoid"] = gradcheck(Sigmoid(), rng.standard_normal((10, 6)), seed=206)
+    worst["elu"] = gradcheck(_FnLayer(_elu_fn), rng.standard_normal((10, 6)), seed=205)
+    worst["sigmoid"] = gradcheck(_FnLayer(_sigmoid_fn), rng.standard_normal((10, 6)), seed=206)
     worst["dropout"] = gradcheck(
-        _PinnedDropout(0.4, seed=7), rng.standard_normal((10, 6)), seed=207)
+        _FnLayer(_pinned_dropout_fn(0.4, seed=7)), rng.standard_normal((10, 6)), seed=207)
     for variant in VARIANTS:
         model = build_model(variant, seed=4, dropout_rate=0.0, dtype=np.float64)
         x = 0.1 * np.random.default_rng(50).standard_normal((64, 81))

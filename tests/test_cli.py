@@ -133,6 +133,12 @@ def test_features_command(corpus, tmp_path, capsys):
     data = np.load(out)
     assert data["values"].shape == (500, 81)
     assert int(data["frame_rate"]) == 100
+    # the printed path is the file written, with or without an .npz suffix
+    bare = tmp_path / "feats"
+    assert main(["features", str(wav), "--out", str(bare)]) == 0
+    assert capsys.readouterr().out.strip().endswith(f"-> {bare}")
+    assert np.load(bare)["values"].tobytes() == data["values"].tobytes()
+    assert not (tmp_path / "feats.npz").exists()
 
 
 def test_detect_then_eval_runs(corpus, model_file, tmp_path, capsys):
@@ -290,11 +296,16 @@ def test_divergence_maps_to_exit_3(monkeypatch, corpus, model_file, tmp_path, ca
     (["pretrain", "{corpus}", "--out", "{out}", "--epochs", "0"], 1),
     *[(["pretrain", "{corpus}", "--out", "{out}", "--epochs", "1", "--lr", lr], 1)
       for lr in ("-1", "0", "nan", "inf")],
+    *[(["pretrain", "{corpus}", "--out", "{out}", "--epochs", "1", "--dropout", rate], 1)
+      for rate in ("1", "nan")],
+    *[(["finetune", "{model}", "{corpus}", "ring_bell", "--out", "{out}", "--epochs", "1",
+        "--offset", offset], 1) for offset in ("-1", "nan")],
 ], ids=["detect-min-gap-nan", "detect-min-gap-inf", "detect-delta-nan", "synth-duration-nan",
         "synth-duration-inf", "eval-tolerance-nan", "eval-tolerance-negative",
         "eval-inf-onset", "grid-tolerance-nan", "finetune-lr-negative", "finetune-lr-nan",
         "pretrain-epochs-0", "pretrain-lr-negative", "pretrain-lr-0", "pretrain-lr-nan",
-        "pretrain-lr-inf"])
+        "pretrain-lr-inf", "pretrain-dropout-1", "pretrain-dropout-nan",
+        "finetune-offset-negative", "finetune-offset-nan"])
 def test_out_of_range_values_exit_with_one_error_line(corpus, model_file, tmp_path, capsys,
                                                       argv, code):
     """1 for a config value, 2 for a data file; nothing is written."""

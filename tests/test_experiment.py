@@ -382,6 +382,7 @@ def test_config_json_inline_corpus_and_errors(tmp_path):
     for bad in ({"corpus": 5}, {"corpus": ".", "base_models": []},
                 {"corpus": ".", "base_models": {"tcn_v1": 3}}, {"corpus": ".", "models": "tcn_v1"},
                 {"corpus": ".", "freeze_configs": [1]}, {"corpus": ".", "instruments": 7},
+                {"corpus": ".", "freeze_configs": []}, {"corpus": ".", "instruments": []},
                 {"corpus": {"instruments": 3}}, {"corpus": {"instruments": [3]}},
                 {"corpus": {"instruments": [{"name": "a", "role": "voicing", "profile_seed": -1}]}},
                 {"corpus": {"instruments": [{"name": "\ud800", "role": "voicing",
@@ -397,6 +398,7 @@ def test_config_json_inline_corpus_and_errors(tmp_path):
                 {"corpus": ".", "peak_pick": {"min_gap": float("inf")}}):
         with pytest.raises(ConfigError):
             config_from_json(bad)
+    assert config_from_json({"corpus": ".", "instruments": None}).instruments is None
     spec = obj["corpus"]
     for bad, key in (({"corpus": ".", "peak_pick": {"w_max": 1.5}}, "w_max"),
                      ({"corpus": ".", "peak_pick": {"w_max": True}}, "w_max"),

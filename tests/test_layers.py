@@ -6,15 +6,16 @@ from onsetkit.layers import (
     Conv2d,
     Dense,
     DilatedConv1d,
-    Dropout,
-    Elu,
-    MaxPoolFreq3,
-    Sigmoid,
     bce_loss,
     bce_loss_grad,
+    dropout_mask,
+    elu,
     gradcheck,
+    pool_freq3,
+    sigmoid,
+    unpool_freq3,
 )
-from onsetkit.models import ConvStage, OutHead
+from onsetkit.models import ConvStage, OutHead, build_model
 
 
 # naive reference implementations, deliberately written as plain loops
@@ -91,22 +92,21 @@ def test_conv2d_shape_errors():
 
 def test_maxpool_row():
     x = np.array([1, 5, 2, 0, 0, 7], dtype=float).reshape(1, 6, 1)
-    y = MaxPoolFreq3().forward(x)
+    y = pool_freq3(x)[0]
     assert y.shape == (1, 2, 1)
     assert list(y[0, :, 0]) == [5.0, 7.0]
 
 
 def test_maxpool_81_to_27_and_remainder():
-    assert MaxPoolFreq3().forward(np.zeros((4, 81, 2))).shape == (4, 27, 2)
+    assert pool_freq3(np.zeros((4, 81, 2)))[0].shape == (4, 27, 2)
     # remainder bins dropped: 80 -> 26
-    assert MaxPoolFreq3().forward(np.zeros((4, 80, 2))).shape == (4, 26, 2)
+    assert pool_freq3(np.zeros((4, 80, 2)))[0].shape == (4, 26, 2)
 
 
 def test_maxpool_tie_gradient_to_first():
-    layer = MaxPoolFreq3()
-    y = layer.forward(np.full((2, 6, 1), 3.0), training=True)
+    y, winners = pool_freq3(np.full((2, 6, 1), 3.0), keep=True)
     assert np.all(y == 3.0)
-    gx = layer.backward(np.ones((2, 2, 1)))
+    gx = unpool_freq3(np.ones((2, 2, 1)), winners, (2, 6, 1))
     expect = np.array([1, 0, 0, 1, 0, 0], dtype=float)
     assert np.array_equal(gx[0, :, 0], expect)
     assert np.array_equal(gx[1, :, 0], expect)
@@ -116,15 +116,15 @@ def test_maxpool_inference_is_training_values():
     # ties of every kind, signed zeros included, and a remainder bin
     rng = np.random.default_rng(3)
     x = rng.choice([0.0, -0.0, 1.5, -1.5, -2.0], size=(40, 10, 4))
-    want = MaxPoolFreq3().forward(x, training=True)
-    layer = MaxPoolFreq3()
-    assert layer.forward(x).tobytes() == want.tobytes()
-    assert vars(layer) == {"params": {}, "grads": {}}
+    want = pool_freq3(x, keep=True)[0]
+    y, winners = pool_freq3(x)
+    assert y.tobytes() == want.tobytes()
+    assert winners is None
 
 
 def test_maxpool_needs_three_bins():
     with pytest.raises(ShapeError):
-        MaxPoolFreq3().forward(np.zeros((4, 2, 1)))
+        pool_freq3(np.zeros((4, 2, 1)))
 
 
 def test_dilated_identity():
@@ -192,18 +192,18 @@ def test_dense_matches_loop_oracle():
 
 
 def test_activation_fixed_points():
-    assert Elu().forward(np.zeros(3))[0] == 0.0
-    assert Sigmoid().forward(np.zeros(3))[0] == 0.5
+    assert elu(np.zeros(3))[0][0] == 0.0
+    assert sigmoid(np.zeros(3))[0] == 0.5
     # strictly above -1 where float64 can resolve it
-    v10 = Elu().forward(np.array([-10.0]))[0]
+    v10 = elu(np.array([-10.0]))[0][0]
     assert -1.0 < v10 < -0.9999
     # exp(-50)-1 rounds to exactly -1.0 in double precision
-    v50 = Elu().forward(np.array([-50.0]))[0]
+    v50 = elu(np.array([-50.0]))[0][0]
     assert -1.0 <= v50 < -0.9999
 
 
 def test_sigmoid_range_extremes():
-    y = Sigmoid().forward(np.array([-1000.0, 1000.0]))
+    y = sigmoid(np.array([-1000.0, 1000.0]))
     assert np.all(np.isfinite(y))
     assert 0.0 <= y[0] < 1e-12
     assert 1.0 - 1e-12 < y[1] <= 1.0
@@ -212,15 +212,22 @@ def test_sigmoid_range_extremes():
 def test_dropout_identity_modes():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((10, 4))
-    assert np.array_equal(Dropout(0.0).forward(x, training=True, rng=np.random.default_rng(0)), x)
-    assert np.array_equal(Dropout(0.5).forward(x, training=False, rng=np.random.default_rng(0)), x)
+    assert dropout_mask(x.shape, 0.0, np.random.default_rng(0)) is None
+    assert dropout_mask(x.shape, 0.0, None) is None  # nothing to draw
     with pytest.raises(ConfigError):
-        Dropout(1.0)
+        dropout_mask(x.shape, 0.5, None)
+    # inference is the identity: a forward with training=False draws nothing
+    m = build_model("tcn_v1", seed=0, dropout_rate=0.5)
+    feats = rng.standard_normal((30, 81))
+    assert np.array_equal(m.forward(feats), m.forward(feats, rng=np.random.default_rng(0)))
+    for rate in (1.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            build_model("tcn_v1", seed=0, dropout_rate=rate)
 
 
 def test_dropout_mean_preserved():
     x = np.ones(10**6)
-    y = Dropout(0.1).forward(x, training=True, rng=np.random.default_rng(7))
+    y = x * dropout_mask(x.shape, 0.1, np.random.default_rng(7))
     assert 0.995 <= y.mean() <= 1.005
     # survivors scaled by exactly 1/(1-rate)
     survivors = y[y != 0]
@@ -228,11 +235,17 @@ def test_dropout_mean_preserved():
 
 
 def test_dropout_backward_uses_same_mask():
-    layer = Dropout(0.3)
-    x = np.ones((50, 4))
-    y = layer.forward(x, training=True, rng=np.random.default_rng(8))
-    gx = layer.backward(np.ones((50, 4)))
-    assert np.array_equal(gx, y)
+    # a TCN level's backward scales by the mask its forward kept
+    rng = np.random.default_rng(8)
+    lvl = build_model("tcn_v1", seed=0, dropout_rate=0.3).layers[4].block
+    h = rng.standard_normal((50, 16))
+    lvl.forward(h, training=True, rng=np.random.default_rng(9))
+    mask = dropout_mask((50, 16), 0.3, np.random.default_rng(9))
+    assert np.array_equal(lvl._mask, mask)
+    gy = np.ones((50, 16))
+    gh = lvl.mix.backward(gy, param_grads=False) * mask * lvl._d
+    want = lvl.conv1.backward(gh, param_grads=False) + gy  # the residual path
+    assert np.array_equal(lvl.backward(gy), want)
 
 
 def test_bce_closed_forms():

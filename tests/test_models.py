@@ -6,15 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onsetkit.errors import ConfigError, ModelFormatError, OnsetKitError, ShapeError
-from onsetkit.layers import Layer, elu_inplace
+from onsetkit.layers import Layer, elu, pool_freq3
 from onsetkit.models import (
     BLOCK_FRAMES,
     FREEZABLE,
     LAYER_NAMES,
     N_BANDS,
     VARIANTS,
+    ConvStage,
     FreezeConfig,
     Model,
+    TcnLevel,
     apply_freeze,
     build_model,
     canonical_freeze_ids,
@@ -263,9 +265,12 @@ def test_frozen_prefix_runs_cache_free_with_the_same_draws(variant):
             if LAYER_NAMES.index(name) < lowest:  # no attribute added or replaced
                 assert after[key].keys() == attrs.keys(), (fid, key)
                 assert all(after[key][a] is v for a, v in attrs.items()), (fid, key)
-        for nl in m.layers[lowest:]:  # the rest keep what backward reads
-            part = "sig" if nl.name == "Out" else "elu"
-            assert after[nl.name, part].keys() > fresh[nl.name, part].keys(), (fid, nl.name)
+        for nl in m.layers[lowest:]:  # the rest keep what backward reads, and only that
+            if isinstance(nl.block, ConvStage):
+                cache = {"_d", "_mask", "_arg"} if nl.block.pool else {"_d", "_mask"}
+            else:
+                cache = {"_d", "_mask"} if isinstance(nl.block, TcnLevel) else {"_y"}
+            assert after[nl.name].keys() - fresh[nl.name].keys() == cache, (fid, nl.name)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -371,7 +376,8 @@ def test_inference_matches_dropout_free_training_forward(variant):
 def _whole_length_stage(stage, x):
     """The inference conv stage as one call over the whole length."""
     y = stage.conv.forward(stage._pad(x))
-    return elu_inplace(stage.pool.forward(y) if stage.pool else y)
+    y = pool_freq3(y)[0] if stage.pool else y
+    return elu(y, out=y)[0]
 
 
 B = BLOCK_FRAMES

@@ -4,7 +4,7 @@ The references below are the textbook forms: ELU through np.where with a
 cached output, pooling through argmax with take_along_axis and
 put_along_axis, dropout as a separate product, the in-place inference ELU
 as a masked expm1, and training as a full training forward of every
-block in every step. The layers now keep ELU's derivative and uint8 pool
+block in every step. The blocks now keep ELU's derivative and uint8 pool
 winners and work in place, and training computes a frozen Conv1's output
 once per item and runs the frozen blocks above it cache-free; every
 comparison is by tobytes(), so a changed sign of zero fails too.
@@ -13,7 +13,7 @@ comparison is by tobytes(), so a changed sign of zero fails too.
 import numpy as np
 import pytest
 
-from onsetkit.layers import Conv2d, Elu, MaxPoolFreq3, bce_loss, bce_loss_grad, elu_inplace
+from onsetkit.layers import Conv2d, bce_loss, bce_loss_grad, elu, pool_freq3, unpool_freq3
 from onsetkit.models import (
     VARIANTS,
     FreezeConfig,
@@ -67,14 +67,13 @@ def test_elu_training_matches_where_formulas():
     x[:, 0] = EDGES[np.arange(300) % len(EDGES)]
     gy = edge_inputs(x.shape, 2)
     want_y, want_d = elu_ref(x)
-    layer = Elu()
     before = x.copy()
-    y = layer.forward(x, training=True)
+    y, d = elu(x)
     assert x.tobytes() == before.tobytes()  # the input is not written
     assert y.tobytes() == want_y.tobytes()
-    assert layer.backward(gy).tobytes() == (gy * want_d).tobytes()
-    assert set(vars(layer)) == {"params", "grads", "_d"}
-    assert layer._d.tobytes() == want_d.tobytes()
+    d += 1.0  # the derivative, as the blocks keep it
+    assert (gy * d).tobytes() == (gy * want_d).tobytes()
+    assert d.tobytes() == want_d.tobytes()
 
 
 @pytest.mark.parametrize("bands", [3, 10, 26, 81])
@@ -85,13 +84,12 @@ def test_maxpool_training_matches_argmax(bands):
     raw = rng.choice(np.concatenate([EDGES, [2.0, 2.0, -1.5]]), size=(60, bands, 5))
     for x in (raw, elu_ref(raw)[0], edge_inputs((60, bands, 5), bands)):
         want_y, want_arg, want_backward = pool_ref(x)
-        layer = MaxPoolFreq3()
-        y = layer.forward(x, training=True)
+        y, winners = pool_freq3(x, keep=True)
         assert y.tobytes() == want_y.tobytes()
-        assert layer._arg.dtype == np.uint8
-        assert np.array_equal(layer._arg, want_arg)
+        assert winners.dtype == np.uint8
+        assert np.array_equal(winners, want_arg)
         gy = edge_inputs(y.shape, bands + 1)
-        assert layer.backward(gy).tobytes() == want_backward(gy).tobytes()
+        assert unpool_freq3(gy, winners, x.shape).tobytes() == want_backward(gy).tobytes()
 
 
 def stage_ref(stage, x, rng, gy):
@@ -103,7 +101,7 @@ def stage_ref(stage, x, rng, gy):
     p = stage.pad_t
     y = conv.forward(np.pad(x, ((p, p), (0, 0), (0, 0))), training=True)
     y, d = elu_ref(y)
-    rate = stage.drop.rate
+    rate = stage.rate
     mask = (rng.random(y.shape) >= rate) / (1.0 - rate) if rate else None
     if mask is not None:
         y = y * mask
@@ -198,7 +196,7 @@ def test_elu_inplace_matches_masked_expm1():
     for x in (specials, EDGES, edge_inputs((200, 9), 3)):
         want = np.expm1(x, out=x.copy(), where=x < 0)
         y = x.copy()
-        assert elu_inplace(y) is y
+        assert elu(y, out=y)[0] is y
         assert y.tobytes() == want.tobytes()
 
 
