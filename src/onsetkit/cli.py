@@ -43,6 +43,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def positive_int(text: str) -> int:
+    """argparse type of --threads: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _cmd_synth(args) -> int:
     if args.config is not None:
         spec = load_corpus_spec(args.config)
@@ -150,7 +158,7 @@ def build_parser() -> _Parser:
     p.add_argument("--files", type=int, default=10, help="files per instrument")
     p.add_argument("--duration", type=float, default=30.0, help="file length in s")
     p.add_argument("--tempo", type=float, default=180.0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--force", action="store_true", help="overwrite existing files")
     p.set_defaults(func=_cmd_synth)
 
@@ -202,7 +210,7 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", help="override the config's output directory")
     p.add_argument("--seed", type=int, help="override the config's seed")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1)
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("report", help="rebuild tables from a results CSV")

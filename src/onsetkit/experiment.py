@@ -4,7 +4,7 @@ A cycle adapts a pretrained base model to one instrument with one freeze
 configuration, always fine-tuning on a single 5 s snippet cut from the
 instrument's first file, and always excluding that file from evaluation.
 A grid runs every (model, instrument, freeze) combination, journals rows
-as they finish, and writes a fixed-column CSV plus a Markdown summary of
+in grid order, and writes a fixed-column CSV plus a Markdown summary of
 the best configuration per (model, instrument).
 
 Datasets come either from a synthetic corpus directory (manifest.txt) or
@@ -20,10 +20,9 @@ import io
 import json
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from functools import partial
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -100,6 +99,10 @@ class ExperimentConfig:
             raise ConfigError("need at least one instrument (null for every one)")
         if not self.freeze_configs:
             raise ConfigError("need at least one freeze config")
+        for key in ("models", "instruments", "freeze_configs"):
+            entries = getattr(self, key) or ()
+            if len(set(entries)) < len(entries):
+                raise ConfigError(f"{key} repeats an entry: {list(entries)}")
         for fid in self.freeze_configs:
             FreezeConfig.from_id(fid)
         # each range check is written so that NaN and infinity fail it
@@ -295,11 +298,23 @@ def row_seed(global_seed: int, model: str, instrument: str, freeze_id: str) -> i
     return int(ss.generate_state(1, np.uint32)[0])
 
 
+def _prepare_pair(base: Model, pairs, config: ExperimentConfig, cache: dict | None) -> tuple:
+    """(snippet, inputs, baseline) of one (base, instrument) pair: the cut
+    (features, targets, held) snippet, the base's activations entering
+    Conv3 (see _conv3_inputs) and the base's score from them."""
+    snippet = extract_snippet(pairs, config.snippet_offset, config.snippet_duration)
+    inputs = _conv3_inputs(base, pairs, snippet[2], cache)
+    baseline = evaluate_model(base, pairs, snippet[2], config.peak_pick, config.tolerance,
+                              cache, _SCORING_START, inputs)
+    return snippet, inputs, baseline
+
+
 def run_cycle(model_path, instrument: str, freeze_id: str, config: ExperimentConfig,
               dataset: dict | None = None, cache: dict | None = None) -> ResultRow:
     """Load base model, freeze, fine-tune on the snippet, evaluate held-in files.
 
-    Verifies that every frozen tensor survives fine-tuning bitwise unchanged.
+    Scores as a grid cycle does, and verifies that every frozen tensor
+    survives fine-tuning bitwise unchanged.
     """
     with _cycle_identity(instrument, freeze_id):
         base = load_model(model_path)
@@ -308,11 +323,9 @@ def run_cycle(model_path, instrument: str, freeze_id: str, config: ExperimentCon
         if instrument not in dataset:
             raise ConfigError(f"instrument {instrument!r} not in dataset")
         pairs = dataset[instrument]
-        snippet = extract_snippet(pairs, config.snippet_offset, config.snippet_duration)
-        baseline = evaluate_model(base, pairs, snippet[2], config.peak_pick, config.tolerance,
-                                  cache)
-        return _adapt_and_score(base, pairs, snippet, instrument, freeze_id, config,
-                                cache, baseline)
+        cache = {} if cache is None else cache  # each held-in file is read once
+        return _adapt_and_score(base, pairs, _prepare_pair(base, pairs, config, cache),
+                                instrument, freeze_id, config, cache)
 
 
 @contextmanager
@@ -325,17 +338,14 @@ def _cycle_identity(instrument: str, freeze_id: str):
         raise
 
 
-def _adapt_and_score(base: Model, pairs, snippet, instrument: str, freeze_id: str,
-                     config: ExperimentConfig, cache: dict | None,
-                     baseline: EvalResult, inputs: dict | None = None) -> ResultRow:
-    """One cycle from a loaded base, its cut (features, targets, held)
-    snippet and its baseline score; the base is only read. inputs holds the
-    base's activations entering Conv3 (see _conv3_inputs); when the freeze
-    leaves Conv1 and Conv2 frozen, scoring starts there, after the frozen
-    tensors are checked bitwise.
+def _adapt_and_score(base: Model, pairs, prepared: tuple, instrument: str, freeze_id: str,
+                     config: ExperimentConfig, cache: dict | None) -> ResultRow:
+    """One cycle from a loaded base and its pair's _prepare_pair output; the
+    base is only read. When the freeze leaves Conv1 and Conv2 frozen,
+    scoring starts at Conv3, after the frozen tensors are checked bitwise.
     """
     t0 = time.perf_counter()
-    feats, targets, held = snippet
+    (feats, targets, held), inputs, baseline = prepared
     freeze = FreezeConfig.from_id(freeze_id)
     seed = row_seed(config.seed, base.variant, instrument, freeze_id)
     ft = FinetuneConfig(freeze=freeze, seed=seed, epochs=config.epochs,
@@ -343,9 +353,9 @@ def _adapt_and_score(base: Model, pairs, snippet, instrument: str, freeze_id: st
                         dropout_active=config.dropout_active)
     adapted = finetune(base, (feats, targets), ft)
     _check_frozen_unchanged(base, adapted, freeze)
-    from_conv3 = inputs is not None and freeze.lowest_trainable >= _SCORING_START
+    start = _SCORING_START if freeze.lowest_trainable >= _SCORING_START else 0
     result = evaluate_model(adapted, pairs, held, config.peak_pick, config.tolerance, cache,
-                            _SCORING_START if from_conv3 else 0, inputs if from_conv3 else None)
+                            start, inputs if start else None)
     per_file = tuple(result.per_file[i][3] for i in sorted(result.per_file))
     return ResultRow(
         model=base.variant, instrument=instrument, freeze_id=freeze_id,
@@ -382,8 +392,9 @@ def resolve_corpus(config: ExperimentConfig, threads: int = 1) -> Path:
 def run_grid(config: ExperimentConfig, threads: int = 1) -> list:
     """Every (model, instrument, freeze) cycle; returns rows in grid order.
 
-    Rows are journaled to <out_dir>/journal.jsonl as they complete; a
-    failed cycle is recorded there and the grid continues without it.
+    Rows are journaled to <out_dir>/journal.jsonl in the same order for
+    every thread count; a failed cycle is recorded there and the grid
+    continues without it.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -404,59 +415,41 @@ def run_grid(config: ExperimentConfig, threads: int = 1) -> list:
             raise ConfigError(f"{config.base_models[variant]} holds {bases[variant].variant}, "
                               f"expected {variant}")
     cache: dict = {}
-    rows: dict = {}
-    journal = out / "journal.jsonl"
+    rows = []
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
-
-    with open(journal, "w") as log, pool:
-        def record(job, row=None, error=None):
-            if error is None:
-                rows[job] = row
-                entry = {"status": "ok", **row.to_dict()}
-            else:
-                entry = {"status": "error", "model": job[0], "instrument": job[1],
-                         "freeze_id": job[2], "error": f"{type(error).__name__}: {error}"}
-            log.write(json.dumps(entry) + "\n")
-            log.flush()
-
+    with open(out / "journal.jsonl", "w") as log, pool:
         # One (variant, instrument) pair at a time: its snippet, baseline and
         # the base's activations entering Conv3 are made once and dropped
         # after its cycles, which only read them and the feature cache,
-        # threaded if asked.
+        # threaded if asked; serial cycles run on this thread.
         for variant in config.models:
-            base = bases[variant]
             for name in instruments:
                 jobs = [(variant, name, fid) for fid in config.freeze_configs]
                 try:
-                    snippet = extract_snippet(dataset[name], config.snippet_offset,
-                                              config.snippet_duration)
-                    inputs = _conv3_inputs(base, dataset[name], snippet[2], cache)
-                    baseline = evaluate_model(base, dataset[name], snippet[2], config.peak_pick,
-                                              config.tolerance, cache, _SCORING_START, inputs)
+                    prepared = _prepare_pair(bases[variant], dataset[name], config, cache)
                 except Exception as e:  # recorded on every row of this pair, grid continues
-                    for job in jobs:
-                        record(job, error=e)
-                    continue
-
-                def one(job):
-                    with _cycle_identity(name, job[2]):
-                        return _adapt_and_score(base, dataset[name], snippet, name, job[2],
-                                                config, cache, baseline, inputs)
-
-                if threads > 1:
-                    futures = {pool.submit(one, job): job for job in jobs}
-                    outcomes = ((futures[f], f.result) for f in as_completed(futures))
+                    outcomes = [(None, e)] * len(jobs)
                 else:
-                    outcomes = ((job, partial(one, job)) for job in jobs)
-                for job, outcome in outcomes:
-                    try:
-                        record(job, row=outcome())
-                    except Exception as e:
-                        record(job, error=e)
-                del inputs  # before the next pair's are made
-    order = [(v, n, fid) for v in config.models for n in instruments
-             for fid in config.freeze_configs]
-    return [rows[job] for job in order if job in rows]
+                    def one(job):
+                        try:
+                            with _cycle_identity(name, job[2]):
+                                return _adapt_and_score(bases[variant], dataset[name], prepared,
+                                                        name, job[2], config, cache), None
+                        except Exception as e:
+                            return None, e
+
+                    outcomes = (pool.map if threads > 1 else map)(one, jobs)
+                for job, (row, error) in zip(jobs, outcomes):
+                    if error is None:
+                        rows.append(row)
+                        entry = {"status": "ok", **row.to_dict()}
+                    else:
+                        entry = {"status": "error", "model": job[0], "instrument": job[1],
+                                 "freeze_id": job[2], "error": f"{type(error).__name__}: {error}"}
+                    log.write(json.dumps(entry) + "\n")
+                    log.flush()
+                prepared = None  # before the next pair's are made
+    return rows
 
 
 def write_report(rows, out_dir) -> tuple:
@@ -531,9 +524,7 @@ def _per_file_scores(cell: str) -> tuple:
     return tuple(float(v) for v in scores)
 
 
-_CELL_PARSERS = {"model": str, "instrument": str, "freeze_id": str, "mean_f1": float,
-                 "baseline_f1": float, "delta_pp": float, "n_files": int, "seed": int,
-                 "wall_s": float, "per_file_f1": _per_file_scores}
+_CELL_PARSERS = {**get_type_hints(ResultRow), "per_file_f1": _per_file_scores}
 
 
 def _result_records(text: str, source) -> list:
@@ -647,15 +638,6 @@ def config_from_json(obj: dict, base_dir=None) -> ExperimentConfig:
     return replace(config, **paths)
 
 
-def config_to_json(config: ExperimentConfig) -> dict:
-    obj = asdict(config)
-    if not isinstance(config.corpus, CorpusSpec):
-        obj["corpus"] = str(config.corpus)
-    obj["base_models"] = {k: str(v) for k, v in config.base_models.items()}
-    obj["out_dir"] = str(config.out_dir)
-    return obj
-
-
 def _read_json(path, what):
     """Parsed JSON of a UTF-8 file; unreadable or malformed files are DataError."""
     try:
@@ -683,4 +665,4 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_json(config), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(asdict(config), indent=2, sort_keys=True, default=str) + "\n")

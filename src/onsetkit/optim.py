@@ -37,24 +37,28 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
+    def _moments(self, name: str, p: np.ndarray, grad) -> tuple[np.ndarray, np.ndarray]:
+        """Fold one shape-checked gradient into name's moments at step t;
+        returns (bias-corrected first moment, raw second moment)."""
+        g = np.asarray(grad, dtype=np.float64)
+        if g.shape != p.shape:
+            raise ShapeError(f"{name}: grad {g.shape} vs param {p.shape}")
+        m = self.m.setdefault(name, np.zeros(p.shape))
+        v = self.v.setdefault(name, np.zeros(p.shape))
+        m[...] = self.beta1 * m + (1.0 - self.beta1) * g
+        v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
+        return m / (1.0 - self.beta1**self.t), v
+
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        t = self.t
         for name, p in params.items():
-            g = np.asarray(grads[name], dtype=np.float64)
-            if g.shape != p.shape:
-                raise ShapeError(f"{name}: grad {g.shape} vs param {p.shape}")
-            m = self.m.setdefault(name, np.zeros(p.shape))
-            v = self.v.setdefault(name, np.zeros(p.shape))
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
+            m_hat, v = self._moments(name, p, grads[name])
+            v_hat = v / (1.0 - self.beta2**self.t)
             update = self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             p[...] = (p.astype(np.float64) - update).astype(p.dtype)
 
 
-class RAdamLookahead:
+class RAdamLookahead(Adam):
     """Rectified Adam fast steps; every k steps slow weights absorb them.
 
     While the rectification schedule rho_t stays <= 4 the step is plain
@@ -64,11 +68,8 @@ class RAdamLookahead:
     """
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, k=5, alpha=0.5):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        super().__init__(lr, beta1, beta2, eps)
         self.k, self.alpha = k, alpha
-        self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
         self.slow: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
@@ -78,15 +79,8 @@ class RAdamLookahead:
         rho_t = rho_schedule(t, self.beta2)
         sync = t % self.k == 0
         for name, p in params.items():
-            g = np.asarray(grads[name], dtype=np.float64)
-            if g.shape != p.shape:
-                raise ShapeError(f"{name}: grad {g.shape} vs param {p.shape}")
+            m_hat, v = self._moments(name, p, grads[name])
             slow = self.slow.setdefault(name, p.astype(np.float64).copy())
-            m = self.m.setdefault(name, np.zeros(p.shape))
-            v = self.v.setdefault(name, np.zeros(p.shape))
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
             if rho_t > 4.0:
                 v_hat = np.sqrt(v / (1.0 - self.beta2**t))
                 r_t = rectification(rho_t, rho_inf)

@@ -31,8 +31,10 @@ def test_usage_errors(capsys):
     assert main(["bogus"]) == 1
     assert main(["eval"]) == 1
     assert main(["synth", "--out", "x", "--no-such-flag"]) == 1
+    assert main(["grid", "--config", "x", "--threads", "0"]) == 1
+    assert main(["synth", "--out", "x", "--threads", "-3"]) == 1
     err = capsys.readouterr().err
-    assert "usage" in err
+    assert "usage" in err and err.count("--threads: must be >= 1") == 2
 
 
 def test_help_exits_zero():
@@ -290,6 +292,7 @@ def test_divergence_maps_to_exit_3(monkeypatch, corpus, model_file, tmp_path, ca
     (["eval", "{onsets}", "{onsets}", "--tolerance", "-1"], 1),
     (["eval", "{inf_onsets}", "{onsets}"], 2),
     (["grid", "--config", "{nan_grid}"], 1),
+    (["grid", "--config", "{dup_grid}"], 1),
     (["finetune", "{model}", "{corpus}", "ring_bell", "--out", "{out}", "--lr", "-1"], 1),
     (["finetune", "{model}", "{corpus}", "ring_bell", "--out", "{out}", "--epochs", "1",
       "--lr", "nan"], 1),
@@ -302,21 +305,23 @@ def test_divergence_maps_to_exit_3(monkeypatch, corpus, model_file, tmp_path, ca
         "--offset", offset], 1) for offset in ("-1", "nan")],
 ], ids=["detect-min-gap-nan", "detect-min-gap-inf", "detect-delta-nan", "synth-duration-nan",
         "synth-duration-inf", "eval-tolerance-nan", "eval-tolerance-negative",
-        "eval-inf-onset", "grid-tolerance-nan", "finetune-lr-negative", "finetune-lr-nan",
-        "pretrain-epochs-0", "pretrain-lr-negative", "pretrain-lr-0", "pretrain-lr-nan",
-        "pretrain-lr-inf", "pretrain-dropout-1", "pretrain-dropout-nan",
+        "eval-inf-onset", "grid-tolerance-nan", "grid-duplicate-freeze", "finetune-lr-negative",
+        "finetune-lr-nan", "pretrain-epochs-0", "pretrain-lr-negative", "pretrain-lr-0",
+        "pretrain-lr-nan", "pretrain-lr-inf", "pretrain-dropout-1", "pretrain-dropout-nan",
         "finetune-offset-negative", "finetune-offset-nan"])
 def test_out_of_range_values_exit_with_one_error_line(corpus, model_file, tmp_path, capsys,
                                                       argv, code):
     """1 for a config value, 2 for a data file; nothing is written."""
     (tmp_path / "inf.onsets").write_text("0.5\ninf\n")
+    grid = {"corpus": str(corpus), "base_models": {"tcn_v1": str(model_file)},
+            "models": ["tcn_v1"], "out_dir": str(tmp_path / "out")}
     # json.dumps writes NaN, which json.loads reads back
-    (tmp_path / "grid.json").write_text(json.dumps(
-        {"corpus": str(corpus), "base_models": {"tcn_v1": str(model_file)},
-         "models": ["tcn_v1"], "tolerance": float("nan"), "out_dir": str(tmp_path / "out")}))
+    (tmp_path / "grid.json").write_text(json.dumps({**grid, "tolerance": float("nan")}))
+    (tmp_path / "dup.json").write_text(json.dumps({**grid, "freeze_configs": ["ft", "ft"]}))
     paths = {"model": model_file, "wav": corpus / "drone_tone_02.wav", "corpus": corpus,
              "onsets": corpus / "drone_tone_02.onsets", "inf_onsets": tmp_path / "inf.onsets",
-             "nan_grid": tmp_path / "grid.json", "out": tmp_path / "out"}
+             "nan_grid": tmp_path / "grid.json", "dup_grid": tmp_path / "dup.json",
+             "out": tmp_path / "out"}
     assert main([arg.format(**paths) for arg in argv]) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err

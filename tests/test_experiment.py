@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -161,23 +162,30 @@ def test_run_grid_rows_and_reports(corpus, base_models, tmp_path):
     rows_b = run_grid(config_b, threads=3)
     csv_b, _ = write_report(rows_b, tmp_path / "b")
     assert strip_wall_column(csv_path.read_text()) == strip_wall_column(csv_b.read_text())
+    # and the same journal, line for line, once wall time is dropped
+    journal_b = (tmp_path / "b" / "journal.jsonl").read_text().splitlines()
+    assert [{**json.loads(ln), "wall_s": None} for ln in journal_b] == [
+        {**json.loads(ln), "wall_s": None} for ln in journal]
 
 
 def test_run_grid_prepares_each_pair_once(corpus, base_models, tmp_path, monkeypatch):
     import onsetkit.experiment as experiment
 
     calls = []
-    for name in ("load_model", "extract_snippet"):
+    for name in ("load_model", "extract_snippet", "finetune"):
         def counted(*args, _name=name, _inner=getattr(experiment, name), **kwargs):
-            calls.append(_name)
+            calls.append((_name, threading.get_ident()))
             return _inner(*args, **kwargs)
         monkeypatch.setattr(experiment, name, counted)
     config = quick_config(corpus, base_models, tmp_path, epochs=1,
                           models=("tcn_v1", "tcn_v2"), freeze_configs=("ft", "ft_Conv3"))
     rows = run_grid(config)
     assert len(rows) == 8  # 2 models x 2 instruments x 2 configs
-    assert calls.count("load_model") == 2  # one per model
-    assert calls.count("extract_snippet") == 4  # one per (model, instrument)
+    names = [name for name, _ in calls]
+    assert names.count("load_model") == 2  # one per model
+    assert names.count("extract_snippet") == 4  # one per (model, instrument)
+    # one thread runs every cycle on the calling thread, not in a pool
+    assert names.count("finetune") == 8 and {t for _, t in calls} == {threading.get_ident()}
 
 
 def test_scoring_from_boundaries_is_the_full_forward(tmp_path, monkeypatch):
@@ -243,10 +251,14 @@ def test_run_grid_scores_from_the_base_conv3_inputs(corpus, base_models, tmp_pat
     # Conv2 frozen score from Conv3, the others from the features
     assert len(made) == 1
     assert starts == [2, 0, 0, 2, 2, 0]
-    monkeypatch.setattr(experiment, "evaluate_model", inner)
-    for row, fid in zip(rows, fids):
+    # a lone cycle prepares its pair the same way: its baseline scores from
+    # Conv3 too, and its row is the grid's
+    for row, fid, start in zip(rows, fids, starts[1:]):
+        starts.clear()
         alone = run_cycle(base_models["tcn_v1"], "alpha", fid, config)
+        assert starts == [2, start], fid
         assert dataclasses.replace(alone, wall_s=0.0) == dataclasses.replace(row, wall_s=0.0)
+    assert len(made) == 1 + len(fids)
 
 
 def test_run_grid_survives_cycle_failure(base_models, tmp_path):
@@ -383,6 +395,9 @@ def test_config_json_inline_corpus_and_errors(tmp_path):
                 {"corpus": ".", "base_models": {"tcn_v1": 3}}, {"corpus": ".", "models": "tcn_v1"},
                 {"corpus": ".", "freeze_configs": [1]}, {"corpus": ".", "instruments": 7},
                 {"corpus": ".", "freeze_configs": []}, {"corpus": ".", "instruments": []},
+                {"corpus": ".", "freeze_configs": ["ft", "ft"]},
+                {"corpus": ".", "instruments": ["a", "b", "a"]},
+                {"corpus": ".", "models": ["tcn_v1", "tcn_v2", "tcn_v1"]},
                 {"corpus": {"instruments": 3}}, {"corpus": {"instruments": [3]}},
                 {"corpus": {"instruments": [{"name": "a", "role": "voicing", "profile_seed": -1}]}},
                 {"corpus": {"instruments": [{"name": "\ud800", "role": "voicing",
