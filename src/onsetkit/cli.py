@@ -88,13 +88,13 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
+    config = FinetuneConfig(freeze=FreezeConfig.from_id(args.freeze), seed=args.seed or 0,
+                            epochs=args.epochs, lr_scale=args.lr_scale, base_lr=args.lr)
     model = load_model(args.model)
     dataset = load_dataset(args.corpus)
     if args.instrument not in dataset:
         raise ConfigError(f"instrument {args.instrument!r} not in corpus {args.corpus}")
     feats, targets, held = extract_snippet(dataset[args.instrument], args.offset)
-    config = FinetuneConfig(freeze=FreezeConfig.from_id(args.freeze), seed=args.seed or 0,
-                            epochs=args.epochs, lr_scale=args.lr_scale, base_lr=args.lr)
     adapted = finetune(model, (feats, targets), config)
     save_model(adapted, args.out)
     print(f"adapted {model.variant} to {args.instrument} ({args.freeze}), "

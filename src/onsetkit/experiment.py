@@ -559,7 +559,7 @@ def pretrain_model(corpus_dir, instruments, variant: str, epochs: int,
     Targets come from each file's own annotations, so supervising on
     time-keeping instruments alone trains a beat-style detector.
     """
-    check_schedule(epochs, base_lr=base_lr)
+    check_schedule(epochs, base_lr=base_lr, seed=seed)
     dataset = load_dataset(corpus_dir)
     items = []
     for name in instruments:

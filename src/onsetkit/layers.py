@@ -10,10 +10,11 @@ and hold every cache a backward reads:
     gradient and fills self.grads; input_grad=False fills self.grads only
     and returns None, and param_grads=False leaves self.grads untouched
   - the functions return what their backward needs instead of keeping it:
-    elu gives the derivative minus one, and pool_freq3 gives each group's
-    first winning bin as uint8 (the argmax, without computing one); the
-    blocks keep these, and the dropout mask, only on the forwards whose
-    backward will run (see Model.forward and Model.backward)
+    elu gives the derivative minus one, pool_freq3 gives each group's first
+    winning bin as uint8 (the argmax, without computing one), and
+    dropout_mask gives the bool survivors, which dropout multiplies by and
+    then scales; the blocks keep these only on the forwards whose backward
+    will run (see Model.forward and Model.backward)
   - parameters live in self.params; compute runs in float64 regardless of
     the stored parameter dtype (models keep float32, gradcheck float64)
 
@@ -60,13 +61,22 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def dropout_mask(shape, rate, rng):
-    """Inverted-dropout training mask, survivors scaled by 1/(1-rate);
-    None at rate 0, where nothing is drawn."""
+    """Inverted-dropout survivors of one draw per element, as bool; None at
+    rate 0, where nothing is drawn."""
     if rate == 0.0:
         return None
     if rng is None:
         raise ConfigError("training-mode dropout needs an rng")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    return rng.random(shape) >= rate
+
+
+def dropout(x, survivors, rate, out=None):
+    """x times the survivors, then times 1/(1-rate), into out (a new array
+    when None). These are the floats of one product with a float mask
+    holding 1/(1-rate) and 0.0, signed zeros included."""
+    y = np.multiply(x, survivors, out=out)
+    y *= 1.0 / (1.0 - rate)
+    return y
 
 
 def glorot(shape, fan_in, fan_out, rng, dtype):
@@ -74,19 +84,24 @@ def glorot(shape, fan_in, fan_out, rng, dtype):
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def _corr2d(x, w):
+def _corr2d(x, w, cols=None):
     """Valid 2-D cross-correlation of (T,F,C) with (kt,kf,C,O).
 
     Returns (y, x_col) where x_col is the flattened patch matrix reused by
-    the weight-gradient computation.
+    the weight-gradient computation: cols when given (rows of a larger
+    matrix), otherwise a new array or a view of x.
     """
     kt, kf, cin, cout = w.shape
     t_out = x.shape[0] - kt + 1
     f_out = x.shape[1] - kf + 1
     win = np.lib.stride_tricks.sliding_window_view(x, (kt, kf), axis=(0, 1))
-    x_col = win.transpose(0, 1, 3, 4, 2).reshape(t_out * f_out, kt * kf * cin)
-    y = x_col @ w.reshape(kt * kf * cin, cout)
-    return y.reshape(t_out, f_out, cout), x_col
+    win = win.transpose(0, 1, 3, 4, 2)
+    if cols is None:
+        cols = win.reshape(t_out * f_out, kt * kf * cin)
+    else:
+        cols.reshape(t_out, f_out, kt, kf, cin)[...] = win
+    y = cols @ w.reshape(kt * kf * cin, cout)
+    return y.reshape(t_out, f_out, cout), cols
 
 
 class Conv2d(Layer):
@@ -99,18 +114,37 @@ class Conv2d(Layer):
         self.params["w"] = glorot((kt, kf, cin, cout), kt * kf * cin, kt * kf * cout, rng, dtype)
         self.params["b"] = np.zeros(cout, dtype=dtype)
 
-    def forward(self, x, *, training=False):
+    def forward(self, x, *, training=False, span=None):
+        """Output frames s..e-1 of span=(s, e) (all when None), which read
+        x's frames s..e+kt-2. training=True keeps what backward reads, the
+        whole-length patch matrix and x's shape: a training forward may run
+        in spans, in order from s=0 (which allocates the matrix when the
+        span is not the whole length), each span filling its own rows."""
         if x.ndim != 3 or x.shape[2] != self.cin:
             raise ShapeError(f"conv2d expects (time, freq, {self.cin}), got {x.shape}")
         if x.shape[0] < self.kt or x.shape[1] < self.kf:
             raise ShapeError(f"input {x.shape[:2]} smaller than kernel ({self.kt},{self.kf})")
-        y, x_col = _corr2d(_f64(x), _f64(self.params["w"]))
+        t_out, f_out = x.shape[0] - self.kt + 1, x.shape[1] - self.kf + 1
+        s, e = span or (0, t_out)
+        cols = None
+        if training and (s, e) != (0, t_out):
+            if s == 0:
+                self._x_col = np.empty((t_out * f_out, self.kt * self.kf * self.cin))
+            cols = self._x_col[s * f_out : e * f_out]
+        y, x_col = _corr2d(_f64(x[s : e + self.kt - 1]), _f64(self.params["w"]), cols)
         if training:
-            self._x_col, self._in_shape = x_col, x.shape
+            if cols is None:
+                self._x_col = x_col
+            self._in_shape = x.shape
         y += _f64(self.params["b"])
         return y
 
-    def backward(self, gy, input_grad=True, param_grads=True):
+    def backward(self, gy, input_grad=True, param_grads=True, spans=None):
+        """The input gradient is formed in the [s, e) spans of output frames
+        given (one span when None), the last one also taking the kt - 1
+        input frames past the output. A one-channel input gradient is formed
+        whole-length: its taps are matrix-vector products, which compute the
+        last rows of each call another way, so a block would change them."""
         kt, kf, cin, cout = self.kt, self.kf, self.cin, self.cout
         w = _f64(self.params["w"])
         t_out, f_out = gy.shape[:2]
@@ -120,13 +154,20 @@ class Conv2d(Layer):
             self.grads["b"] = gy2.sum(axis=0)
         if not input_grad:
             return None
-        # scatter-accumulate the input gradient tap by tap
+        # scatter-accumulate the input gradient block by block and, in each
+        # block, tap by tap from the gy rows that reach it: one block is
+        # the whole-length scatter, and in blocks every element still sums
+        # its taps in the same order
         gx = np.zeros(self._in_shape, dtype=np.float64)
-        for i in range(kt):
-            for j in range(kf):
-                gx[i : i + t_out, j : j + f_out] += (gy2 @ w[i, j].T).reshape(
-                    t_out, f_out, cin
-                )
+        starts = [s for s, _ in spans] if spans and cin > 1 else [0]
+        edges = starts + [gx.shape[0]]
+        for a, b in zip(edges[:-1], edges[1:]):
+            for i in range(kt):
+                lo, hi = max(a - i, 0), min(b - i, t_out)
+                rows = gy[lo:hi].reshape(-1, cout)
+                for j in range(kf):
+                    gx[lo + i : hi + i, j : j + f_out] += (rows @ w[i, j].T).reshape(
+                        hi - lo, f_out, cin)
         return gx
 
 
@@ -151,13 +192,14 @@ def pool_freq3(x, keep=False):
 
 
 def unpool_freq3(gy, winners, in_shape):
-    """Backward of pool_freq3 for an input of in_shape."""
+    """Backward of pool_freq3 for an input of in_shape: each group's
+    gradient goes to its winning bin, and every other bin holds +0.0."""
     t, f, c = in_shape
-    f3 = f // 3
     gx = np.zeros((t, f, c))
-    gxr = gx[:, : f3 * 3].reshape(t, f3, 3, c)
-    for k in range(3):
-        np.copyto(gxr[:, :, k], gy, where=winners == k)
+    # the flat index in gx of each group's winning bin
+    at = (f * c * np.arange(t)[:, None, None] + 3 * c * np.arange(f // 3)[:, None]
+          + np.arange(c) + c * winners.astype(np.intp))
+    gx.reshape(-1)[at] = gy
     return gx
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ModelFormatError, ShapeError
-from .layers import (Conv2d, Dense, DilatedConv1d, dropout_mask, elu, pool_freq3, sigmoid,
-                     unpool_freq3)
+from .layers import (Conv2d, Dense, DilatedConv1d, dropout, dropout_mask, elu, pool_freq3,
+                     sigmoid, unpool_freq3)
 
 VARIANTS = ("tcn_v1", "tcn_v2")
 TCN_CHANNELS = 16
@@ -41,18 +41,26 @@ LAYER_NAMES = tuple(
     ["Conv1", "Conv2", "Conv3"] + [f"Tcn{2**i}" for i in range(11)] + ["Out"]
 )
 FREEZABLE = LAYER_NAMES[:-1]  # Out is always trainable
-# inference time block of a conv stage, in output frames: its im2col
-# matrix stays cache-sized, and at 128 frames every block's matmul gives
-# the floats of the whole-length one (at 64, tcn_v2's Conv3 does not)
+# time block of a conv stage, in output frames: a block's patch matrix and
+# its ELU, dropout and pool temporaries stay cache-sized, and at 128 frames
+# every block's matmul gives the floats of the whole-length one (at 64,
+# tcn_v2's Conv3 does not). A stage whose whole-length patch matrix takes
+# at most WHOLE_PATCH_BYTES runs as one block, since blocking gains nothing
+# there: tcn_v1's Conv3 (2.9 MiB at 3000 frames) took 1.5 ms in blocks and
+# 0.9 ms whole, and Conv1 at 500 frames (2.7 MiB) took as long either way;
+# every other stage at 3000 frames is over 12 MiB.
 BLOCK_FRAMES = 128
+WHOLE_PATCH_BYTES = 4 << 20
 
 
-def _time_blocks(frames):
+def _time_blocks(frames, patch_bytes):
     """[s, e) spans of BLOCK_FRAMES frames; the remainder joins the last
-    span, so no span is shorter than a block unless the whole input is."""
-    n = max(1, frames // BLOCK_FRAMES)
+    span, so no span is shorter than a block unless the whole input is.
+    One span when the whole-length patch matrix takes at most
+    WHOLE_PATCH_BYTES."""
+    n = max(1, frames // BLOCK_FRAMES) if patch_bytes > WHOLE_PATCH_BYTES else 1
     edges = [i * BLOCK_FRAMES for i in range(n)] + [frames]
-    return zip(edges[:-1], edges[1:])
+    return list(zip(edges[:-1], edges[1:]))
 
 
 class Block:
@@ -86,14 +94,18 @@ class Block:
 class ConvStage(Block):
     """conv -> ELU -> dropout (-> freq pool); time zero-padded to length.
 
-    At inference dropout is the identity and ELU is non-decreasing, so the
-    stage pools first and writes ELU of the pooled output into its own
-    output: same floats, and a pooling stage evaluates a third as many
-    ELUs. Inference also runs in time blocks (see _time_blocks), each
+    Every forward and backward runs in time blocks (see _time_blocks), each
     block reading its kt - 1 frames of context from the one padded input.
-    In training the dropout mask multiplies the ELU output in place, and
-    backward applies the mask and then ELU's derivative in place on the
-    gradient.
+    A training forward writes each block's rows of the whole-length caches
+    that backward reads: the conv's patch matrix, ELU's derivative, the bool
+    dropout survivors and the uint8 pool winners. Drawing the survivors
+    block by block takes the whole-length draw's numbers, since time is the
+    leading axis. At inference dropout is the identity and ELU is
+    non-decreasing, so the stage pools first and writes ELU of the pooled
+    output into its own output: same floats, and a pooling stage evaluates
+    a third as many ELUs. Backward unpools each block, applies the mask and
+    then ELU's derivative; the conv's weight and bias gradients stay single
+    whole-length reductions, since a blocked sum has other floats.
     """
 
     def __init__(self, kt, kf, cin, cout, pool, rate, rng, dtype=np.float32):
@@ -106,52 +118,71 @@ class ConvStage(Block):
     def _pad(self, x):
         return np.pad(x, ((self.pad_t, self.pad_t), (0, 0), (0, 0))) if self.pad_t else x
 
-    def activate(self, x, keep=False):
-        """pad -> conv -> ELU in training floats; keep=False keeps nothing,
-        which is the part of a training forward that stays the same while
-        the stage is frozen and its input does not change."""
-        y, d = elu(self.conv.forward(self._pad(x), training=keep))
-        if keep:
-            d += 1.0
-            self._d = d  # ELU's derivative: expm1(x) + 1 below zero, 1 elsewhere
-        return y
+    def _spans(self, frames, bands):
+        """The time blocks of `frames` output frames with `bands` conv output
+        bands, sized by the float64 patch matrix's bytes."""
+        c = self.conv
+        return _time_blocks(frames, frames * bands * c.kt * c.kf * c.cin * 8)
+
+    def activate(self, x):
+        """pad -> conv -> ELU in training floats, keeping nothing: the part
+        of a training forward that stays the same while the stage is frozen
+        and its input does not change."""
+        xp, bands = self._pad(x), x.shape[1] - self.conv.kf + 1
+        out = np.empty((x.shape[0], bands, self.conv.cout))
+        for s, e in self._spans(x.shape[0], bands):
+            elu(self.conv.forward(xp, span=(s, e)), out=out[s:e])
+        return out
 
     def forward(self, x, training=False, rng=None, keep=True, activated=False):
         """activated=True takes x as this stage's own activate() output and
         only reads it; the forward is then cache-free."""
-        if not training:
-            xp = self._pad(x)
-            frames = xp.shape[0] - self.rf_add
-            out = None
-            for s, e in _time_blocks(frames):
-                y = self.conv.forward(xp[s : e + self.rf_add])
+        keep = training and keep and not activated
+        frames, cout = x.shape[0], self.conv.cout
+        bands = x.shape[1] if activated else x.shape[1] - self.conv.kf + 1
+        if keep:
+            self._d = np.empty((frames, bands, cout))
+            self._mask = np.empty((frames, bands, cout), bool) if self.rate else None
+            if self.pool:
+                self._arg = np.empty((frames, bands // 3, cout), np.uint8)
+        out = np.empty((frames, bands // 3 if self.pool else bands, cout))
+        xp = x if activated else self._pad(x)
+        for s, e in self._spans(frames, bands):
+            y = xp[s:e] if activated else self.conv.forward(xp, training=keep, span=(s, e))
+            if not training:
                 y = pool_freq3(y)[0] if self.pool else y
-                if out is None:
-                    out = np.empty((frames,) + y.shape[1:])
                 elu(y, out=out[s:e])
-            return out
-        keep = keep and not activated
-        y = x if activated else self.activate(x, keep)
-        mask = dropout_mask(y.shape, self.rate, rng)
-        if mask is not None:
-            # a fresh product when the activated input is only read
-            y = y * mask if activated else np.multiply(y, mask, out=y)
-        if keep:
-            self._mask = mask
-        if not self.pool:
-            return y
-        y, arg = pool_freq3(y, keep)
-        if keep:
-            self._arg = arg
-        return y
+                continue
+            if not activated:
+                y, d = elu(y, out=y)
+                if keep:
+                    np.add(d, 1.0, out=self._d[s:e])  # expm1(x) + 1 below zero, 1 elsewhere
+            mask = dropout_mask(y.shape, self.rate, rng)
+            if mask is not None:
+                # a fresh product when the activated input is only read
+                y = dropout(y, mask, self.rate, out=None if activated else y)
+                if keep:
+                    self._mask[s:e] = mask
+            if self.pool:
+                y, arg = pool_freq3(y, keep)
+                if keep:
+                    self._arg[s:e] = arg
+            out[s:e] = y
+        return out
 
     def backward(self, gy, input_grad=True, param_grads=True):
-        # a fresh array, scaled in place below
-        g = unpool_freq3(gy, self._arg, self._d.shape) if self.pool else gy.copy()
-        if self._mask is not None:
-            g *= self._mask
-        g *= self._d
-        g = self.conv.backward(g, input_grad, param_grads)
+        d = self._d
+        spans = self._spans(*d.shape[:2])
+        g = np.empty(d.shape)
+        for s, e in spans:
+            # a fresh block, scaled in place; unpooling writes +0.0 at the
+            # bins that did not win
+            gb = (unpool_freq3(gy[s:e], self._arg[s:e], (e - s,) + d.shape[1:]) if self.pool
+                  else gy[s:e].copy())
+            if self._mask is not None:
+                dropout(gb, self._mask[s:e], self.rate, out=gb)
+            np.multiply(gb, d[s:e], out=g[s:e])
+        g = self.conv.backward(g, input_grad, param_grads, spans)
         if g is None or not self.pad_t:
             return g
         return g[self.pad_t : g.shape[0] - self.pad_t]
@@ -198,13 +229,13 @@ class TcnLevel(Block):
             d += 1.0
             self._d, self._mask = d, mask
         if mask is not None:
-            h *= mask
+            dropout(h, mask, self.rate, out=h)
         return x + self.mix.forward(h, training=keep)
 
     def backward(self, gy, input_grad=True, param_grads=True):
         gh = self.mix.backward(gy, param_grads=param_grads)
         if self._mask is not None:
-            gh *= self._mask
+            dropout(gh, self._mask, self.rate, out=gh)
         gh *= self._d
         if self.conv2:
             gh = self.conv2.backward(gh, param_grads=param_grads)

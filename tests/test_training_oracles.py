@@ -2,12 +2,14 @@
 
 The references below are the textbook forms: ELU through np.where with a
 cached output, pooling through argmax with take_along_axis and
-put_along_axis, dropout as a separate product, the in-place inference ELU
-as a masked expm1, and training as a full training forward of every
-block in every step. The blocks now keep ELU's derivative and uint8 pool
-winners and work in place, and training computes a frozen Conv1's output
-once per item and runs the frozen blocks above it cache-free; every
-comparison is by tobytes(), so a changed sign of zero fails too.
+put_along_axis, dropout as a product with a float mask, a conv stage and
+its input gradient over the whole length at once, the in-place inference
+ELU as a masked expm1, and training as a full training forward of every
+block in every step. The blocks now keep ELU's derivative, bool dropout
+survivors and uint8 pool winners, work in place and in time blocks, and
+training computes a frozen Conv1's output once per item and runs the
+frozen blocks above it cache-free; every comparison is by tobytes(), so a
+changed sign of zero fails too.
 """
 
 import numpy as np
@@ -15,9 +17,11 @@ import pytest
 
 from onsetkit.layers import Conv2d, bce_loss, bce_loss_grad, elu, pool_freq3, unpool_freq3
 from onsetkit.models import (
+    BLOCK_FRAMES,
     VARIANTS,
     FreezeConfig,
     Model,
+    _time_blocks,
     apply_freeze,
     build_model,
     canonical_freeze_ids,
@@ -92,14 +96,28 @@ def test_maxpool_training_matches_argmax(bands):
         assert unpool_freq3(gy, winners, x.shape).tobytes() == want_backward(gy).tobytes()
 
 
+def conv_input_grad_ref(conv, gy, in_shape):
+    """Conv2d's input gradient as one whole-length scatter, tap by tap."""
+    w = conv.params["w"].astype(np.float64)
+    t_out, f_out = gy.shape[:2]
+    gy2 = gy.reshape(-1, conv.cout)
+    gx = np.zeros(in_shape)
+    for i in range(conv.kt):
+        for j in range(conv.kf):
+            gx[i : i + t_out, j : j + f_out] += (gy2 @ w[i, j].T).reshape(t_out, f_out, conv.cin)
+    return gx
+
+
 def stage_ref(stage, x, rng, gy):
-    """A conv stage's training forward and backward in the old formulas.
+    """A conv stage's training forward and backward in the old formulas,
+    over the whole length at once.
 
     Returns (output, dLoss/dinput, conv weight grads)."""
     conv = Conv2d(stage.conv.kt, stage.conv.kf, stage.conv.cin, stage.conv.cout)
     conv.params = stage.conv.params
     p = stage.pad_t
-    y = conv.forward(np.pad(x, ((p, p), (0, 0), (0, 0))), training=True)
+    xp = np.pad(x, ((p, p), (0, 0), (0, 0)))
+    y = conv.forward(xp, training=True)
     y, d = elu_ref(y)
     rate = stage.rate
     mask = (rng.random(y.shape) >= rate) / (1.0 - rate) if rate else None
@@ -111,35 +129,69 @@ def stage_ref(stage, x, rng, gy):
     g = pool_backward(gy) if pool_backward else gy
     if mask is not None:
         g = g * mask
-    gx = conv.backward(g * d)
+    g = g * d
+    conv.backward(g, input_grad=False)
+    gx = conv_input_grad_ref(conv, g, xp.shape)
     return y, gx[p : gx.shape[0] - p], conv.grads
+
+
+B = BLOCK_FRAMES
+# one block, and the multi-block lengths of test_models' BLOCK_PROBE_FRAMES
+STAGE_PROBE_FRAMES = (40, B - 1, B, B + 1, 2 * B + 1, 500, 3001)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
 def test_conv_stage_training_matches_old_formulas(variant, rate):
-    model = build_model(variant, seed=5, dropout_rate=rate)
-    bands, cin = 81, 1
-    for i, nl in enumerate(model.layers[:3]):
-        stage = nl.block
-        # zeroed input rows leave the bias alone, and a bias of -800 on one
-        # channel saturates its ELU: both give pooling ties
-        stage.conv.params["b"][...] = np.linspace(-1.0, 1.0, stage.conv.cout)
-        stage.conv.params["b"][0] = -800.0
-        x = edge_inputs((40, bands, cin), 10 + i)
-        x[::4] = 0.0
-        out_shape = (40, stage.out_bands(bands), stage.conv.cout)
-        gy = edge_inputs(out_shape, 20 + i)
-        want_y, want_gx, want_grads = stage_ref(stage, x, np.random.default_rng(i), gy)
-        y = stage.forward(x, True, np.random.default_rng(i))
-        assert y.tobytes() == want_y.tobytes(), (nl.name, rate)
-        gy_before = gy.copy()
-        gx = stage.backward(gy)
-        assert gy.tobytes() == gy_before.tobytes(), nl.name  # the gradient is not written
-        assert gx.tobytes() == want_gx.tobytes(), (nl.name, rate)
-        for k, v in want_grads.items():
-            assert stage.conv.grads[k].tobytes() == v.tobytes(), (nl.name, k, rate)
-        bands, cin = out_shape[1], out_shape[2]
+    for frames in STAGE_PROBE_FRAMES:
+        model = build_model(variant, seed=5, dropout_rate=rate)
+        bands, cin = 81, 1
+        for i, nl in enumerate(model.layers[:3]):
+            stage = nl.block
+            # zeroed input rows leave the bias alone, and a bias of -800 on
+            # one channel saturates its ELU: both give pooling ties
+            stage.conv.params["b"][...] = np.linspace(-1.0, 1.0, stage.conv.cout)
+            stage.conv.params["b"][0] = -800.0
+            x = edge_inputs((frames, bands, cin), 10 + i)
+            x[::4] = 0.0
+            out_shape = (frames, stage.out_bands(bands), stage.conv.cout)
+            gy = edge_inputs(out_shape, 20 + i)
+            want_rng = np.random.default_rng(i)
+            want_y, want_gx, want_grads = stage_ref(stage, x, want_rng, gy)
+            rng = np.random.default_rng(i)
+            y = stage.forward(x, True, rng)
+            where = (nl.name, frames, rate)
+            assert y.tobytes() == want_y.tobytes(), where
+            assert rng.random() == want_rng.random(), where  # every mask drawn, none extra
+            gy_before = gy.copy()
+            gx = stage.backward(gy)
+            assert gy.tobytes() == gy_before.tobytes(), where  # the gradient is not written
+            assert gx.tobytes() == want_gx.tobytes(), where
+            for k, v in want_grads.items():
+                assert stage.conv.grads[k].tobytes() == v.tobytes(), (k,) + where
+            bands, cin = out_shape[1], out_shape[2]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_blocked_conv_input_gradient_matches_the_tap_by_tap_formula(variant):
+    # every stage's conv given time blocks whatever its size (Conv1's one
+    # input channel keeps one block), from gradients with signed zeros,
+    # subnormals and whole zero frames
+    model = build_model(variant, seed=8)
+    for frames in STAGE_PROBE_FRAMES:
+        bands = 81
+        for i, nl in enumerate(model.layers[:3]):
+            conv = nl.block.conv
+            xp = edge_inputs((frames + conv.kt - 1, bands, conv.cin), 30 + i)
+            conv.forward(xp, training=True)
+            gy = edge_inputs((frames, bands - conv.kf + 1, conv.cout), 40 + i)
+            gy[::5] = 0.0
+            spans = _time_blocks(frames, np.inf)
+            assert len(spans) == max(1, frames // B)
+            want = conv_input_grad_ref(conv, gy, xp.shape)
+            got = conv.backward(gy, param_grads=False, spans=spans)
+            assert got.tobytes() == want.tobytes(), (nl.name, frames)
+            bands = nl.block.out_bands(bands)
 
 
 def _record_input_grad(monkeypatch, force=None):
