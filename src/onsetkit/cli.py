@@ -2,7 +2,9 @@
 
 Subcommands cover the full protocol: synth, features, pretrain, finetune,
 detect, eval, grid, report. Exit codes: 0 success, 1 usage error, 2 data
-error, 3 numeric divergence during training.
+error, 3 numeric divergence during training. An option that feeds a library
+parameter is stored under that parameter's name and passed only when given,
+so an omitted one takes the library's default.
 """
 
 from __future__ import annotations
@@ -51,14 +53,15 @@ def positive_int(text: str) -> int:
     return n
 
 
+def _given(args, *names) -> dict:
+    """{name: value} of the named options the command line gave."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _cmd_synth(args) -> int:
-    if args.config is not None:
-        spec = load_corpus_spec(args.config)
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
-    else:
-        spec = default_corpus_spec(seed=args.seed or 0, files_per_instrument=args.files,
-                                   file_duration=args.duration, tempo=args.tempo)
+    spec = load_corpus_spec(args.config) if args.config is not None else default_corpus_spec()
+    spec = dataclasses.replace(spec, **_given(args, "seed", "files_per_instrument",
+                                              "file_duration", "tempo"))
     manifest = generate_corpus(spec, args.out, force=args.force, threads=args.threads)
     n = len(spec.instruments) * spec.files_per_instrument
     print(f"wrote {n} files, manifest {manifest}")
@@ -78,9 +81,8 @@ def _cmd_pretrain(args) -> int:
     instruments = args.instruments.split(",") if args.instruments else None
     if instruments is None:
         instruments = list(load_dataset(args.corpus))
-    model, history = pretrain_model(args.corpus, instruments, args.variant,
-                                    epochs=args.epochs, seed=args.seed or 0,
-                                    base_lr=args.lr, dropout_rate=args.dropout)
+    model, history = pretrain_model(args.corpus, instruments, args.variant, epochs=args.epochs,
+                                    **_given(args, "seed", "base_lr", "dropout_rate"))
     save_model(model, args.out)
     print(f"{args.variant} on {','.join(instruments)}: "
           f"loss {history[0]:.4f} -> {history[-1]:.4f}, saved {args.out}")
@@ -88,8 +90,8 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
-    config = FinetuneConfig(freeze=FreezeConfig.from_id(args.freeze), seed=args.seed or 0,
-                            epochs=args.epochs, lr_scale=args.lr_scale, base_lr=args.lr)
+    config = FinetuneConfig(FreezeConfig.from_id(args.freeze),
+                            **_given(args, "seed", "epochs", "lr_scale", "base_lr"))
     model = load_model(args.model)
     dataset = load_dataset(args.corpus)
     if args.instrument not in dataset:
@@ -105,8 +107,8 @@ def _cmd_finetune(args) -> int:
 def _cmd_detect(args) -> int:
     model = load_model(args.model)
     feats = extract_features(load_audio(args.audio))
-    params = PeakPickParams(threshold=args.threshold, delta=args.delta, min_gap=args.min_gap)
-    onsets = peak_pick(model.forward(feats), params)
+    onsets = peak_pick(model.forward(feats),
+                       PeakPickParams(**_given(args, "threshold", "delta", "min_gap")))
     out = Path(args.out) if args.out else Path(args.audio).with_suffix(".est.onsets")
     save_annotations(onsets, out)
     print(f"{len(onsets)} onsets -> {out}")
@@ -116,17 +118,13 @@ def _cmd_detect(args) -> int:
 def _cmd_eval(args) -> int:
     est = load_annotations(args.estimates)
     ref = load_annotations(args.reference)
-    p, r, f1 = compute_prf(match_onsets(est, ref, args.tolerance))
+    p, r, f1 = compute_prf(match_onsets(est, ref, **_given(args, "tolerance")))
     print(f"P={p:.3f} R={r:.3f} F1={f1:.3f}")
     return 0
 
 
 def _cmd_grid(args) -> int:
-    config = load_config(args.config)
-    if args.out is not None:
-        config = dataclasses.replace(config, out_dir=args.out)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = dataclasses.replace(load_config(args.config), **_given(args, "out_dir", "seed"))
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(config, out / "config.json")  # the resolved, diff-able record
@@ -155,9 +153,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="corpus directory")
     p.add_argument("--config", help="corpus spec JSON (default: built-in roster)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--files", type=int, default=10, help="files per instrument")
-    p.add_argument("--duration", type=float, default=30.0, help="file length in s")
-    p.add_argument("--tempo", type=float, default=180.0)
+    p.add_argument("--files", type=int, dest="files_per_instrument", help="files per instrument")
+    p.add_argument("--duration", type=float, dest="file_duration", help="file length in s")
+    p.add_argument("--tempo", type=float)
     p.add_argument("--threads", type=positive_int, default=1)
     p.add_argument("--force", action="store_true", help="overwrite existing files")
     p.set_defaults(func=_cmd_synth)
@@ -174,8 +172,8 @@ def build_parser() -> _Parser:
     p.add_argument("--instruments", help="comma-separated subset (default: all)")
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--seed", type=int)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--dropout", type=float, default=0.1)
+    p.add_argument("--lr", type=float, dest="base_lr")
+    p.add_argument("--dropout", type=float, dest="dropout_rate")
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("finetune", help="adapt a model to one instrument snippet")
@@ -185,9 +183,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="adapted model file")
     p.add_argument("--freeze", default="ft", help="freeze id, e.g. ft, ft_Conv3, ft_Tcn16")
     p.add_argument("--offset", type=float, help="snippet offset s (default: first annotated window)")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr-scale", type=float, default=0.25, dest="lr_scale")
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--lr-scale", type=float, dest="lr_scale")
+    p.add_argument("--lr", type=float, dest="base_lr")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_finetune)
 
@@ -195,20 +193,20 @@ def build_parser() -> _Parser:
     p.add_argument("model")
     p.add_argument("audio")
     p.add_argument("--out", help="output .onsets (default: <audio>.est.onsets)")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--min-gap", type=float, default=0.03, dest="min_gap")
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--min-gap", type=float, dest="min_gap")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("eval", help="score estimated onsets against a reference")
     p.add_argument("estimates")
     p.add_argument("reference")
-    p.add_argument("--tolerance", type=float, default=0.025)
+    p.add_argument("--tolerance", type=float)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("grid", help="run the full fine-tuning grid from a config")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--out", help="override the config's output directory")
+    p.add_argument("--out", dest="out_dir", help="override the config's output directory")
     p.add_argument("--seed", type=int, help="override the config's seed")
     p.add_argument("--threads", type=positive_int, default=1)
     p.set_defaults(func=_cmd_grid)

@@ -31,9 +31,11 @@ import numpy as np
 
 from .audio import AudioClip, OnsetAnnotations, load_annotations, load_audio
 from .errors import ConfigError, DataError, OnsetKitError, SnippetError
-from .evaluate import EvalResult, PeakPickParams, aggregate, delta_pp, match_onsets, peak_pick
+from .evaluate import (DEFAULT_TOLERANCE, EvalResult, PeakPickParams, aggregate, delta_pp,
+                       match_onsets, peak_pick)
 from .features import extract_features
 from .models import (
+    DROPOUT_RATE,
     LAYER_NAMES,
     VARIANTS,
     FreezeConfig,
@@ -42,22 +44,14 @@ from .models import (
     canonical_freeze_ids,
     load_model,
 )
-from .synth import MANIFEST_NAME, CorpusSpec, InstrumentProfile, generate_corpus, load_manifest, make_profile
-from .training import FinetuneConfig, check_schedule, finetune, make_targets, train
+from .synth import (MANIFEST_NAME, CorpusSpec, FilePair, InstrumentProfile, generate_corpus,
+                    load_manifest, make_profile)
+from .training import BASE_LR, FinetuneConfig, check_schedule, finetune, make_targets, train
 
 RESULTS_FORMAT_LINE = "# results-format: 1"  # a results file's first line
 EXCLUDED_REAL_INDEX = 34
+SNIPPET_DURATION = 5.0  # s, the fine-tuning snippet
 SNIPPET_OFFSET_GRID = 0.1  # s, scan step for the default snippet offset
-
-
-@dataclass(frozen=True)
-class FilePair:
-    """One audio file with its annotation file."""
-
-    instrument: str
-    index: int
-    wav: Path
-    onsets: Path
 
 
 def check_snippet_window(offset: float | None, duration: float) -> None:
@@ -79,13 +73,13 @@ class ExperimentConfig:
     instruments: tuple[str, ...] | None = None  # None = every instrument in the corpus
     freeze_configs: tuple[str, ...] = tuple(canonical_freeze_ids())
     snippet_offset: float | None = None  # None = earliest annotated window
-    snippet_duration: float = 5.0
-    epochs: int = 50
-    lr_scale: float = 0.25
-    base_lr: float = 1e-3
-    dropout_active: bool = True
+    snippet_duration: float = SNIPPET_DURATION
+    epochs: int = FinetuneConfig.epochs
+    lr_scale: float = FinetuneConfig.lr_scale
+    base_lr: float = FinetuneConfig.base_lr
+    dropout_active: bool = FinetuneConfig.dropout_active
     peak_pick: PeakPickParams = PeakPickParams()
-    tolerance: float = 0.025
+    tolerance: float = DEFAULT_TOLERANCE
     seed: int = 0
     out_dir: str | Path = "results"
 
@@ -109,9 +103,7 @@ class ExperimentConfig:
         check_snippet_window(self.snippet_offset, self.snippet_duration)
         if not 0.0 < self.tolerance < np.inf:
             raise ConfigError(f"tolerance must be > 0 s, got {self.tolerance}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        check_schedule(self.epochs, self.lr_scale, self.base_lr)
+        check_schedule(self.epochs, self.lr_scale, self.base_lr, self.seed)
 
 
 @dataclass(frozen=True)
@@ -130,12 +122,19 @@ class ResultRow:
     per_file_f1: tuple
 
     def __post_init__(self):
-        if not 0.0 <= self.mean_f1 <= 1.0:
-            raise ConfigError(f"mean F1 out of range: {self.mean_f1}")
-        if abs(self.delta_pp - (self.mean_f1 - self.baseline_f1) * 100.0) > 1e-9:
+        # each check is written so that NaN fails it
+        for what, f1 in [("mean F1", self.mean_f1), ("baseline F1", self.baseline_f1),
+                         *(("per-file F1", v) for v in self.per_file_f1)]:
+            if not 0.0 <= f1 <= 1.0:
+                raise ConfigError(f"{what} out of range: {f1}")
+        if not abs(self.delta_pp - (self.mean_f1 - self.baseline_f1) * 100.0) <= 1e-9:
             raise ConfigError("delta_pp does not match mean - baseline")
         if self.n_files != len(self.per_file_f1):
             raise ConfigError("n_files does not match per-file list")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.wall_s < np.inf:
+            raise ConfigError(f"wall_s must be finite and >= 0, got {self.wall_s}")
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in CSV_COLUMNS}
@@ -159,11 +158,10 @@ def load_dataset(root) -> dict:
     out: dict = {}
     manifest = root / MANIFEST_NAME
     if manifest.exists():
-        meta, entries = load_manifest(manifest)
+        meta, pairs = load_manifest(manifest)
         out = {name: [] for name in meta["instruments"]}
-        for e in entries:
-            out[e.instrument].append(
-                FilePair(e.instrument, e.index, e.wav_path(root), e.onsets_path(root)))
+        for pair in pairs:
+            out[pair.instrument].append(pair)
     else:
         for sub in sorted(p for p in root.iterdir() if p.is_dir()):
             pairs = []
@@ -187,7 +185,7 @@ def load_dataset(root) -> dict:
     return out
 
 
-def extract_snippet(pairs, offset: float | None = None, duration: float = 5.0):
+def extract_snippet(pairs, offset: float | None = None, duration: float = SNIPPET_DURATION):
     """Cut the fine-tuning snippet from the instrument's first file.
 
     Returns (features, targets, held_out_index); the held-out index is the
@@ -245,7 +243,7 @@ def _load_eval_file(pair: FilePair, cache: dict | None):
 
 
 def evaluate_model(model: Model, pairs, exclude_index: int | None,
-                   params: PeakPickParams | None = None, tolerance: float = 0.025,
+                   params: PeakPickParams | None = None, tolerance: float = DEFAULT_TOLERANCE,
                    cache: dict | None = None, start: int = 0,
                    inputs: dict | None = None) -> EvalResult:
     """Run the model over every file except the held-out one and score it.
@@ -551,15 +549,16 @@ def strip_wall_column(csv_text: str) -> str:
         for rec in [CSV_COLUMNS, *_result_records(csv_text, "results text")])
 
 
-def pretrain_model(corpus_dir, instruments, variant: str, epochs: int,
-                   seed: int = 0, base_lr: float = 1e-3,
-                   dropout_rate: float = 0.1) -> tuple:
+def pretrain_model(corpus_dir, instruments, variant: str, epochs: int, seed: int = 0,
+                   base_lr: float = BASE_LR, dropout_rate: float = DROPOUT_RATE) -> tuple:
     """Train a fresh base model on whole files of the given instruments.
 
     Targets come from each file's own annotations, so supervising on
     time-keeping instruments alone trains a beat-style detector.
     """
     check_schedule(epochs, base_lr=base_lr, seed=seed)
+    if len(set(instruments)) < len(instruments):
+        raise ConfigError(f"instruments repeats an entry: {list(instruments)}")
     dataset = load_dataset(corpus_dir)
     items = []
     for name in instruments:

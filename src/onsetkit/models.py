@@ -28,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ModelFormatError, ShapeError
+from .features import FRAME_RATE, N_BANDS
 from .layers import (Conv2d, Dense, DilatedConv1d, dropout, dropout_mask, elu, pool_freq3,
                      sigmoid, unpool_freq3)
 
 VARIANTS = ("tcn_v1", "tcn_v2")
 TCN_CHANNELS = 16
-N_BANDS = 81
+DROPOUT_RATE = 0.1
 FORMAT_VERSION = 1
 MAGIC = "onsetkit-model"
 
@@ -364,18 +365,11 @@ class Model:
         return self._tensors("grads", trainable_only)
 
 
-def build_model(
-    variant: str,
-    seed: int,
-    n_bands: int = N_BANDS,
-    dropout_rate: float = 0.1,
-    dtype=np.float32,
-) -> Model:
-    """Construct an initialized model; only 81 input bands are supported."""
+def build_model(variant: str, seed: int, dropout_rate: float = DROPOUT_RATE,
+                dtype=np.float32) -> Model:
+    """Construct an initialized model for N_BANDS-band features."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if n_bands != N_BANDS:
-        raise ConfigError(f"the front-ends require {N_BANDS} bands, got {n_bands}")
     if not 0.0 <= dropout_rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     rng = np.random.default_rng(seed)
@@ -393,7 +387,7 @@ def build_model(
             ConvStage(1, 10, 20, 20, True, rate, rng, dtype),
             ConvStage(3, 3, 20, 20, True, rate, rng, dtype),
         ]
-    bands = n_bands
+    bands = N_BANDS
     for i, st in enumerate(stages):
         layers.append(NamedLayer(f"Conv{i + 1}", st))
         bands = st.out_bands(bands)
@@ -426,7 +420,7 @@ def receptive_field(model: Model, through_layer: str) -> tuple[int, float]:
         frames += nl.block.rf_add
         if nl.name == through_layer:
             break
-    return frames, frames * 1000.0 / 100
+    return frames, frames * 1000.0 / FRAME_RATE
 
 
 @dataclass(frozen=True)

@@ -128,9 +128,9 @@ def default_instruments() -> tuple[InstrumentProfile, ...]:
     )
 
 
-def default_corpus_spec(seed: int = 0, files_per_instrument: int = 10,
-                        file_duration: float = 30.0, tempo: float = 180.0) -> CorpusSpec:
-    return CorpusSpec(default_instruments(), files_per_instrument, file_duration, tempo, seed)
+def default_corpus_spec(**fields) -> CorpusSpec:
+    """The default roster with CorpusSpec's defaults for the fields not given."""
+    return CorpusSpec(default_instruments(), **fields)
 
 
 def make_profile(name: str, role: str, seed: int) -> InstrumentProfile:
@@ -265,17 +265,13 @@ def render_file(profile: InstrumentProfile, duration: float, tempo: float,
 
 
 @dataclass(frozen=True)
-class ManifestEntry:
-    stem: str
+class FilePair:
+    """One audio file with its annotation file."""
+
     instrument: str
     index: int
-    seed_tag: str
-
-    def wav_path(self, root) -> Path:
-        return Path(root) / f"{self.stem}.wav"
-
-    def onsets_path(self, root) -> Path:
-        return Path(root) / f"{self.stem}.onsets"
+    wav: Path
+    onsets: Path
 
 
 def file_seed(corpus_seed: int, instrument: str, index: int) -> np.random.SeedSequence:
@@ -294,30 +290,25 @@ def generate_corpus(spec: CorpusSpec, out_dir, force: bool = False, threads: int
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = [(p, i) for p in spec.instruments for i in range(1, spec.files_per_instrument + 1)]
-    stems = [f"{p.name}_{i:02d}" for p, i in jobs]
-    targets = [out / MANIFEST_NAME]
-    for stem in stems:
-        targets += [out / f"{stem}.wav", out / f"{stem}.onsets"]
+    profiles = {p.name: p for p in spec.instruments}
+    pairs = [FilePair(name, i, out / f"{name}_{i:02d}.wav", out / f"{name}_{i:02d}.onsets")
+             for name in profiles for i in range(1, spec.files_per_instrument + 1)]
     if not force:
-        for path in targets:
+        for path in [out / MANIFEST_NAME] + [q for pair in pairs for q in (pair.wav, pair.onsets)]:
             if path.exists():
                 raise FileExistsError(f"{path} exists; pass force to overwrite")
 
-    def render_one(job):
-        profile, idx = job
-        stem = f"{profile.name}_{idx:02d}"
-        clip, ann = render_file(profile, spec.file_duration, spec.tempo,
-                                file_seed(spec.seed, profile.name, idx))
-        save_wav(clip, out / f"{stem}.wav")
-        save_annotations(ann, out / f"{stem}.onsets")
-        return ManifestEntry(stem, profile.name, idx, _seed_tag(spec.seed, profile.name, idx))
+    def render_one(pair):
+        clip, ann = render_file(profiles[pair.instrument], spec.file_duration, spec.tempo,
+                                file_seed(spec.seed, pair.instrument, pair.index))
+        save_wav(clip, pair.wav)
+        save_annotations(ann, pair.onsets)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(render_one, jobs))
+            list(pool.map(render_one, pairs))
     else:
-        entries = [render_one(job) for job in jobs]
+        list(map(render_one, pairs))
 
     lines = [
         f"{MANIFEST_MAGIC} {MANIFEST_VERSION}",
@@ -327,14 +318,17 @@ def generate_corpus(spec: CorpusSpec, out_dir, force: bool = False, threads: int
         f"files_per_instrument {spec.files_per_instrument}",
         "instruments " + ",".join(p.name for p in spec.instruments),
     ]
-    lines += [f"file {e.stem} {e.instrument} {e.index} {e.seed_tag}" for e in entries]
+    lines += [f"file {pair.wav.stem} {pair.instrument} {pair.index} "
+              f"{_seed_tag(spec.seed, pair.instrument, pair.index)}" for pair in pairs]
     manifest = out / MANIFEST_NAME
     manifest.write_text("\n".join(lines) + "\n")
     return manifest
 
 
-def load_manifest(path) -> tuple[dict, list[ManifestEntry]]:
-    """Parse a corpus manifest into (metadata dict, file entries)."""
+def load_manifest(path) -> tuple[dict, list[FilePair]]:
+    """Parse a corpus manifest into (metadata dict, file pairs), the files
+    lying beside the manifest; a file listed twice, by stem or by
+    instrument and index, is a DataError."""
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
@@ -346,7 +340,8 @@ def load_manifest(path) -> tuple[dict, list[ManifestEntry]]:
     if not lines or lines[0] != f"{MANIFEST_MAGIC} {MANIFEST_VERSION}":
         raise DataError(f"{path}: not a corpus manifest")
     meta: dict = {}
-    entries: list[ManifestEntry] = []
+    pairs: list[FilePair] = []
+    listed: set = set()  # stems and (instrument, index) keys of the file lines so far
     casts = {"seed": int, "tempo": float, "file_duration": float,
              "files_per_instrument": int}
     for ln_no, ln in enumerate(lines[1:], start=2):
@@ -356,9 +351,15 @@ def load_manifest(path) -> tuple[dict, list[ManifestEntry]]:
             if len(parts) != 4:
                 raise DataError(f"{path}:{ln_no}: malformed file entry")
             try:
-                entries.append(ManifestEntry(parts[0], parts[1], int(parts[2]), parts[3]))
+                index = int(parts[2])
             except ValueError as e:
                 raise DataError(f"{path}:{ln_no}: {e}") from e
+            stem, name = parts[0], parts[1]
+            if stem in listed or (name, index) in listed:
+                raise DataError(f"{path}:{ln_no}: file {stem} ({name} {index}) is listed twice")
+            listed.update((stem, (name, index)))
+            pairs.append(FilePair(name, index, path.parent / f"{stem}.wav",
+                                  path.parent / f"{stem}.onsets"))
         elif key == "instruments":
             meta["instruments"] = tuple(rest.split(","))
         elif key in casts:
@@ -371,7 +372,7 @@ def load_manifest(path) -> tuple[dict, list[ManifestEntry]]:
     missing = {"seed", "tempo", "file_duration", "files_per_instrument", "instruments"} - set(meta)
     if missing:
         raise DataError(f"{path}: manifest missing keys {sorted(missing)}")
-    stray = {e.instrument for e in entries} - set(meta["instruments"])
+    stray = {p.instrument for p in pairs} - set(meta["instruments"])
     if stray:
         raise DataError(f"{path}: file entries for {sorted(stray)}, not in the instruments line")
-    return meta, entries
+    return meta, pairs

@@ -13,6 +13,8 @@ from .layers import bce_loss, bce_loss_grad
 from .models import FreezeConfig, Model, apply_freeze, clone_model
 from .optim import make_optimizer
 
+BASE_LR = 1e-3  # learning rate of pretraining, and of fine-tuning before lr_scale
+
 
 def make_targets(onsets: OnsetAnnotations, n_frames: int) -> np.ndarray:
     """Per-frame supervision: 1.0 at the frame nearest each onset, 0.5 on
@@ -29,7 +31,7 @@ def make_targets(onsets: OnsetAnnotations, n_frames: int) -> np.ndarray:
     return y
 
 
-def check_schedule(epochs: int, lr_scale: float = 1.0, base_lr: float = 1e-3,
+def check_schedule(epochs: int, lr_scale: float = 1.0, base_lr: float = BASE_LR,
                    seed: int = 0) -> None:
     """Raise ConfigError unless epochs >= 1, 0 < lr_scale <= 1, base_lr is
     positive and finite, and seed >= 0; NaN fails every check."""
@@ -43,7 +45,7 @@ def check_schedule(epochs: int, lr_scale: float = 1.0, base_lr: float = 1e-3,
         raise ConfigError(f"base_lr must be > 0 and finite, got {base_lr}")
 
 
-def train(model: Model, corpus, epochs: int, lr: float = 1e-3, seed: int = 0):
+def train(model: Model, corpus, epochs: int, lr: float = BASE_LR, seed: int = 0):
     """Train in place: per epoch, one full-sequence gradient step per item
     in seeded shuffled order. Returns (model, per-epoch mean losses).
 
@@ -96,10 +98,10 @@ def train(model: Model, corpus, epochs: int, lr: float = 1e-3, seed: int = 0):
 @dataclass(frozen=True)
 class FinetuneConfig:
     freeze: FreezeConfig
-    seed: int
+    seed: int = 0
     epochs: int = 50
     lr_scale: float = 0.25
-    base_lr: float = 1e-3
+    base_lr: float = BASE_LR
     dropout_active: bool = True
 
     def __post_init__(self):

@@ -1,13 +1,18 @@
+import inspect
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from onsetkit.audio import OnsetAnnotations, save_annotations
+from onsetkit.audio import OnsetAnnotations, load_audio, save_annotations
 from onsetkit.cli import main
 from onsetkit.errors import DivergenceError
-from onsetkit.models import build_model, save_model
+from onsetkit.evaluate import DEFAULT_TOLERANCE, PeakPickParams
+from onsetkit.models import DROPOUT_RATE, FreezeConfig, build_model, save_model
+from onsetkit.synth import default_corpus_spec, load_manifest
+from onsetkit.training import BASE_LR, FinetuneConfig
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +86,14 @@ def test_synth_corpus_config(tmp_path):
                  str(tmp_path / "corpus.json")]) == 0
     assert (tmp_path / "c" / "solo_01.wav").exists()
     assert (tmp_path / "c" / "solo_02.wav").exists()
+    # explicit flags override the spec's fields
+    assert main(["synth", "--out", str(tmp_path / "d"), "--config", str(tmp_path / "corpus.json"),
+                 "--files", "3", "--duration", "6", "--tempo", "165", "--seed", "4"]) == 0
+    meta, pairs = load_manifest(tmp_path / "d" / "manifest.txt")
+    assert [meta[k] for k in ("files_per_instrument", "file_duration", "tempo", "seed")] == [
+        3, 6.0, 165.0, 4]
+    assert [p.wav.name for p in pairs] == ["solo_01.wav", "solo_02.wav", "solo_03.wav"]
+    assert len(load_audio(pairs[2].wav).samples) == 6 * 44100
 
 
 @pytest.mark.parametrize("key, value", [("files_per_instrument", 2.5), ("seed", 1.5)])
@@ -282,6 +295,44 @@ def test_divergence_maps_to_exit_3(monkeypatch, corpus, model_file, tmp_path, ca
     assert "epoch 4" in capsys.readouterr().err
 
 
+def test_omitted_options_take_the_library_defaults(corpus, model_file, tmp_path, monkeypatch):
+    """Run with only its required arguments, each command hands the library
+    its own defaults; the command line restates none of them."""
+    import onsetkit.cli as cli
+    calls = {}
+
+    def spy(name, stub=None):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls[name] = bound.arguments
+            return real(*args, **kwargs) if stub is None else stub(bound.arguments)
+        monkeypatch.setattr(cli, name, call)
+
+    spy("generate_corpus", lambda a: Path(a["out_dir"]) / "manifest.txt")
+    spy("pretrain_model", lambda a: (build_model(a["variant"], seed=0), [1.0]))
+    spy("finetune", lambda a: a["model"])
+    spy("peak_pick")
+    spy("match_onsets")
+    wav, onsets = corpus / "drone_tone_02.wav", corpus / "drone_tone_02.onsets"
+    for argv in (["synth", "--out", str(tmp_path / "c")],
+                 ["pretrain", str(corpus), "--out", str(tmp_path / "p.model")],
+                 ["finetune", str(model_file), str(corpus), "ring_bell",
+                  "--out", str(tmp_path / "f.model")],
+                 ["detect", str(model_file), str(wav), "--out", str(tmp_path / "est.onsets")],
+                 ["eval", str(onsets), str(onsets)]):
+        assert main(argv) == 0, argv
+    assert calls["generate_corpus"]["spec"] == default_corpus_spec()
+    pretrain = calls["pretrain_model"]
+    assert [pretrain[k] for k in ("epochs", "seed", "base_lr", "dropout_rate")] == [
+        20, 0, BASE_LR, DROPOUT_RATE]  # 20 epochs is the command line's own default
+    assert calls["finetune"]["config"] == FinetuneConfig(FreezeConfig.from_id("ft"), seed=0)
+    assert calls["peak_pick"]["params"] == PeakPickParams()
+    assert calls["match_onsets"]["tolerance"] == DEFAULT_TOLERANCE
+
+
 @pytest.mark.parametrize("argv, code", [
     (["detect", "{model}", "{wav}", "--out", "{out}", "--min-gap", "nan"], 1),
     (["detect", "{model}", "{wav}", "--out", "{out}", "--min-gap", "inf"], 1),
@@ -306,13 +357,15 @@ def test_divergence_maps_to_exit_3(monkeypatch, corpus, model_file, tmp_path, ca
     (["pretrain", "{corpus}", "--out", "{out}", "--epochs", "1", "--seed", "-1"], 1),
     (["finetune", "{model}", "{corpus}", "ring_bell", "--out", "{out}", "--epochs", "1",
       "--seed", "-1"], 1),
+    (["pretrain", "{corpus}", "--out", "{out}", "--epochs", "1",
+      "--instruments", "drone_tone,drone_tone"], 1),
 ], ids=["detect-min-gap-nan", "detect-min-gap-inf", "detect-delta-nan", "synth-duration-nan",
         "synth-duration-inf", "eval-tolerance-nan", "eval-tolerance-negative",
         "eval-inf-onset", "grid-tolerance-nan", "grid-duplicate-freeze", "finetune-lr-negative",
         "finetune-lr-nan", "pretrain-epochs-0", "pretrain-lr-negative", "pretrain-lr-0",
         "pretrain-lr-nan", "pretrain-lr-inf", "pretrain-dropout-1", "pretrain-dropout-nan",
         "finetune-offset-negative", "finetune-offset-nan", "pretrain-seed-negative",
-        "finetune-seed-negative"])
+        "finetune-seed-negative", "pretrain-instruments-repeated"])
 def test_out_of_range_values_exit_with_one_error_line(corpus, model_file, tmp_path, capsys,
                                                       argv, code):
     """1 for a config value, 2 for a data file; nothing is written."""

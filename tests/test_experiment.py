@@ -319,6 +319,11 @@ def test_read_results_malformed_rows_are_data_errors(tmp_path):
                      ('"[0.5, 0.5]"', '"[1' + "0" * 400 + ', 0.5]"'),  # too big for a float
                      ("0.5,0.25,25.0", "0.5,0.25,99.0"),  # delta_pp is not mean - baseline
                      ("0.5,0.25,25.0", "1.5,0.25,125.0"),  # mean F1 out of range
+                     ("0.5,0.25,25.0", "0.5,nan,25.0"), ("0.5,0.25,25.0", "0.5,0.25,nan"),
+                     ("0.5,0.25,25.0", "0.5,5.0,-450.0"),  # baseline F1 out of range
+                     ('"[0.5, 0.5]"', '"[7.0, 0.5]"'), ('"[0.5, 0.5]"', '"[NaN, 0.5]"'),
+                     (",2,1,0.1,", ",2,-3,0.1,"),  # negative seed
+                     (",1,0.1,", ",1,nan,"), (",1,0.1,", ",1,-1.0,"),  # wall time
                      (",2,1,", ",3,1,")]:  # n_files does not match the list
         assert old in text
         bad.write_text(text.replace(old, new, 1))

@@ -149,8 +149,8 @@ def test_corpus_layout_and_manifest(tmp_path):
     assert meta["seed"] == 5 and meta["instruments"] == ("alpha", "beta")
     assert len(entries) == 4
     for e in entries:
-        assert e.wav_path(tmp_path / "c").exists()
-        assert e.onsets_path(tmp_path / "c").exists()
+        assert e.wav.exists() and e.wav.parent == tmp_path / "c"
+        assert e.onsets.exists() and e.onsets.parent == tmp_path / "c"
     # overwrite refused without force, allowed with it
     with pytest.raises(FileExistsError):
         generate_corpus(spec, tmp_path / "c")
@@ -202,6 +202,12 @@ def test_manifest_errors(tmp_path):
                  "files_per_instrument 1\ninstruments a\nfile b_01 b 1 1-2-1\n")
     with pytest.raises(DataError, match="not in the instruments line"):
         load_manifest(p)
+    head = ("onsetkit-corpus 1\nseed 1\ntempo 180\nfile_duration 5\n"
+            "files_per_instrument 2\ninstruments a\n")
+    for second in ("file a_01 a 1 1-2-1", "file a_1 a 1 1-2-1"):  # same stem, same (a, 1)
+        p.write_text(head + "file a_01 a 1 1-2-1\n" + second + "\n")
+        with pytest.raises(DataError, match=r"m\.txt:8: .*listed twice"):
+            load_manifest(p)
 
 
 _MANIFEST_KEYS = ["seed 1", "tempo 180", "file_duration 5", "files_per_instrument 2",
