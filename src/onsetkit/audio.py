@@ -2,7 +2,7 @@
 
 WAV support is deliberately narrow: RIFF/WAVE containers with 16-bit PCM,
 24-bit PCM, or 32-bit float samples, mono or stereo. Everything is folded
-down to a mono float buffer in [-1, 1] at 44100 Hz.
+down to a mono float buffer in [-1, 1]; the file must be at 44100 Hz.
 
 Annotation files are plain UTF-8 text, one onset time in seconds per line,
 '#' starting a comment line; ".onsets" extension by convention.
@@ -111,12 +111,11 @@ def _decode_samples(raw: bytes, fmt_tag: int, bits: int, n_channels: int) -> np.
     return x
 
 
-def load_audio(path: str | Path, resample: bool = False) -> AudioClip:
-    """Load a WAV file as a mono clip at 44100 Hz.
+def load_audio(path: str | Path) -> AudioClip:
+    """Load a 44100 Hz WAV file as a mono clip.
 
-    Stereo channels are averaged. If the source rate differs from 44100 Hz,
-    `resample=True` enables linear-interpolation resampling; otherwise a
-    SampleRateError is raised.
+    Stereo channels are averaged. Any other sample rate raises
+    SampleRateError: the file must be converted to 44.1 kHz first.
     """
     data = Path(path).read_bytes()
     if not data:
@@ -141,20 +140,11 @@ def load_audio(path: str | Path, resample: bool = False) -> AudioClip:
     if samples.size == 0:
         raise EmptyInputError(f"no samples in {path}")
     if rate != TARGET_RATE:
-        if not resample:
-            raise SampleRateError(f"{path}: {rate} Hz (expected {TARGET_RATE}; pass resample)")
-        samples = _resample_linear(samples, rate, TARGET_RATE)
+        raise SampleRateError(f"{path}: {rate} Hz; convert the file to 44.1 kHz first")
     peak = np.max(np.abs(samples))
     if peak > 1.0:
         samples = samples / peak
     return AudioClip(samples=samples, sample_rate=TARGET_RATE)
-
-
-def _resample_linear(x: np.ndarray, src_rate: int, dst_rate: int) -> np.ndarray:
-    """Linear-interpolation resampling; output length = round(n * dst/src)."""
-    n_out = int(round(len(x) * dst_rate / src_rate))
-    src_pos = np.arange(n_out) * (src_rate / dst_rate)
-    return np.interp(src_pos, np.arange(len(x)), x)
 
 
 def save_wav(clip: AudioClip, path: str | Path) -> None:

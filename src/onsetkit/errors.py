@@ -18,7 +18,7 @@ class AudioFormatError(DataError):
 
 
 class SampleRateError(DataError):
-    """Sample rate differs from 44100 Hz and resampling was not requested."""
+    """Sample rate differs from 44100 Hz."""
 
 
 class EmptyInputError(DataError):

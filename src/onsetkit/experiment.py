@@ -244,21 +244,19 @@ def _load_eval_file(pair: FilePair, cache: dict | None):
 
 def evaluate_model(model: Model, pairs, exclude_index: int | None,
                    params: PeakPickParams | None = None, tolerance: float = DEFAULT_TOLERANCE,
-                   cache: dict | None = None, start: int = 0,
-                   inputs: dict | None = None) -> EvalResult:
+                   cache: dict | None = None, prefixes: dict | None = None) -> EvalResult:
     """Run the model over every file except the held-out one and score it.
 
-    With start > 0, inputs maps each file to the activation entering block
-    start (see _conv3_inputs), and each forward begins there: exact
-    when the model's blocks below start equal those of the model that made
-    the activations.
+    prefixes, when given, maps each file to an inference Model.prefix of
+    it, and each forward begins there: exact when the model's blocks below
+    the prefix's start equal those of the model that made it.
     """
     counts, ids = [], []
     for pair in sorted(pairs, key=lambda p: p.index):
         if pair.index == exclude_index:
             continue
         feats, ref = _load_eval_file(pair, cache)
-        act = model.forward(inputs[str(pair.wav)], start=start) if start else model.forward(feats)
+        act = model.forward(feats if prefixes is None else prefixes[str(pair.wav)])
         counts.append(match_onsets(peak_pick(act, params), ref, tolerance))
         ids.append(pair.index)
     if not counts:
@@ -276,19 +274,6 @@ def evaluate_model(model: Model, pairs, exclude_index: int | None,
 _SCORING_START = LAYER_NAMES.index("Conv3")
 
 
-def _conv3_inputs(model: Model, pairs, exclude_index: int | None, cache: dict | None) -> dict:
-    """{file: the model's inference activation entering Conv3} for every
-    file except the held-out one; the arrays are read-only."""
-    inputs = {}
-    for pair in pairs:
-        if pair.index == exclude_index:
-            continue
-        act = model.forward(_load_eval_file(pair, cache)[0], stop=_SCORING_START)
-        act.flags.writeable = False
-        inputs[str(pair.wav)] = act
-    return inputs
-
-
 def row_seed(global_seed: int, model: str, instrument: str, freeze_id: str) -> int:
     """Per-cycle seed from the row identity; independent of execution order."""
     ss = np.random.SeedSequence([global_seed, zlib.crc32(model.encode()),
@@ -297,14 +282,15 @@ def row_seed(global_seed: int, model: str, instrument: str, freeze_id: str) -> i
 
 
 def _prepare_pair(base: Model, pairs, config: ExperimentConfig, cache: dict | None) -> tuple:
-    """(snippet, inputs, baseline) of one (base, instrument) pair: the cut
-    (features, targets, held) snippet, the base's activations entering
-    Conv3 (see _conv3_inputs) and the base's score from them."""
+    """(snippet, prefixes, baseline) of one (base, instrument) pair: the cut
+    (features, targets, held) snippet, the base's inference prefixes up to
+    Conv3 of the held-in files and the base's score from them."""
     snippet = extract_snippet(pairs, config.snippet_offset, config.snippet_duration)
-    inputs = _conv3_inputs(base, pairs, snippet[2], cache)
+    prefixes = {str(p.wav): base.prefix(_load_eval_file(p, cache)[0], upto=_SCORING_START)
+                for p in pairs if p.index != snippet[2]}
     baseline = evaluate_model(base, pairs, snippet[2], config.peak_pick, config.tolerance,
-                              cache, _SCORING_START, inputs)
-    return snippet, inputs, baseline
+                              cache, prefixes)
+    return snippet, prefixes, baseline
 
 
 def run_cycle(model_path, instrument: str, freeze_id: str, config: ExperimentConfig,
@@ -343,7 +329,7 @@ def _adapt_and_score(base: Model, pairs, prepared: tuple, instrument: str, freez
     scoring starts at Conv3, after the frozen tensors are checked bitwise.
     """
     t0 = time.perf_counter()
-    (feats, targets, held), inputs, baseline = prepared
+    (feats, targets, held), prefixes, baseline = prepared
     freeze = FreezeConfig.from_id(freeze_id)
     seed = row_seed(config.seed, base.variant, instrument, freeze_id)
     ft = FinetuneConfig(freeze=freeze, seed=seed, epochs=config.epochs,
@@ -351,9 +337,8 @@ def _adapt_and_score(base: Model, pairs, prepared: tuple, instrument: str, freez
                         dropout_active=config.dropout_active)
     adapted = finetune(base, (feats, targets), ft)
     _check_frozen_unchanged(base, adapted, freeze)
-    start = _SCORING_START if freeze.lowest_trainable >= _SCORING_START else 0
     result = evaluate_model(adapted, pairs, held, config.peak_pick, config.tolerance, cache,
-                            start, inputs if start else None)
+                            prefixes if adapted.lowest_trainable >= _SCORING_START else None)
     per_file = tuple(result.per_file[i][3] for i in sorted(result.per_file))
     return ResultRow(
         model=base.variant, instrument=instrument, freeze_id=freeze_id,
@@ -417,7 +402,7 @@ def run_grid(config: ExperimentConfig, threads: int = 1) -> list:
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
     with open(out / "journal.jsonl", "w") as log, pool:
         # One (variant, instrument) pair at a time: its snippet, baseline and
-        # the base's activations entering Conv3 are made once and dropped
+        # the base's prefixes up to Conv3 are made once and dropped
         # after its cycles, which only read them and the feature cache,
         # threaded if asked; serial cycles run on this thread.
         for variant in config.models:

@@ -8,6 +8,7 @@ triangular filters equally spaced on log frequency between 30 Hz and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,19 +42,21 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def band_centers(n_bands: int = N_BANDS) -> np.ndarray:
-    """Filter center frequencies: log-spaced from FMIN to FMAX inclusive."""
-    i = np.arange(n_bands)
-    return FMIN * (FMAX / FMIN) ** (i / (n_bands - 1))
+def band_centers(first: int = 0, stop: int = N_BANDS) -> np.ndarray:
+    """Center frequencies of bands first..stop-1, log-spaced with band 0 at
+    FMIN and band N_BANDS - 1 at FMAX; bands outside extrapolate."""
+    return FMIN * (FMAX / FMIN) ** (np.arange(first, stop) / (N_BANDS - 1))
 
 
-def _filterbank(n_bins: int, sample_rate: int) -> np.ndarray:
-    """(n_bins, N_BANDS) triangular filter matrix, unit area per filter."""
+@functools.cache
+def _filterbank() -> np.ndarray:
+    """(bins, N_BANDS) triangular filter matrix of a WINDOW_SIZE STFT at
+    TARGET_RATE, unit area per filter; built once, read-only."""
     # centers plus one extrapolated virtual neighbor on each side
-    i = np.arange(-1, N_BANDS + 1)
-    centers = FMIN * (FMAX / FMIN) ** (i / (N_BANDS - 1))
-    bin_freq = np.arange(n_bins) * (sample_rate / WINDOW_SIZE)
-    fb = np.zeros((n_bins, N_BANDS))
+    centers = band_centers(-1, N_BANDS + 1)
+    bin_hz = TARGET_RATE / WINDOW_SIZE
+    bin_freq = np.arange(WINDOW_SIZE // 2 + 1) * bin_hz
+    fb = np.zeros((len(bin_freq), N_BANDS))
     for b in range(N_BANDS):
         left, center, right = centers[b], centers[b + 1], centers[b + 2]
         up = (bin_freq - left) / (center - left)
@@ -61,21 +64,14 @@ def _filterbank(n_bins: int, sample_rate: int) -> np.ndarray:
         tri = np.maximum(0.0, np.minimum(up, down))
         if tri.sum() == 0.0:
             # span narrower than a bin: collapse onto the nearest bin
-            tri[int(round(center / (sample_rate / WINDOW_SIZE)))] = 1.0
+            tri[int(round(center / bin_hz))] = 1.0
         fb[:, b] = tri / tri.sum()
+    fb.flags.writeable = False
     return fb
 
 
-_FB_CACHE: dict[tuple[int, int], np.ndarray] = {}
 _WINDOW = np.hanning(WINDOW_SIZE)
 _WINDOW.flags.writeable = False
-
-
-def _cached_filterbank(n_bins: int, sample_rate: int) -> np.ndarray:
-    key = (n_bins, sample_rate)
-    if key not in _FB_CACHE:
-        _FB_CACHE[key] = _filterbank(n_bins, sample_rate)
-    return _FB_CACHE[key]
 
 
 def n_frames_for(n_samples: int) -> int:
@@ -100,5 +96,4 @@ def extract_features(clip: AudioClip) -> FeatureMatrix:
     for s in range(0, n_frames, STFT_CHUNK):
         chunk = frames[s : s + STFT_CHUNK] * _WINDOW
         np.abs(np.fft.rfft(chunk, axis=1), out=mag[s : s + STFT_CHUNK])
-    fb = _cached_filterbank(mag.shape[1], clip.sample_rate)
-    return FeatureMatrix(values=np.log1p(mag @ fb))
+    return FeatureMatrix(values=np.log1p(mag @ _filterbank()))

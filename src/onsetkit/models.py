@@ -269,6 +269,16 @@ class OutHead(Block):
         return self.dense.backward(g, input_grad, param_grads)
 
 
+@dataclass(frozen=True)
+class Prefix:
+    """A forward's fixed part (see Model.prefix): read-only x enters block
+    start, or with activated set is Conv1's pad + conv + ELU output."""
+
+    x: np.ndarray
+    start: int
+    activated: bool
+
+
 @dataclass
 class NamedLayer:
     name: str
@@ -293,33 +303,49 @@ class Model:
         """Index of the lowest trainable block (Out is always trainable)."""
         return next((i for i, nl in enumerate(self.layers) if nl.trainable), len(self.layers))
 
-    def forward(self, features, training=False, rng=None, *, start=0, stop=None):
-        """Activation per frame. Only a training-mode forward keeps the
-        block caches that backward reads, and only on the blocks backward
-        reaches: the blocks below the lowest trainable one run cache-free,
-        drawing their dropout in place but keeping nothing. An inference
-        forward stores nothing on any block (dropout is the identity
-        there, and each conv stage pools before its ELU).
+    def prefix(self, features, training=False, upto=None) -> Prefix:
+        """The part of a forward that stays fixed while the blocks below
+        `upto` (default: the lowest trainable one) keep their parameters,
+        computed once for forward to start from. In training with Conv1
+        below `upto` it is Conv1's pad + conv + ELU output, since dropout
+        draws afresh on every forward; at inference, the activation
+        entering block `upto`; otherwise the checked features."""
+        x = np.asarray(getattr(features, "values", features), dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != N_BANDS:
+            raise ShapeError(f"expected (frames, {N_BANDS}) features, got {x.shape}")
+        x = x[:, :, None]  # time x freq x 1 channel
+        upto = self.lowest_trainable if upto is None else upto
+        start = 0 if training else upto
+        for i in range(start):
+            x = self.layers[i].block.forward(x)
+        if training and upto > 0:
+            x = self.layers[0].block.activate(x)
+        x.flags.writeable = False
+        return Prefix(x, start, training and upto > 0)
 
-        start/stop run blocks start..stop-1 only: with start > 0, features
-        is the activation entering block start, as a forward with
-        stop=start returns it, and is only read. A forward is a function of
-        that activation, so splitting one gives the same floats.
+    def forward(self, features, training=False, rng=None):
+        """Activation per frame, from features or from a Prefix of this
+        model (or of one whose blocks below the prefix's start hold the
+        same parameters): the same floats and dropout draws either way.
+        Only a training-mode forward keeps the block caches that backward
+        reads, and only on the blocks backward reaches: the blocks below
+        the lowest trainable one run cache-free, drawing their dropout in
+        place but keeping nothing. An inference forward stores nothing on
+        any block (dropout is the identity there, and each conv stage
+        pools before its ELU).
         """
         self._kept_from = None
-        if start == 0:
-            x = np.asarray(getattr(features, "values", features), dtype=np.float64)
-            if x.ndim != 2 or x.shape[1] != N_BANDS:
-                raise ShapeError(f"expected (frames, {N_BANDS}) features, got {x.shape}")
-            x = x[:, :, None]  # time x freq x 1 channel
-        else:
-            x = features
-        stop = len(self.layers) if stop is None else stop
+        p = features if isinstance(features, Prefix) else self.prefix(features, training, 0)
+        if p.activated and not training or p.start and training:
+            raise ConfigError(f"this prefix cannot start a forward with training={training}")
+        x, first = p.x, p.start
+        if p.activated:  # draws Conv1's mask and scales a fresh copy
+            x, first = self.layers[0].block.forward(x, True, rng, activated=True), 1
         lowest = self.lowest_trainable if training else 0
-        for i in range(start, stop):
+        for i in range(first, len(self.layers)):
             x = self.layers[i].block.forward(x, training, rng, keep=i >= lowest)
-        if training and stop == len(self.layers):
-            self._kept_from = max(start, lowest)
+        if training:
+            self._kept_from = max(first, lowest)
         return x
 
     def backward(self, g_activation, input_grad=True):
@@ -455,11 +481,6 @@ class FreezeConfig:
         if a > b:
             raise ConfigError(f"freeze segment reversed in {spec!r}")
         return cls(id=spec, frozen=FREEZABLE[a : b + 1])
-
-    @property
-    def lowest_trainable(self) -> int:
-        """Index of the lowest block this config leaves trainable."""
-        return next(i for i, name in enumerate(LAYER_NAMES) if name not in self.frozen)
 
 
 def canonical_freeze_ids() -> list[str]:

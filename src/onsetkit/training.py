@@ -50,15 +50,15 @@ def train(model: Model, corpus, epochs: int, lr: float = BASE_LR, seed: int = 0)
     in seeded shuffled order. Returns (model, per-epoch mean losses).
 
     Frozen layers stay bitwise untouched. Each step gives the floats and
-    dropout draws of a full training forward: a frozen Conv1's pad + conv +
-    ELU output is computed once per item (each step draws its mask and
-    pools a fresh product), and the frozen blocks above it, up to the
-    lowest trainable one, run cache-free.
+    dropout draws of a full training forward from the features, starting
+    from the item's Model.prefix, computed once: past a frozen Conv1 that
+    is Conv1's pad + conv + ELU output (each step draws its mask and pools
+    a fresh product), and the frozen blocks above it, up to the lowest
+    trainable one, run cache-free.
     """
     check_schedule(epochs, seed=seed)
     if not corpus:
         raise ConfigError("training corpus is empty")
-    frozen_conv1 = model.layers[0].block if model.lowest_trainable > 0 else None
     items = []
     for feats, targets in corpus:
         x = np.asarray(getattr(feats, "values", feats), dtype=np.float64)
@@ -67,10 +67,7 @@ def train(model: Model, corpus, epochs: int, lr: float = BASE_LR, seed: int = 0)
             raise ConfigError("empty training item")
         if targets.shape != (x.shape[0],):
             raise ShapeError(f"targets {targets.shape} vs {x.shape[0]} frames")
-        if frozen_conv1 is not None:
-            x = frozen_conv1.activate(model.forward(x, stop=0))  # the checked input to Conv1
-            x.flags.writeable = False
-        items.append((x, targets))
+        items.append((model.prefix(x, training=True), targets))
 
     rng = np.random.default_rng(seed)
     opt = make_optimizer(model.optimizer_kind, lr)
@@ -78,12 +75,8 @@ def train(model: Model, corpus, epochs: int, lr: float = BASE_LR, seed: int = 0)
     for epoch in range(epochs):
         losses = []
         for idx in rng.permutation(len(items)):
-            x, targets = items[idx]
-            if frozen_conv1 is not None:
-                h = frozen_conv1.forward(x, True, rng, activated=True)
-                act = model.forward(h, training=True, rng=rng, start=1)
-            else:
-                act = model.forward(x, training=True, rng=rng)
+            item, targets = items[idx]
+            act = model.forward(item, training=True, rng=rng)
             loss = bce_loss(act, targets)
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, last)

@@ -202,6 +202,20 @@ def test_detect_wav_with_partial_trailing_sample(corpus, model_file, tmp_path, c
     assert capsys.readouterr().err == ""
 
 
+def test_detect_48khz_wav_exits_2(corpus, model_file, tmp_path, capsys):
+    # the same samples declared at 48 kHz: no command resamples, so the
+    # file must be converted to 44.1 kHz first
+    raw = (corpus / "drone_tone_02.wav").read_bytes()
+    fmt = raw.index(b"fmt ") + 8
+    raw = raw[: fmt + 4] + struct.pack("<II", 48000, 48000 * 2) + raw[fmt + 12 :]
+    wav = tmp_path / "48k.wav"
+    wav.write_bytes(raw)
+    assert main(["detect", str(model_file), str(wav), "--out", str(tmp_path / "a.onsets")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "48000 Hz" in err[0] and "44.1 kHz" in err[0], err
+    assert "resample" not in err[0]
+
+
 def test_eval_non_utf8_annotations_exits_2(corpus, tmp_path, capsys):
     bad = tmp_path / "bad.onsets"
     bad.write_bytes(b"0.5\n\xff\xfe1.0\n")

@@ -32,6 +32,7 @@ from onsetkit.experiment import (
 )
 from onsetkit.models import (
     FreezeConfig,
+    apply_freeze,
     build_model,
     canonical_freeze_ids,
     clone_model,
@@ -200,65 +201,73 @@ def test_scoring_from_boundaries_is_the_full_forward(tmp_path, monkeypatch):
                         lambda act, params=None: acts.append(act.tobytes()) or OnsetAnnotations())
     base = build_model("tcn_v2", seed=3)
     cache = {}
-    conv3 = experiment._conv3_inputs(base, pairs, 1, cache)
-    assert sorted(conv3) == sorted(str(p.wav) for p in pairs if p.index != 1)
-    assert not any(a.flags.writeable for a in conv3.values())
-    starts = {FreezeConfig.from_id(fid).lowest_trainable for fid in canonical_freeze_ids()} - {0}
-    assert starts == set(range(1, 15))
-    boundaries = {block: {key: base.forward(cache[key][0], stop=block) for key in conv3}
-                  for block in starts}
-    assert all(boundaries[2][key].tobytes() == conv3[key].tobytes() for key in conv3)
     evaluate_model(base, pairs, 1, cache=cache)
-    for block in starts:  # the base itself from each block's boundary
-        evaluate_model(base, pairs, 1, cache=cache, start=block, inputs=boundaries[block])
+    held_in = [str(p.wav) for p in pairs if p.index != 1]
+    prefixes = {block: {key: base.prefix(cache[key][0], upto=block) for key in held_in}
+                for block in range(1, 15)}
+    for block in prefixes:  # the base itself from each block's prefix
+        evaluate_model(base, pairs, 1, cache=cache, prefixes=prefixes[block])
     assert len(acts) == 2 * 15 and set(acts[0::2]) == {acts[0]} and set(acts[1::2]) == {acts[1]}
     for fid in canonical_freeze_ids()[1:]:
-        start = FreezeConfig.from_id(fid).lowest_trainable
-        adapted = clone_model(base)
+        adapted = apply_freeze(clone_model(base), FreezeConfig.from_id(fid))
         for key, value in adapted.param_dict().items():
             if key.split(".")[0] not in FreezeConfig.from_id(fid).frozen:
                 value *= 1.5
         acts.clear()
         evaluate_model(adapted, pairs, 1, cache=cache)
-        evaluate_model(adapted, pairs, 1, cache=cache, start=start, inputs=boundaries[start])
+        evaluate_model(adapted, pairs, 1, cache=cache,
+                       prefixes=prefixes[adapted.lowest_trainable])
         assert len(acts) == 4 and acts[:2] == acts[2:], fid
 
 
 def test_run_grid_scores_from_the_base_conv3_inputs(corpus, base_models, tmp_path, monkeypatch):
     import onsetkit.experiment as experiment
 
-    made, starts = [], []
-    make, inner = experiment._conv3_inputs, experiment.evaluate_model
-
-    def make_spy(*args):
-        made.append(make(*args))
-        return made[-1]
+    starts, runs, inner, load = [], [], experiment.evaluate_model, experiment.load_model
 
     def spy(model, pairs, exclude_index, *args, **kwargs):
-        start = args[3] if len(args) > 3 else kwargs.get("start", 0)
-        inputs = args[4] if len(args) > 4 else kwargs.get("inputs")
-        assert (inputs is made[-1]) == bool(start)
-        starts.append(start)
+        prefixes = args[3] if len(args) > 3 else kwargs.get("prefixes")
+        starts.append(prefixes and {p.start for p in prefixes.values()})
+        if prefixes:
+            assert len(prefixes) == len(pairs) - 1  # every held-in file
+            assert not any(p.activated or p.x.flags.writeable for p in prefixes.values())
         return inner(model, pairs, exclude_index, *args, **kwargs)
 
-    monkeypatch.setattr(experiment, "_conv3_inputs", make_spy)
+    def load_spy(path):  # counts the base's Conv1 and Conv2 inference forwards
+        model = load(path)
+        for nl in model.layers[:2]:
+            def forward(x, training=False, rng=None, keep=True, inner=nl.block.forward,
+                        key=(model.variant, nl.name)):
+                if not training:
+                    runs.append(key + (x.shape[0],))
+                return inner(x, training, rng, keep)
+            nl.block.forward = forward
+        return model
+
+    monkeypatch.setattr(experiment, "load_model", load_spy)
     monkeypatch.setattr(experiment, "evaluate_model", spy)
     fids = ("ft", "ft_Conv1", "ft_Conv2", "ft_Tcn16", "ft_Tcn4-Tcn64")
-    config = quick_config(corpus, base_models, tmp_path / "grid", epochs=1, instruments=("alpha",),
-                          freeze_configs=fids)
+    config = quick_config(corpus, base_models, tmp_path / "grid", epochs=1,
+                          models=("tcn_v1", "tcn_v2"), freeze_configs=fids)
     rows = run_grid(config)
-    # made once per pair; the baseline and the cycles that leave Conv1 and
-    # Conv2 frozen score from Conv3, the others from the features
-    assert len(made) == 1
-    assert starts == [2, 0, 0, 2, 2, 0]
+    # the baseline and the cycles that leave Conv1 and Conv2 frozen score
+    # from Conv3, the others from the features
+    conv3 = {2}
+    per_pair = [conv3, None, None, conv3, conv3, None]  # the baseline, then fids
+    assert starts == per_pair * 4
+    # the base's Conv1 and Conv2 run once per held-in file per (variant,
+    # instrument): 5 s files, one of two held in
+    assert sorted(runs) == sorted((v, layer, 500) for v in ("tcn_v1", "tcn_v2")
+                                  for _ in ("alpha", "beta") for layer in ("Conv1", "Conv2"))
     # a lone cycle prepares its pair the same way: its baseline scores from
     # Conv3 too, and its row is the grid's
-    for row, fid, start in zip(rows, fids, starts[1:]):
+    for row, fid, start in zip(rows, fids, per_pair[1:]):
         starts.clear()
+        runs.clear()
         alone = run_cycle(base_models["tcn_v1"], "alpha", fid, config)
-        assert starts == [2, start], fid
+        assert starts == [conv3, start], fid
+        assert sorted(runs) == [("tcn_v1", "Conv1", 500), ("tcn_v1", "Conv2", 500)], fid
         assert dataclasses.replace(alone, wall_s=0.0) == dataclasses.replace(row, wall_s=0.0)
-    assert len(made) == 1 + len(fids)
 
 
 def test_run_grid_survives_cycle_failure(base_models, tmp_path):

@@ -262,12 +262,15 @@ def _check_frozen_prefix_draws(variant, frames):
         got = m.forward(x, training=True, rng=rng)
         assert got.tobytes() == want.tobytes(), (fid, frames)
         assert rng.random() == after_full, (fid, frames)  # every mask drawn, none extra
-        if lowest > 0:  # train's step past a frozen Conv1, from its activate() output
-            conv1, rng = m.layers[0].block, np.random.default_rng(62)
-            h = conv1.forward(conv1.activate(m.forward(x, stop=0)), True, rng, activated=True)
-            got = m.forward(h, training=True, rng=rng, start=1)
-            assert got.tobytes() == want.tobytes(), (fid, frames)
-            assert rng.random() == after_full, (fid, frames)
+        # train's step, from the item's training prefix: past a frozen
+        # Conv1, its pad + conv + ELU output
+        prefix = m.prefix(x, training=True)
+        assert (prefix.start, prefix.activated) == (0, lowest > 0), fid
+        assert not prefix.x.flags.writeable, fid
+        rng = np.random.default_rng(62)
+        got = m.forward(prefix, training=True, rng=rng)
+        assert got.tobytes() == want.tobytes(), (fid, frames)
+        assert rng.random() == after_full, (fid, frames)
         after = _layer_state(m)
         for key, attrs in fresh.items():
             name = key if isinstance(key, str) else key[0]
@@ -295,34 +298,56 @@ def test_backward_refuses_blocks_the_forward_kept_no_caches_for(variant):
         apply_freeze(m, FreezeConfig.from_id(fid))  # unfreezes a cache-free block
         with pytest.raises(ConfigError, match="no caches"):
             m.backward(g)
-    # the same after a forward that starts above the unfrozen blocks
+    # the same after a forward from a training prefix past the frozen Conv1
     apply_freeze(m, FreezeConfig.from_id("ft_Tcn16"))
-    h = m.forward(x, training=True, rng=np.random.default_rng(0), stop=lowest)
-    with pytest.raises(ConfigError):  # a forward that stops short leaves nothing to backward
-        m.backward(g)
-    m.forward(h, training=True, rng=np.random.default_rng(0), start=lowest)
+    m.forward(m.prefix(x, training=True), training=True, rng=np.random.default_rng(0))
     assert m.backward(g) is None
-    apply_freeze(m, FreezeConfig.from_id("ft_Conv1"))
-    with pytest.raises(ConfigError, match="no caches"):
-        m.backward(g)
+    for fid in ("ft_Conv1", "ft"):
+        apply_freeze(m, FreezeConfig.from_id(fid))
+        with pytest.raises(ConfigError, match="no caches"):
+            m.backward(g)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_forward_from_a_boundary_is_the_full_forward(variant):
     x = np.random.default_rng(66).normal(0.0, 2.0, (300, 81))
     base = build_model(variant, seed=67)
-    for fid in canonical_freeze_ids()[1:]:  # "ft" starts at Conv1: the full forward
-        start = FreezeConfig.from_id(fid).lowest_trainable
-        # an adapted model: the blocks from start up differ from the base
-        adapted = clone_model(base)
+    for fid in canonical_freeze_ids():
+        # an adapted model: the blocks from its lowest trainable one up
+        # differ from the base
+        adapted = apply_freeze(clone_model(base), FreezeConfig.from_id(fid))
+        start = adapted.lowest_trainable
         for key, value in adapted.param_dict().items():
             if LAYER_NAMES.index(key.split(".")[0]) >= start:
                 value += 0.01
-        boundary = base.forward(x, stop=start)
-        boundary.flags.writeable = False
+        boundary = base.prefix(x, upto=start)
+        assert (boundary.start, boundary.activated) == (start, False), fid
+        assert not boundary.x.flags.writeable, fid
+        own = adapted.prefix(x)  # upto defaults to the lowest trainable block
+        assert own.start == start and own.x.tobytes() == boundary.x.tobytes(), fid
         want = adapted.forward(x)
-        assert adapted.forward(boundary, start=start).tobytes() == want.tobytes(), fid
-        assert base.forward(boundary, start=start).tobytes() == base.forward(x).tobytes(), fid
+        assert adapted.forward(boundary).tobytes() == want.tobytes(), fid
+        assert base.forward(boundary).tobytes() == base.forward(x).tobytes(), fid
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_forward_refuses_a_prefix_of_the_other_mode(variant):
+    x = np.random.default_rng(68).uniform(0, 1, (30, 81))
+    m = apply_freeze(build_model(variant, seed=69), FreezeConfig.from_id("ft_Tcn16"))
+    # Conv1's activation before dropout serves only a training forward, and
+    # an activation above Conv1 only an inference forward: neither gives the
+    # floats or the draws of the whole forward in the other mode
+    for prefix, training in ((m.prefix(x, training=True), False), (m.prefix(x), True)):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="prefix"):
+            m.forward(prefix, training=training, rng=rng)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+    # a prefix from Conv1 (upto=0) serves both
+    for prefix in (m.prefix(x, upto=0), m.prefix(x, training=True, upto=0)):
+        assert prefix.start == 0 and not prefix.activated
+        assert m.forward(prefix).tobytes() == m.forward(x).tobytes()
+        got = m.forward(prefix, training=True, rng=np.random.default_rng(1))
+        assert got.tobytes() == m.forward(x, training=True, rng=np.random.default_rng(1)).tobytes()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -417,8 +442,9 @@ def test_blocked_inference_forward_matches_the_whole_length_forward(variant):
         h = x[:, :, None]
         for nl in m.layers[:3]:
             h = _whole_length_stage(nl.block, h)
-        want = m.forward(h, start=3)
-        assert m.forward(x).tobytes() == want.tobytes(), frames
+        for nl in m.layers[3:]:
+            h = nl.block.forward(h)
+        assert m.forward(x).tobytes() == h.tobytes(), frames
 
 
 def _layer_state(model):

@@ -89,6 +89,17 @@ def test_train_errors():
         train(m, [(np.zeros((10, 80)), np.zeros(10))], epochs=1)
 
 
+@pytest.mark.parametrize("fid, runs", [("ft", 5 * 3), ("ft_Conv1", 3), ("ft_Tcn16", 3)])
+def test_frozen_conv1_runs_its_conv_once_per_item(fid, runs):
+    # items short enough for one time block each: one conv call per forward
+    m = apply_freeze(build_model("tcn_v2", seed=3), FreezeConfig.from_id(fid))
+    conv, calls = m.layers[0].block.conv, []
+    inner = conv.forward
+    conv.forward = lambda *args, **kwargs: calls.append(1) or inner(*args, **kwargs)
+    train(m, tiny_corpus(n_frames=40, n_items=3), epochs=5, seed=4)
+    assert len(calls) == runs
+
+
 def test_train_divergence_reports_epoch():
     m = build_model("tcn_v1", seed=0)
     poisoned = [(np.full((10, 81), np.nan), np.zeros(10))]
