@@ -41,10 +41,6 @@ class AudioClip:
         if not np.all(np.isfinite(self.samples)):
             raise AudioFormatError("audio contains non-finite samples")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class OnsetAnnotations:

@@ -494,7 +494,8 @@ def read_results(path) -> list:
             raise DataError(f"{path}: row with {len(rec)} cells")
         try:
             rows.append(ResultRow(**{k: _CELL_PARSERS[k](v) for k, v in zip(CSV_COLUMNS, rec)}))
-        except (ValueError, OverflowError, ConfigError) as e:  # JSONDecodeError is a ValueError
+        # JSONDecodeError is a ValueError; RecursionError is JSON nested too deeply
+        except (ValueError, OverflowError, RecursionError, ConfigError) as e:
             raise DataError(f"{path}: {e}") from e
     return rows
 
@@ -630,7 +631,7 @@ def _read_json(path, what):
         raise DataError(f"cannot read {what} {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
         raise DataError(f"{path}: invalid JSON: {e}") from e
 
 

@@ -37,10 +37,6 @@ class FeatureMatrix:
     def n_frames(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_bands(self) -> int:
-        return self.values.shape[1]
-
 
 def band_centers(first: int = 0, stop: int = N_BANDS) -> np.ndarray:
     """Center frequencies of bands first..stop-1, log-spaced with band 0 at

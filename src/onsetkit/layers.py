@@ -16,7 +16,7 @@ and hold every cache a backward reads:
     then scales; the blocks keep these only on the forwards whose backward
     will run (see Model.forward and Model.backward)
   - parameters live in self.params; compute runs in float64 regardless of
-    the stored parameter dtype (models keep float32, gradcheck float64)
+    the stored parameter dtype (models keep float32; tests build float64 ones)
 
 Tensor layouts: conv2d works on time x freq x channels, the 1-D ops on
 time x channels.
@@ -293,40 +293,3 @@ def bce_loss_grad(p, target):
     g[(p < EPS_P) | (p > 1.0 - EPS_P)] = 0.0
     return g
 
-
-def gradcheck(layer, x, seed=0, h=1e-4, max_coords=48):
-    """Worst relative error between analytic and central-difference grads.
-
-    Objective: sum(R * layer(x)) for a fixed random projection R, so the
-    output gradient is exactly R. Samples up to max_coords coordinates per
-    tensor (input and every parameter). Double precision throughout; the
-    caller picks seeds that avoid ELU/pool kink points. Forwards run in
-    training mode, where backward finds its caches, and without an rng.
-    """
-    rng = np.random.default_rng(seed)
-    x = _f64(np.asarray(x)).copy()
-
-    def run():
-        return layer.forward(x, training=True)
-
-    y0 = run()
-    proj = rng.standard_normal(y0.shape)
-    gx = layer.backward(proj)
-    tensors = [(x, gx)] + [(arr, layer.grads[name]) for name, arr in layer.params.items()]
-
-    worst = 0.0
-    for arr, grad in tensors:
-        size = arr.size
-        coords = np.arange(size) if size <= max_coords else rng.choice(size, max_coords, False)
-        for ci in coords:
-            orig = arr.flat[ci]
-            arr.flat[ci] = orig + h
-            fp = float(np.sum(proj * run()))
-            arr.flat[ci] = orig - h
-            fm = float(np.sum(proj * run()))
-            arr.flat[ci] = orig
-            numeric = (fp - fm) / (2.0 * h)
-            analytic = float(grad.flat[ci])
-            rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
-            worst = max(worst, rel)
-    return worst

@@ -399,7 +399,7 @@ def build_model(variant: str, seed: int, dropout_rate: float = DROPOUT_RATE,
     if not 0.0 <= dropout_rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     rng = np.random.default_rng(seed)
-    rate = dropout_rate
+    rate = float(dropout_rate)  # a numpy scalar would write its repr into the model file
     layers = []
     if variant == "tcn_v1":
         stages = [
@@ -426,7 +426,7 @@ def build_model(variant: str, seed: int, dropout_rate: float = DROPOUT_RATE,
                        rng=rng, dtype=dtype, entry=i == 0)
         layers.append(NamedLayer(f"Tcn{d}", lvl))
     layers.append(NamedLayer("Out", OutHead(rng, dtype)))
-    return Model(variant, seed, layers, rate)
+    return Model(variant, int(seed), layers, rate)
 
 
 def count_params(model: Model) -> tuple[int, dict[str, int]]:
@@ -511,35 +511,35 @@ def clone_model(model: Model, dropout_rate: float | None = None) -> Model:
     return twin
 
 
-def save_model(model: Model, path) -> None:
-    """Text header (variant, seed, tensor shapes) + little-endian f32 blob."""
+def _header(model: Model) -> bytes:
+    """The model file's text header: format, variant, seed, dropout rate,
+    one line per tensor in param_dict order, and the blob's float count."""
     arrays = model.param_dict()
-    lines = [
-        f"{MAGIC} {FORMAT_VERSION}",
-        f"variant {model.variant}",
-        f"seed {model.seed}",
-        f"dropout {model.dropout_rate!r}",
-    ]
-    total = 0
-    for name, arr in arrays.items():
-        lines.append(f"tensor {name} {' '.join(map(str, arr.shape))}")
-        total += arr.size
-    lines.append(f"blob {total}")
-    blob = b"".join(arr.astype("<f4", copy=False).tobytes() for arr in arrays.values())
+    lines = [f"{MAGIC} {FORMAT_VERSION}", f"variant {model.variant}", f"seed {model.seed}",
+             f"dropout {model.dropout_rate!r}"]
+    lines += [f"tensor {name} {' '.join(map(str, arr.shape))}" for name, arr in arrays.items()]
+    lines.append(f"blob {sum(arr.size for arr in arrays.values())}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def save_model(model: Model, path) -> None:
+    """Text header (see _header) + little-endian f32 blob."""
+    blob = b"".join(arr.astype("<f4", copy=False).tobytes() for arr in model.param_dict().values())
     with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(_header(model))
         fh.write(blob)
 
 
 def load_model(path) -> Model:
+    """The model of a file save_model wrote. Its first four lines give the
+    variant, seed and dropout rate; the rest must be exactly that model's
+    header (see _header) and a blob of its size."""
     with open(path, "rb") as fh:
         data = fh.read()
-    head_end = data.find(b"blob ")
-    if head_end < 0:
-        raise ModelFormatError("missing blob marker")
-    nl_pos = data.find(b"\n", head_end)
-    header = data[:nl_pos].decode("ascii", errors="replace").splitlines()
-    blob = data[nl_pos + 1 :]
+    lines = [ln.decode("ascii", errors="replace") for ln in data.split(b"\n", 4)[:4]]
+    version = lines[0].split()
+    if version[:1] != [MAGIC] or len(version) != 2:
+        raise ModelFormatError(f"not a model file: {lines[0]!r}")
 
     def number(parse, text, what):
         try:
@@ -547,33 +547,14 @@ def load_model(path) -> Model:
         except ValueError:
             raise ModelFormatError(f"{what} is not a number: {text!r}") from None
 
-    fields: dict[str, str] = {}
-    tensors: list[tuple[str, tuple[int, ...]]] = []
-    for i, line in enumerate(header):
-        parts = line.split()
-        if i == 0:
-            if parts[:1] != [MAGIC] or len(parts) != 2:
-                raise ModelFormatError(f"not a model file: {line!r}")
-            if number(int, parts[1], "format version") != FORMAT_VERSION:
-                raise ModelFormatError(f"unsupported format version {parts[1]}")
-        elif len(parts) < 2:
-            raise ModelFormatError(f"header line {i + 1} has no value: {line!r}")
-        elif parts[0] == "tensor":
-            shape = tuple(number(int, s, f"a dimension of {parts[1]}") for s in parts[2:])
-            tensors.append((parts[1], shape))
-        elif parts[0] != "blob":
-            fields[parts[0]] = parts[1]
+    if number(int, version[1], "format version") != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported format version {version[1]}")
+    fields = dict(line.partition(" ")[::2] for line in lines[1:])
     for key in ("variant", "seed", "dropout"):
         if key not in fields:
             raise ModelFormatError(f"header has no {key} line")
     if fields["variant"] not in VARIANTS:
         raise ModelFormatError(f"unknown variant {fields['variant']!r}")
-    declared = number(int, header[-1].split()[1], "blob size")
-    if declared != sum(int(np.prod(s)) for _, s in tensors):
-        raise ModelFormatError("blob size disagrees with tensor shapes")
-    if len(blob) != declared * 4:
-        raise ModelFormatError(f"blob holds {len(blob)} bytes, expected {declared * 4}")
-
     seed = number(int, fields["seed"], "seed")
     if seed < 0:
         raise ModelFormatError(f"seed must be >= 0, got {seed}")
@@ -581,15 +562,12 @@ def load_model(path) -> Model:
     if not 0.0 <= dropout < 1.0:
         raise ModelFormatError(f"dropout must be in [0, 1), got {fields['dropout']!r}")
     model = build_model(fields["variant"], seed, dropout_rate=dropout)
-    params = model.param_dict()
-    if [n for n, _ in tensors] != list(params):
-        raise ModelFormatError("tensor list does not match the declared variant")
-    offset = 0
-    for name, shape in tensors:
-        if params[name].shape != shape:
-            raise ModelFormatError(f"{name}: shape {shape} does not match {params[name].shape}")
-        size = int(np.prod(shape))
-        vals = np.frombuffer(blob, dtype="<f4", count=size, offset=offset * 4)
-        params[name][...] = vals.reshape(shape)
-        offset += size
+    header, params = _header(model), model.param_dict()
+    ends = np.cumsum([arr.size for arr in params.values()])
+    if not data.startswith(header) or len(data) != len(header) + 4 * ends[-1]:
+        raise ModelFormatError(f"not the file save_model writes for a {fields['variant']} "
+                               f"model of seed {seed} and dropout {dropout!r}")
+    values = np.frombuffer(data, dtype="<f4", offset=len(header))
+    for arr, vals in zip(params.values(), np.split(values, ends[:-1])):
+        arr[...] = vals.reshape(arr.shape)
     return model

@@ -336,15 +336,16 @@ def load_manifest(path) -> tuple[dict, list[FilePair]]:
         raise DataError(f"cannot read manifest {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text: {e}") from e
-    lines = [ln.strip() for ln in raw.splitlines() if ln.strip()]
-    if not lines or lines[0] != f"{MANIFEST_MAGIC} {MANIFEST_VERSION}":
+    # the file's own lines: str.splitlines would also break at U+0085, U+2028 and the like
+    lines = [(no, ln.strip()) for no, ln in enumerate(raw.split("\n"), start=1) if ln.strip()]
+    if not lines or lines[0][1] != f"{MANIFEST_MAGIC} {MANIFEST_VERSION}":
         raise DataError(f"{path}: not a corpus manifest")
     meta: dict = {}
     pairs: list[FilePair] = []
     listed: set = set()  # stems and (instrument, index) keys of the file lines so far
     casts = {"seed": int, "tempo": float, "file_duration": float,
              "files_per_instrument": int}
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in lines[1:]:
         key, _, rest = ln.partition(" ")
         if key == "file":
             parts = rest.split()

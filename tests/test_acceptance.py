@@ -40,7 +40,6 @@ from onsetkit.layers import (
     DilatedConv1d,
     dropout_mask,
     elu,
-    gradcheck,
     pool_freq3,
     sigmoid,
     unpool_freq3,
@@ -57,6 +56,8 @@ from onsetkit.models import (
 )
 from onsetkit.synth import CorpusSpec, default_corpus_spec, default_instruments, generate_corpus
 from onsetkit.training import FinetuneConfig, finetune
+
+from gradcheck import gradcheck
 
 CORPUS_SEED = 42
 PRETRAIN_SEED = 0

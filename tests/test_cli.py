@@ -296,6 +296,24 @@ def test_report_malformed_results_exits_2(tmp_path, capsys, cell):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("argv", [["grid", "--config", "{deep}"],
+                                  ["synth", "--out", "{out}", "--config", "{deep}"],
+                                  ["report", "{results}", "--out", "{out}"]],
+                         ids=["grid-config", "synth-config", "report-per-file-f1"])
+def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, argv):
+    deep = "[" * 5000 + "]" * 5000
+    (tmp_path / "deep.json").write_text(deep)
+    (tmp_path / "results.csv").write_text(
+        "# results-format: 1\nmodel,instrument,freeze_id,mean_f1,baseline_f1,delta_pp,n_files,"
+        f"seed,wall_s,per_file_f1\ntcn_v1,a,ft,0.5,0.5,0.0,1,0,0.1,{deep}\n")
+    paths = {"deep": tmp_path / "deep.json", "results": tmp_path / "results.csv",
+             "out": tmp_path / "out"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_divergence_maps_to_exit_3(monkeypatch, corpus, model_file, tmp_path, capsys):
     import onsetkit.cli as cli
 

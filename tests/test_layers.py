@@ -10,12 +10,13 @@ from onsetkit.layers import (
     bce_loss_grad,
     dropout_mask,
     elu,
-    gradcheck,
     pool_freq3,
     sigmoid,
     unpool_freq3,
 )
 from onsetkit.models import ConvStage, OutHead, build_model
+
+from gradcheck import gradcheck
 
 
 # naive reference implementations, deliberately written as plain loops

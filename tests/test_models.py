@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,6 +530,54 @@ def test_load_errors(tmp_path):
     junk.write_bytes(b"not a model at all\n")
     with pytest.raises(ModelFormatError):
         load_model(junk)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_save_load_save_is_byte_identical(variant, tmp_path):
+    p = tmp_path / "m.model"
+    for seed in (0, 5, 123):
+        for rate in (0.0, 0.1, 0.25, 1 / 3):
+            save_model(build_model(variant, seed, dropout_rate=rate), p)
+            raw = p.read_bytes()
+            save_model(load_model(p), p)
+            assert p.read_bytes() == raw, (seed, rate)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_numpy_scalar_seed_and_rate_round_trip(variant, tmp_path):
+    # a sweep over np.linspace rates hands build_model numpy scalars
+    plain, p = tmp_path / "plain.model", tmp_path / "np.model"
+    for rate in np.linspace(0.0, 0.3, 4)[1:]:
+        save_model(build_model(variant, 7, dropout_rate=float(rate)), plain)
+        save_model(build_model(variant, np.int64(7), dropout_rate=rate), p)
+        save_model(load_model(p), p)
+        assert p.read_bytes() == plain.read_bytes(), rate
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_benchmark_base_models_resave_identically(variant, tmp_path):
+    committed = Path(__file__).resolve().parents[1] / "perfbench" / "models" / f"{variant}.model"
+    p = tmp_path / "m.model"
+    save_model(load_model(committed), p)
+    assert p.read_bytes() == committed.read_bytes()
+
+
+@pytest.mark.parametrize("old, new", [
+    (b"variant tcn_v1\nseed 7\n", b"seed 7\nvariant tcn_v1\n"),
+    (b"seed 7\n", b"seed 7\nseed 7\n"),
+    (b"dropout 0.1\n", b"dropout 0.1\nnote x\n"),
+    (b"seed 7\n", b"seed 07\n"),
+    (b"dropout 0.1\n", b"dropout 1e-1\n"),
+    (b"\n", b"\r\n"),
+], ids=["reordered", "repeated", "unknown-line", "seed-spelling", "dropout-spelling", "crlf"])
+def test_headers_save_model_never_writes_are_rejected(old, new, tmp_path):
+    p = tmp_path / "m.model"
+    save_model(build_model("tcn_v1", seed=7), p)
+    raw = p.read_bytes()
+    end = raw.index(b"\n", raw.index(b"\nblob ") + 1) + 1
+    p.write_bytes(raw[:end].replace(old, new) + raw[end:])
+    with pytest.raises(ModelFormatError):
+        load_model(p)
 
 
 def test_clone_is_independent():

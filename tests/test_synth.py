@@ -208,6 +208,10 @@ def test_manifest_errors(tmp_path):
         p.write_text(head + "file a_01 a 1 1-2-1\n" + second + "\n")
         with pytest.raises(DataError, match=r"m\.txt:8: .*listed twice"):
             load_manifest(p)
+    # lines are numbered as in the file: blank lines count, and U+2028 ends no line
+    p.write_text("onsetkit-corpus 1\n\n\nseed 1\u2028\nbogus x\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"m\.txt:5: unknown manifest key 'bogus'"):
+        load_manifest(p)
 
 
 _MANIFEST_KEYS = ["seed 1", "tempo 180", "file_duration 5", "files_per_instrument 2",
