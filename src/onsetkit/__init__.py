@@ -74,7 +74,6 @@ from .synth import (
     load_manifest,
     make_profile,
     render_file,
-    render_hits,
 )
 from .training import FinetuneConfig, finetune, make_targets, train
 

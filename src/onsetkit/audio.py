@@ -10,6 +10,7 @@ Annotation files are plain UTF-8 text, one onset time in seconds per line,
 
 from __future__ import annotations
 
+import reprlib
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -174,9 +175,11 @@ def load_annotations(path: str | Path) -> OnsetAnnotations:
         try:
             t = float(stripped)
         except ValueError:
-            raise AnnotationError(f"{path}:{lineno}: not a number: {stripped!r}") from None
+            raise AnnotationError(f"{path}:{lineno}: not a number: "
+                                  f"{reprlib.repr(stripped)}") from None
         if not np.isfinite(t):
-            raise AnnotationError(f"{path}:{lineno}: non-finite onset time {stripped!r}")
+            raise AnnotationError(f"{path}:{lineno}: non-finite onset time "
+                                  f"{reprlib.repr(stripped)}")
         if t < 0:
             raise AnnotationError(f"{path}:{lineno}: negative onset time {t}")
         times.append(t)

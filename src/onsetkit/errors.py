@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: usage problems exit 1, data errors
 (anything deriving from DataError) exit 2, numeric divergence exits 3.
 """
 
+from pathlib import Path
+
 
 class OnsetKitError(Exception):
     """Base class for all toolkit errors."""
@@ -54,3 +56,14 @@ class DivergenceError(OnsetKitError):
         self.last_loss = last_loss
         super().__init__(message or f"non-finite loss at epoch {epoch} "
                                     f"(last finite loss: {last_loss!r})")
+
+
+def read_text(path, what: str) -> str:
+    """A UTF-8 file's text, line ends as written (no newline translation);
+    an unreadable or undecodable file is a DataError."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as e:
+        raise DataError(f"cannot read {what} {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from e

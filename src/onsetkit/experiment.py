@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import reprlib
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .audio import AudioClip, OnsetAnnotations, load_annotations, load_audio
-from .errors import ConfigError, DataError, OnsetKitError, SnippetError
+from .errors import ConfigError, DataError, OnsetKitError, SnippetError, read_text
 from .evaluate import (DEFAULT_TOLERANCE, EvalResult, PeakPickParams, aggregate, delta_pp,
                        match_onsets, peak_pick)
 from .features import extract_features
@@ -86,7 +87,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for m in self.models:
             if m not in VARIANTS:
-                raise ConfigError(f"unknown model variant {m!r}")
+                raise ConfigError(f"unknown model variant {reprlib.repr(m)}")
         if not self.models:
             raise ConfigError("need at least one model variant")
         if self.instruments is not None and not self.instruments:
@@ -150,7 +151,7 @@ def load_dataset(root) -> dict:
 
     A directory containing manifest.txt is read as a synthetic corpus;
     otherwise each subdirectory is an instrument holding
-    <name>_<nn>.wav + <name>_<nn>.onsets pairs (index 34 skipped).
+    <name>_<nn>.wav + <name>_<nn>.onsets pairs, <nn> ASCII digits (index 34 skipped).
     """
     root = Path(root)
     if not root.is_dir():
@@ -167,7 +168,7 @@ def load_dataset(root) -> dict:
             pairs = []
             for wav in sorted(sub.glob(f"{sub.name}_*.wav")):
                 tail = wav.stem[len(sub.name) + 1:]
-                if not tail.isdigit():
+                if not (tail.isascii() and tail.isdigit()):
                     continue
                 index = int(tail)
                 if index == EXCLUDED_REAL_INDEX:
@@ -482,14 +483,8 @@ def _csv_record(cells) -> str:
 
 def read_results(path) -> list:
     """Parse a results.csv back into rows (inverse of write_report)."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")  # no newline translation
-    except OSError as e:
-        raise DataError(f"cannot read results {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text: {e}") from e
     rows = []
-    for rec in _result_records(text, path):
+    for rec in _result_records(read_text(path, "results"), path):
         if len(rec) != len(CSV_COLUMNS):
             raise DataError(f"{path}: row with {len(rec)} cells")
         try:
@@ -504,7 +499,7 @@ def _per_file_scores(cell: str) -> tuple:
     scores = json.loads(cell)
     if not isinstance(scores, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in scores):
-        raise ValueError(f"per_file_f1 is not a list of numbers: {cell!r}")
+        raise ValueError(f"per_file_f1 is not a list of numbers: {reprlib.repr(cell)}")
     return tuple(float(v) for v in scores)
 
 
@@ -525,14 +520,6 @@ def _result_records(text: str, source) -> list:
     if tuple(header or ()) != CSV_COLUMNS:
         raise DataError(f"{source}: unexpected columns {header}")
     return records[2:]
-
-
-def strip_wall_column(csv_text: str) -> str:
-    """Results CSV minus the wall-time column, for determinism comparisons."""
-    drop = CSV_COLUMNS.index("wall_s")
-    return RESULTS_FORMAT_LINE + "\n" + "".join(
-        _csv_record(rec[:drop] + rec[drop + 1:])
-        for rec in [CSV_COLUMNS, *_result_records(csv_text, "results text")])
 
 
 def pretrain_model(corpus_dir, instruments, variant: str, epochs: int, seed: int = 0,
@@ -586,12 +573,12 @@ def _from_json(tp, value, key: str):
                and isinstance(value, bool) == (m is bool)), None)
     if tp is None:
         expected = " or ".join(name for name in (_json_kind(m)[1] for m in members) if name)
-        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+        raise ConfigError(f"{key} must be {expected}, got {reprlib.repr(value)}")
     if get_origin(tp) is tuple:
         args = get_args(tp)
         types = args[:1] * len(value) if args[-1] is Ellipsis else args
         if len(types) != len(value):
-            raise ConfigError(f"{key} must hold {len(types)} items, got {value!r}")
+            raise ConfigError(f"{key} must hold {len(types)} items, got {reprlib.repr(value)}")
         return tuple(_from_json(t, v, f"{key}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
     if get_origin(tp) is dict:
         return {k: _from_json(get_args(tp)[1], v, f"{key}.{k}") for k, v in value.items()}
@@ -626,11 +613,7 @@ def config_from_json(obj: dict, base_dir=None) -> ExperimentConfig:
 def _read_json(path, what):
     """Parsed JSON of a UTF-8 file; unreadable or malformed files are DataError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as e:
-        raise DataError(f"cannot read {what} {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text: {e}") from e
+        return json.loads(read_text(path, what))
     except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
         raise DataError(f"{path}: invalid JSON: {e}") from e
 

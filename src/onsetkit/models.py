@@ -23,6 +23,7 @@ Parameters are stored float32; all compute runs in float64.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -539,13 +540,13 @@ def load_model(path) -> Model:
     lines = [ln.decode("ascii", errors="replace") for ln in data.split(b"\n", 4)[:4]]
     version = lines[0].split()
     if version[:1] != [MAGIC] or len(version) != 2:
-        raise ModelFormatError(f"not a model file: {lines[0]!r}")
+        raise ModelFormatError(f"not a model file: {reprlib.repr(lines[0])}")
 
     def number(parse, text, what):
         try:
             return parse(text)
         except ValueError:
-            raise ModelFormatError(f"{what} is not a number: {text!r}") from None
+            raise ModelFormatError(f"{what} is not a number: {reprlib.repr(text)}") from None
 
     if number(int, version[1], "format version") != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {version[1]}")
@@ -554,13 +555,14 @@ def load_model(path) -> Model:
         if key not in fields:
             raise ModelFormatError(f"header has no {key} line")
     if fields["variant"] not in VARIANTS:
-        raise ModelFormatError(f"unknown variant {fields['variant']!r}")
+        raise ModelFormatError(f"unknown variant {reprlib.repr(fields['variant'])}")
     seed = number(int, fields["seed"], "seed")
     if seed < 0:
         raise ModelFormatError(f"seed must be >= 0, got {seed}")
     dropout = number(float, fields["dropout"], "dropout")
     if not 0.0 <= dropout < 1.0:
-        raise ModelFormatError(f"dropout must be in [0, 1), got {fields['dropout']!r}")
+        raise ModelFormatError("dropout must be in [0, 1), got "
+                               f"{reprlib.repr(fields['dropout'])}")
     model = build_model(fields["variant"], seed, dropout_rate=dropout)
     header, params = _header(model), model.param_dict()
     ends = np.cumsum([arr.size for arr in params.values()])

@@ -16,6 +16,7 @@ parallel without changing the output.
 
 from __future__ import annotations
 
+import reprlib
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioClip, OnsetAnnotations, TARGET_RATE, save_annotations, save_wav
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_text
 
 ROLES = ("time-keeping", "voicing")
 SPECTRAL_MODES = ("noise-burst", "damped-tone", "mixed")
@@ -44,7 +45,8 @@ _END_MARGIN = 0.1  # s kept free of hits at the end of a file
 
 def _check_name(name: str) -> None:
     if not name or not all(c.isalnum() or c == "_" for c in name):
-        raise ConfigError(f"instrument name must be alphanumeric/underscore: {name!r}")
+        raise ConfigError("instrument name must be alphanumeric/underscore: "
+                          f"{reprlib.repr(name)}")
 
 
 @dataclass(frozen=True)
@@ -239,16 +241,6 @@ def _synthesize(profile: InstrumentProfile, times: np.ndarray, n_samples: int,
     return AudioClip(x, TARGET_RATE), OnsetAnnotations(np.asarray(exact))
 
 
-def render_hits(profile: InstrumentProfile, times, duration: float,
-                seed) -> tuple[AudioClip, OnsetAnnotations]:
-    """Render explicit hit times; annotations are the sample-aligned times."""
-    if duration <= 0:
-        raise ConfigError("duration must be > 0")
-    rng = np.random.default_rng(seed)
-    return _synthesize(profile, np.asarray(times, dtype=np.float64),
-                       int(round(duration * TARGET_RATE)), rng)
-
-
 def render_file(profile: InstrumentProfile, duration: float, tempo: float,
                 seed) -> tuple[AudioClip, OnsetAnnotations]:
     """Render one file of role-appropriate hits with exact annotations."""
@@ -279,8 +271,28 @@ def file_seed(corpus_seed: int, instrument: str, index: int) -> np.random.SeedSe
     return np.random.SeedSequence([corpus_seed, zlib.crc32(instrument.encode()), index])
 
 
-def _seed_tag(corpus_seed: int, instrument: str, index: int) -> str:
-    return f"{corpus_seed}-{zlib.crc32(instrument.encode())}-{index}"
+def _roster(text: str) -> tuple[str, ...]:
+    names = tuple(text.split(","))
+    for name in names:
+        _check_name(name)
+    if len(set(names)) < len(names):
+        raise ConfigError("instrument names must be unique")
+    return names
+
+
+# a manifest's metadata lines in written order, each with the parser of its value
+_MANIFEST_FIELDS = {"seed": int, "tempo": float, "file_duration": float,
+                    "files_per_instrument": int, "instruments": _roster}
+
+
+def _corpus_files(directory: Path, names, files_per_instrument: int,
+                  seed: int) -> tuple[list[FilePair], list[str]]:
+    """A corpus's file pairs and the manifest's file lines for them, in written order."""
+    pairs = [FilePair(name, i, directory / f"{name}_{i:02d}.wav",
+                      directory / f"{name}_{i:02d}.onsets")
+             for name in names for i in range(1, files_per_instrument + 1)]
+    return pairs, [f"file {p.wav.stem} {p.instrument} {p.index} "
+                   f"{seed}-{zlib.crc32(p.instrument.encode())}-{p.index}" for p in pairs]
 
 
 def generate_corpus(spec: CorpusSpec, out_dir, force: bool = False, threads: int = 1) -> Path:
@@ -291,8 +303,7 @@ def generate_corpus(spec: CorpusSpec, out_dir, force: bool = False, threads: int
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     profiles = {p.name: p for p in spec.instruments}
-    pairs = [FilePair(name, i, out / f"{name}_{i:02d}.wav", out / f"{name}_{i:02d}.onsets")
-             for name in profiles for i in range(1, spec.files_per_instrument + 1)]
+    pairs, file_lines = _corpus_files(out, profiles, spec.files_per_instrument, spec.seed)
     if not force:
         for path in [out / MANIFEST_NAME] + [q for pair in pairs for q in (pair.wav, pair.onsets)]:
             if path.exists():
@@ -310,70 +321,42 @@ def generate_corpus(spec: CorpusSpec, out_dir, force: bool = False, threads: int
     else:
         list(map(render_one, pairs))
 
-    lines = [
-        f"{MANIFEST_MAGIC} {MANIFEST_VERSION}",
-        f"seed {spec.seed}",
-        f"tempo {spec.tempo!r}",
-        f"file_duration {spec.file_duration!r}",
-        f"files_per_instrument {spec.files_per_instrument}",
-        "instruments " + ",".join(p.name for p in spec.instruments),
-    ]
-    lines += [f"file {pair.wav.stem} {pair.instrument} {pair.index} "
-              f"{_seed_tag(spec.seed, pair.instrument, pair.index)}" for pair in pairs]
+    values = (spec.seed, repr(spec.tempo), repr(spec.file_duration), spec.files_per_instrument,
+              ",".join(profiles))
+    lines = [f"{MANIFEST_MAGIC} {MANIFEST_VERSION}",
+             *(f"{key} {value}" for key, value in zip(_MANIFEST_FIELDS, values)), *file_lines]
     manifest = out / MANIFEST_NAME
-    manifest.write_text("\n".join(lines) + "\n")
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return manifest
 
 
 def load_manifest(path) -> tuple[dict, list[FilePair]]:
     """Parse a corpus manifest into (metadata dict, file pairs), the files
-    lying beside the manifest; a file listed twice, by stem or by
-    instrument and index, is a DataError."""
+    lying beside the manifest. The file must be exactly what generate_corpus
+    writes: the magic line, the metadata lines in written order, then the
+    file line of every instrument and index; anything else is a DataError."""
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read manifest {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text: {e}") from e
-    # the file's own lines: str.splitlines would also break at U+0085, U+2028 and the like
-    lines = [(no, ln.strip()) for no, ln in enumerate(raw.split("\n"), start=1) if ln.strip()]
-    if not lines or lines[0][1] != f"{MANIFEST_MAGIC} {MANIFEST_VERSION}":
+    lines = read_text(path, "manifest").split("\n")
+    if lines[0] != f"{MANIFEST_MAGIC} {MANIFEST_VERSION}":
         raise DataError(f"{path}: not a corpus manifest")
-    meta: dict = {}
-    pairs: list[FilePair] = []
-    listed: set = set()  # stems and (instrument, index) keys of the file lines so far
-    casts = {"seed": int, "tempo": float, "file_duration": float,
-             "files_per_instrument": int}
-    for ln_no, ln in lines[1:]:
-        key, _, rest = ln.partition(" ")
-        if key == "file":
-            parts = rest.split()
-            if len(parts) != 4:
-                raise DataError(f"{path}:{ln_no}: malformed file entry")
-            try:
-                index = int(parts[2])
-            except ValueError as e:
-                raise DataError(f"{path}:{ln_no}: {e}") from e
-            stem, name = parts[0], parts[1]
-            if stem in listed or (name, index) in listed:
-                raise DataError(f"{path}:{ln_no}: file {stem} ({name} {index}) is listed twice")
-            listed.update((stem, (name, index)))
-            pairs.append(FilePair(name, index, path.parent / f"{stem}.wav",
-                                  path.parent / f"{stem}.onsets"))
-        elif key == "instruments":
-            meta["instruments"] = tuple(rest.split(","))
-        elif key in casts:
-            try:
-                meta[key] = casts[key](rest)
-            except ValueError as e:
-                raise DataError(f"{path}:{ln_no}: {e}") from e
-        else:
-            raise DataError(f"{path}:{ln_no}: unknown manifest key {key!r}")
-    missing = {"seed", "tempo", "file_duration", "files_per_instrument", "instruments"} - set(meta)
-    if missing:
-        raise DataError(f"{path}: manifest missing keys {sorted(missing)}")
-    stray = {p.instrument for p in pairs} - set(meta["instruments"])
-    if stray:
-        raise DataError(f"{path}: file entries for {sorted(stray)}, not in the instruments line")
+    if lines[-1]:
+        raise DataError(f"{path}:{len(lines)}: no line feed at the end")
+    meta = {}
+    for no, (key, parse) in enumerate(_MANIFEST_FIELDS.items(), start=2):
+        label, _, value = (lines[no - 1] if no <= len(lines) else "").partition(" ")
+        if label != key:
+            raise DataError(f"{path}:{no}: expected the {key} line")
+        try:
+            meta[key] = parse(value)
+        except (ValueError, ConfigError) as e:
+            raise DataError(f"{path}:{no}: invalid {key} {reprlib.repr(value)}") from e
+    names, per = meta["instruments"], meta["files_per_instrument"]
+    if len(lines) - 7 != len(names) * per:  # 6 metadata lines and the empty tail
+        raise DataError(f"{path}: {len(lines) - 7} file lines for {len(names)} instruments "
+                        f"x {per} files")
+    pairs, file_lines = _corpus_files(path.parent, names, per, meta["seed"])
+    for no, (line, written) in enumerate(zip(lines[6:-1], file_lines), start=7):
+        if line != written:
+            raise DataError(f"{path}:{no}: expected {reprlib.repr(written)}, "
+                            f"got {reprlib.repr(line)}")
     return meta, pairs

@@ -31,7 +31,6 @@ from onsetkit.experiment import (
     pretrain_model,
     run_cycle,
     run_grid,
-    strip_wall_column,
     write_report,
 )
 from onsetkit.layers import (
@@ -58,6 +57,7 @@ from onsetkit.synth import CorpusSpec, default_corpus_spec, default_instruments,
 from onsetkit.training import FinetuneConfig, finetune
 
 from gradcheck import gradcheck
+from results_text import strip_wall_column
 
 CORPUS_SEED = 42
 PRETRAIN_SEED = 0

@@ -314,6 +314,41 @@ def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["detect", "{long_model}", "{wav}"], 2),
+    (["eval", "{long_onsets}", "{long_onsets}"], 2),
+    (["grid", "--config", "{long_variant}"], 1),
+    (["grid", "--config", "{long_models}"], 1),
+    (["report", "{long_cell}", "--out", "{out}"], 2),
+    (["finetune", "{model}", "{long_roster}", "a", "--out", "{out}"], 2),
+], ids=["detect-model-without-newline", "eval-long-line", "grid-long-variant",
+        "grid-long-models-string", "report-long-per-file-f1", "finetune-long-instrument-name"])
+def test_long_input_is_not_echoed_in_full(corpus, model_file, tmp_path, capsys, argv, code):
+    """An error quotes at most a bounded excerpt of the input it rejects."""
+    long = "x" * 50_000
+    (tmp_path / "long.model").write_bytes(long.encode())
+    (tmp_path / "long.onsets").write_text(long + "\n")
+    grid = {"corpus": str(corpus), "base_models": {"tcn_v1": str(model_file)},
+            "out_dir": str(tmp_path / "out")}
+    (tmp_path / "variant.json").write_text(json.dumps({**grid, "models": [long]}))
+    (tmp_path / "models.json").write_text(json.dumps({**grid, "models": long}))
+    (tmp_path / "results.csv").write_text(
+        "# results-format: 1\nmodel,instrument,freeze_id,mean_f1,baseline_f1,delta_pp,n_files,"
+        f"seed,wall_s,per_file_f1\ntcn_v1,a,ft,0.5,0.5,0.0,1,0,0.1,\"\"\"{long}\"\"\"\n")
+    (tmp_path / "roster").mkdir()
+    (tmp_path / "roster" / "manifest.txt").write_text(
+        f"onsetkit-corpus 1\nseed 1\ntempo 180\nfile_duration 5\nfiles_per_instrument 2\n"
+        f"instruments a,{long}.\n")
+    paths = {"long_model": tmp_path / "long.model", "wav": corpus / "drone_tone_02.wav",
+             "long_onsets": tmp_path / "long.onsets", "long_variant": tmp_path / "variant.json",
+             "long_models": tmp_path / "models.json", "long_cell": tmp_path / "results.csv",
+             "model": model_file, "long_roster": tmp_path / "roster", "out": tmp_path / "out"}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and len(err[0]) < 200, err[0][:300]
+    assert not (tmp_path / "out").exists()
+
+
 def test_divergence_maps_to_exit_3(monkeypatch, corpus, model_file, tmp_path, capsys):
     import onsetkit.cli as cli
 

@@ -27,7 +27,6 @@ from onsetkit.experiment import (
     run_cycle,
     run_grid,
     save_config,
-    strip_wall_column,
     write_report,
 )
 from onsetkit.models import (
@@ -39,6 +38,8 @@ from onsetkit.models import (
     save_model,
 )
 from onsetkit.synth import CorpusSpec, file_seed, generate_corpus, make_profile, render_file
+
+from results_text import strip_wall_column
 
 
 @pytest.fixture(scope="module")
@@ -360,6 +361,20 @@ def test_real_layout_ingestion(tmp_path):
         load_dataset(tmp_path)
     with pytest.raises(DataError):
         load_dataset(tmp_path / "Alpha" / "Alpha_03.wav")
+
+
+def test_real_layout_indices_are_ascii_digits(tmp_path):
+    from onsetkit.audio import AudioClip
+    d = tmp_path / "Bell"
+    d.mkdir()
+    # "\u00b2" and "\u0663" pass str.isdigit; only ASCII digits make an index
+    for tail in ("01", "\u00b2", "\u0663", "x1"):
+        save_wav(AudioClip(np.zeros(4410), 44100), d / f"Bell_{tail}.wav")
+        save_annotations(OnsetAnnotations(np.array([0.05])), d / f"Bell_{tail}.onsets")
+    assert [(p.index, p.wav.name) for p in load_dataset(tmp_path)["Bell"]] == [(1, "Bell_01.wav")]
+    (d / "Bell_01.wav").unlink()
+    with pytest.raises(DataError, match="no instruments"):
+        load_dataset(tmp_path)
 
 
 def test_pretrain_model_runs(corpus):

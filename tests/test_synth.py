@@ -1,23 +1,35 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onsetkit import synth
 from onsetkit.audio import TARGET_RATE, load_annotations, load_audio
+from onsetkit.cli import main
 from onsetkit.errors import ConfigError, DataError, OnsetKitError
 from onsetkit.features import extract_features
+from onsetkit.models import build_model, save_model
 from onsetkit.synth import (
     CorpusSpec,
+    FilePair,
     InstrumentProfile,
+    _synthesize,
     default_instruments,
     file_seed,
     generate_corpus,
     load_manifest,
     make_profile,
     render_file,
-    render_hits,
 )
 from onsetkit.training import make_targets
+
+
+def render_hits(profile, times, duration, seed):
+    """Render explicit hit times; annotations are the sample-aligned times."""
+    return _synthesize(profile, np.asarray(times, dtype=np.float64),
+                       int(round(duration * TARGET_RATE)), np.random.default_rng(seed))
 
 
 def tone_profile(**kw):
@@ -185,32 +197,122 @@ def test_corpus_round_trip_matches_render(tmp_path):
 def test_manifest_errors(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("not a manifest\n")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="not a corpus manifest"):
         load_manifest(p)
     p.write_text("onsetkit-corpus 1\nseed 1\nbogus x\n")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"m\.txt:3: expected the tempo line"):
         load_manifest(p)
     p.write_text("onsetkit-corpus 1\nseed 1\n")
-    with pytest.raises(DataError):
-        load_manifest(p)  # missing keys
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"m\.txt:3: expected the tempo line"):
+        load_manifest(p)  # the rest of the metadata is missing
+    with pytest.raises(DataError, match="cannot read manifest"):
         load_manifest(tmp_path / "absent.txt")
     p.write_bytes(b"onsetkit-corpus 1\nseed 1\ninstruments caf\xe9\n")
     with pytest.raises(DataError, match="not UTF-8"):
         load_manifest(p)
-    p.write_text("onsetkit-corpus 1\nseed 1\ntempo 180\nfile_duration 5\n"
-                 "files_per_instrument 1\ninstruments a\nfile b_01 b 1 1-2-1\n")
-    with pytest.raises(DataError, match="not in the instruments line"):
-        load_manifest(p)
     head = ("onsetkit-corpus 1\nseed 1\ntempo 180\nfile_duration 5\n"
             "files_per_instrument 2\ninstruments a\n")
-    for second in ("file a_01 a 1 1-2-1", "file a_1 a 1 1-2-1"):  # same stem, same (a, 1)
-        p.write_text(head + "file a_01 a 1 1-2-1\n" + second + "\n")
-        with pytest.raises(DataError, match=r"m\.txt:8: .*listed twice"):
+    tag = zlib.crc32(b"a")
+    p.write_text(head + f"file b_01 b 1 1-{zlib.crc32(b'b')}-1\nfile a_02 a 2 1-{tag}-2\n")
+    with pytest.raises(DataError, match=rf"m\.txt:7: expected 'file a_01 a 1 1-{tag}-1'"):
+        load_manifest(p)  # an instrument the instruments line does not name
+    for second in (f"file a_01 a 1 1-{tag}-1", f"file a_1 a 1 1-{tag}-1"):  # listed twice
+        p.write_text(head + f"file a_01 a 1 1-{tag}-1\n" + second + "\n")
+        with pytest.raises(DataError, match=rf"m\.txt:8: expected 'file a_02 a 2 1-{tag}-2'"):
             load_manifest(p)
+    p.write_text(head + f"file a_01 a 1 1-{tag}-1\nfile a_02 a 2 1-{tag}-2")
+    with pytest.raises(DataError, match=r"m\.txt:8: no line feed at the end"):
+        load_manifest(p)
+    p.write_text(head.replace("2\n", "x\n"))
+    with pytest.raises(DataError, match=r"m\.txt:5: invalid files_per_instrument 'x'"):
+        load_manifest(p)
     # lines are numbered as in the file: blank lines count, and U+2028 ends no line
-    p.write_text("onsetkit-corpus 1\n\n\nseed 1\u2028\nbogus x\n", encoding="utf-8")
-    with pytest.raises(DataError, match=r"m\.txt:5: unknown manifest key 'bogus'"):
+    p.write_text("onsetkit-corpus 1\n\n\nseed 1\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"m\.txt:2: expected the seed line"):
+        load_manifest(p)
+    p.write_text("onsetkit-corpus 1\nseed 1\u2028tempo 180\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"m\.txt:2: invalid seed"):
+        load_manifest(p)
+
+
+@settings(max_examples=15, deadline=None)
+@given(names=st.lists(st.from_regex(r"[a-z0-9_]{1,8}", fullmatch=True), min_size=1, max_size=3,
+                      unique=True),
+       files=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+       tempo=st.sampled_from([165.0, 170, 180.0]))
+def test_load_manifest_returns_the_writers_pairs(tmp_path_factory, names, files, seed, tempo):
+    out = tmp_path_factory.mktemp("written")
+    spec = CorpusSpec(tuple(make_profile(n, "time-keeping", 0) for n in names),
+                      files_per_instrument=files, file_duration=5.0, tempo=tempo, seed=seed)
+    manifest = generate_corpus(spec, out)
+    meta, pairs = load_manifest(manifest)
+    assert meta == {"seed": seed, "tempo": tempo, "file_duration": 5.0,
+                    "files_per_instrument": files, "instruments": tuple(names)}
+    assert pairs == [FilePair(n, i, out / f"{n}_{i:02d}.wav", out / f"{n}_{i:02d}.onsets")
+                     for n in names for i in range(1, files + 1)]
+    written = sorted(q.name for q in out.iterdir() if q != manifest)
+    assert written == sorted(q.name for pair in pairs for q in (pair.wav, pair.onsets))
+
+
+@pytest.fixture(scope="module")
+def written_manifest(tmp_path_factory):
+    """The manifest text of a two-instrument, two-file corpus, seed 4."""
+    spec = CorpusSpec((make_profile("a", "voicing", 0), make_profile("b_2", "time-keeping", 0)),
+                      files_per_instrument=2, file_duration=5.0, seed=4)
+    return generate_corpus(spec, tmp_path_factory.mktemp("written")).read_text(encoding="utf-8")
+
+
+def _swap_lines(text, i, j):
+    lines = text.split("\n")
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
+_A1 = f"file a_01 a 1 4-{zlib.crc32(b'a')}-1\n"
+_B2 = f"file b_2_02 b_2 2 4-{zlib.crc32(b'b_2')}-2\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: _swap_lines(t, 1, 2),
+    lambda t: t.replace("instruments a,b_2\n", "instruments a,b_2\n\n"),
+    lambda t: t + "\n",
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t.replace(_B2, ""),
+    lambda t: t.replace(_B2, _A1),
+    lambda t: _swap_lines(t, 6, 7),
+    lambda t: t.replace(_A1, _A1.replace("4-", "5-")),
+    lambda t: t.replace(_A1, _A1.replace("file a_01", "file ../../outside")),
+    lambda t: t.replace("b_2", "../x"),
+    lambda t: t.replace("instruments a,b_2", "instruments a,a"),
+    lambda t: t.replace("files_per_instrument 2", "files_per_instrument 1000000000"),
+], ids=["metadata-reordered", "blank-line", "blank-last-line", "crlf", "file-dropped",
+        "file-repeated", "files-reordered", "wrong-seed-tag", "file-outside-the-corpus",
+        "instrument-outside-the-corpus", "instrument-repeated", "files-per-instrument-1e9"])
+def test_manifests_generate_corpus_never_writes_are_rejected(written_manifest, tmp_path,
+                                                            capsys, edit):
+    text = edit(written_manifest)
+    assert text != written_manifest
+    (tmp_path / "manifest.txt").write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(DataError):
+        load_manifest(tmp_path / "manifest.txt")
+    save_model(build_model("tcn_v1", 0), tmp_path / "v1.model")
+    assert main(["finetune", str(tmp_path / "v1.model"), str(tmp_path), "a",
+                 "--out", str(tmp_path / "out.model")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "out.model").exists()
+
+
+def test_a_file_count_the_lines_cannot_hold_fails_before_any_pair_is_built(
+        written_manifest, tmp_path, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("pairs built for a manifest that cannot hold them")
+
+    monkeypatch.setattr(synth, "_corpus_files", unreachable)
+    p = tmp_path / "manifest.txt"
+    p.write_text(written_manifest.replace("files_per_instrument 2",
+                                          "files_per_instrument 1000000000"), encoding="utf-8")
+    with pytest.raises(DataError, match="4 file lines for 2 instruments x 1000000000 files"):
         load_manifest(p)
 
 
