@@ -21,6 +21,7 @@ from .errors import ConfigError, DivergenceError, OnsetKitError
 from .evaluate import PeakPickParams, compute_prf, match_onsets, peak_pick
 from .experiment import (
     extract_snippet,
+    instrument_pairs,
     load_config,
     load_corpus_spec,
     load_dataset,
@@ -93,10 +94,8 @@ def _cmd_finetune(args) -> int:
     config = FinetuneConfig(FreezeConfig.from_id(args.freeze),
                             **_given(args, "seed", "epochs", "lr_scale", "base_lr"))
     model = load_model(args.model)
-    dataset = load_dataset(args.corpus)
-    if args.instrument not in dataset:
-        raise ConfigError(f"instrument {args.instrument!r} not in corpus {args.corpus}")
-    feats, targets, held = extract_snippet(dataset[args.instrument], args.offset)
+    pairs = instrument_pairs(load_dataset(args.corpus), args.instrument, f"corpus {args.corpus}")
+    feats, targets, held = extract_snippet(pairs, args.offset)
     adapted = finetune(model, (feats, targets), config)
     save_model(adapted, args.out)
     print(f"adapted {model.variant} to {args.instrument} ({args.freeze}), "

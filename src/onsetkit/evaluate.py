@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audio import OnsetAnnotations
-from .errors import ConfigError
+from .errors import ConfigError, check_fields, check_ranges
 from .features import FRAME_RATE
 
 DEFAULT_TOLERANCE = 0.025
@@ -27,14 +27,9 @@ class PeakPickParams:
     min_gap: float = 0.03  # seconds
 
     def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.w_max < 0 or self.w_avg < 0:
-            raise ConfigError("window half-widths must be >= 0")
+        check_fields(self)
         if not 1.0 / FRAME_RATE <= self.min_gap < np.inf:
             raise ConfigError(f"minimum gap below one frame (10 ms) or infinite: {self.min_gap}")
-        if not -np.inf < self.delta < np.inf:
-            raise ConfigError(f"delta must be finite, got {self.delta}")
 
 
 def _windowed(x: np.ndarray, half: int):
@@ -80,8 +75,7 @@ def match_onsets(
     estimate in its window. For uniform windows this greedy attains the
     maximum matching cardinality (verified against brute force in tests).
     """
-    if not 0.0 < tolerance < np.inf:
-        raise ConfigError(f"tolerance must be > 0 s, got {tolerance}")
+    check_ranges(tolerance=tolerance)
     est = np.asarray(getattr(estimates, "times", estimates), dtype=np.float64)
     ref = np.asarray(getattr(reference, "times", reference), dtype=np.float64)
     pairs = []

@@ -31,7 +31,8 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .audio import AudioClip, OnsetAnnotations, load_annotations, load_audio
-from .errors import ConfigError, DataError, OnsetKitError, SnippetError, read_text
+from .errors import (ConfigError, DataError, OnsetKitError, SnippetError, check_fields,
+                     check_ranges, read_text)
 from .evaluate import (DEFAULT_TOLERANCE, EvalResult, PeakPickParams, aggregate, delta_pp,
                        match_onsets, peak_pick)
 from .features import extract_features
@@ -47,21 +48,12 @@ from .models import (
 )
 from .synth import (MANIFEST_NAME, CorpusSpec, FilePair, InstrumentProfile, generate_corpus,
                     load_manifest, make_profile)
-from .training import BASE_LR, FinetuneConfig, check_schedule, finetune, make_targets, train
+from .training import BASE_LR, FinetuneConfig, finetune, make_targets, train
 
 RESULTS_FORMAT_LINE = "# results-format: 1"  # a results file's first line
 EXCLUDED_REAL_INDEX = 34
 SNIPPET_DURATION = 5.0  # s, the fine-tuning snippet
 SNIPPET_OFFSET_GRID = 0.1  # s, scan step for the default snippet offset
-
-
-def check_snippet_window(offset: float | None, duration: float) -> None:
-    """Raise ConfigError unless duration > 0 s and offset, when given, is
-    >= 0 s, both finite; NaN fails every check."""
-    if not 0.0 < duration < np.inf:
-        raise ConfigError(f"snippet duration must be > 0 s, got {duration}")
-    if offset is not None and not 0.0 <= offset < np.inf:
-        raise ConfigError(f"snippet offset must be >= 0 s, got {offset}")
 
 
 @dataclass(frozen=True)
@@ -100,11 +92,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} repeats an entry: {list(entries)}")
         for fid in self.freeze_configs:
             FreezeConfig.from_id(fid)
-        # each range check is written so that NaN and infinity fail it
-        check_snippet_window(self.snippet_offset, self.snippet_duration)
-        if not 0.0 < self.tolerance < np.inf:
-            raise ConfigError(f"tolerance must be > 0 s, got {self.tolerance}")
-        check_schedule(self.epochs, self.lr_scale, self.base_lr, self.seed)
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -123,19 +111,13 @@ class ResultRow:
     per_file_f1: tuple
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        for what, f1 in [("mean F1", self.mean_f1), ("baseline F1", self.baseline_f1),
-                         *(("per-file F1", v) for v in self.per_file_f1)]:
-            if not 0.0 <= f1 <= 1.0:
-                raise ConfigError(f"{what} out of range: {f1}")
+        check_fields(self)
+        for f1 in self.per_file_f1:
+            check_ranges(f1=f1)
         if not abs(self.delta_pp - (self.mean_f1 - self.baseline_f1) * 100.0) <= 1e-9:
             raise ConfigError("delta_pp does not match mean - baseline")
         if self.n_files != len(self.per_file_f1):
             raise ConfigError("n_files does not match per-file list")
-        if not self.seed >= 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.wall_s < np.inf:
-            raise ConfigError(f"wall_s must be finite and >= 0, got {self.wall_s}")
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in CSV_COLUMNS}
@@ -186,6 +168,13 @@ def load_dataset(root) -> dict:
     return out
 
 
+def instrument_pairs(dataset: dict, name: str, where: str) -> list:
+    """dataset[name] of a load_dataset map; ConfigError naming `where` if it has none."""
+    if name not in dataset:
+        raise ConfigError(f"instrument {reprlib.repr(name)} not in {where}")
+    return dataset[name]
+
+
 def extract_snippet(pairs, offset: float | None = None, duration: float = SNIPPET_DURATION):
     """Cut the fine-tuning snippet from the instrument's first file.
 
@@ -194,7 +183,7 @@ def extract_snippet(pairs, offset: float | None = None, duration: float = SNIPPE
     offset=None the earliest 0.1 s-grid offset whose window contains an
     annotation is used.
     """
-    check_snippet_window(offset, duration)
+    check_ranges(snippet_offset=offset, snippet_duration=duration)
     if not pairs:
         raise ConfigError("no files for snippet extraction")
     first = min(pairs, key=lambda p: p.index)
@@ -305,9 +294,7 @@ def run_cycle(model_path, instrument: str, freeze_id: str, config: ExperimentCon
         base = load_model(model_path)
         if dataset is None:
             dataset = load_dataset(_corpus_path(config))
-        if instrument not in dataset:
-            raise ConfigError(f"instrument {instrument!r} not in dataset")
-        pairs = dataset[instrument]
+        pairs = instrument_pairs(dataset, instrument, "dataset")
         cache = {} if cache is None else cache  # each held-in file is read once
         return _adapt_and_score(base, pairs, _prepare_pair(base, pairs, config, cache),
                                 instrument, freeze_id, config, cache)
@@ -386,8 +373,7 @@ def run_grid(config: ExperimentConfig, threads: int = 1) -> list:
     dataset = load_dataset(corpus_dir)
     instruments = config.instruments or tuple(dataset)
     for name in instruments:
-        if name not in dataset:
-            raise ConfigError(f"instrument {name!r} not in corpus {corpus_dir}")
+        instrument_pairs(dataset, name, f"corpus {corpus_dir}")
     for variant in config.models:
         if variant not in config.base_models:
             raise ConfigError(f"no base model configured for {variant}; pretrain first")
@@ -443,7 +429,7 @@ def write_report(rows, out_dir) -> tuple:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "results.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(RESULTS_FORMAT_LINE + "\n" + _csv_record(CSV_COLUMNS))
         for r in rows:  # numbers by repr, which gives floats back exactly
             fh.write(_csv_record([v if isinstance(v, str) else json.dumps(v) if isinstance(v, list)
@@ -467,7 +453,7 @@ def write_report(rows, out_dir) -> tuple:
         lines.append(f"| {model} | {instrument} | {ids} | {best:.3f} "
                      f"| {winners[0].baseline_f1:.3f} | {winners[0].delta_pp:+.1f} |")
     md_path = out / "summary.md"
-    md_path.write_text("\n".join(lines) + "\n")
+    md_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return csv_path, md_path
 
 
@@ -529,15 +515,13 @@ def pretrain_model(corpus_dir, instruments, variant: str, epochs: int, seed: int
     Targets come from each file's own annotations, so supervising on
     time-keeping instruments alone trains a beat-style detector.
     """
-    check_schedule(epochs, base_lr=base_lr, seed=seed)
+    check_ranges(epochs=epochs, base_lr=base_lr, seed=seed)
     if len(set(instruments)) < len(instruments):
         raise ConfigError(f"instruments repeats an entry: {list(instruments)}")
     dataset = load_dataset(corpus_dir)
     items = []
     for name in instruments:
-        if name not in dataset:
-            raise ConfigError(f"instrument {name!r} not in corpus {corpus_dir}")
-        for pair in dataset[name]:
+        for pair in instrument_pairs(dataset, name, f"corpus {corpus_dir}"):
             feats = extract_features(load_audio(pair.wav))
             targets = make_targets(load_annotations(pair.onsets), feats.n_frames)
             items.append((feats, targets))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ModelFormatError, ShapeError
+from .errors import ConfigError, ModelFormatError, ShapeError, check_ranges
 from .features import FRAME_RATE, N_BANDS
 from .layers import (Conv2d, Dense, DilatedConv1d, dropout, dropout_mask, elu, pool_freq3,
                      sigmoid, unpool_freq3)
@@ -397,8 +397,7 @@ def build_model(variant: str, seed: int, dropout_rate: float = DROPOUT_RATE,
     """Construct an initialized model for N_BANDS-band features."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {dropout_rate}")
+    check_ranges(dropout_rate=dropout_rate)
     rng = np.random.default_rng(seed)
     rate = float(dropout_rate)  # a numpy scalar would write its repr into the model file
     layers = []
@@ -467,7 +466,7 @@ class FreezeConfig:
         if spec == "ft":
             return cls(id=spec, frozen=())
         if not spec.startswith("ft_"):
-            raise ConfigError(f"freeze id must be 'ft' or 'ft_...', got {spec!r}")
+            raise ConfigError(f"freeze id must be 'ft' or 'ft_...', got {reprlib.repr(spec)}")
         seg = spec[3:]
         if "-" in seg:
             first, last = seg.split("-", 1)
@@ -477,10 +476,11 @@ class FreezeConfig:
             if name == "Out":
                 raise ConfigError("the output layer is always trainable")
             if name not in FREEZABLE:
-                raise ConfigError(f"unknown layer {name!r} in freeze id {spec!r}")
+                raise ConfigError(f"unknown layer {reprlib.repr(name)} in freeze id "
+                                  f"{reprlib.repr(spec)}")
         a, b = FREEZABLE.index(first), FREEZABLE.index(last)
         if a > b:
-            raise ConfigError(f"freeze segment reversed in {spec!r}")
+            raise ConfigError(f"freeze segment reversed in {reprlib.repr(spec)}")
         return cls(id=spec, frozen=FREEZABLE[a : b + 1])
 
 

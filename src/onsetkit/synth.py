@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioClip, OnsetAnnotations, TARGET_RATE, save_annotations, save_wav
-from .errors import ConfigError, DataError, read_text
+from .errors import ConfigError, DataError, check_fields, check_ranges, read_text
 
 ROLES = ("time-keeping", "voicing")
 SPECTRAL_MODES = ("noise-burst", "damped-tone", "mixed")
@@ -66,18 +66,13 @@ class InstrumentProfile:
     def __post_init__(self):
         _check_name(self.name)
         if self.role not in ROLES:
-            raise ConfigError(f"unknown role {self.role!r}, expected one of {ROLES}")
+            raise ConfigError(f"unknown role {reprlib.repr(self.role)}, expected one of {ROLES}")
         if self.spectral_mode not in SPECTRAL_MODES:
-            raise ConfigError(f"unknown spectral mode {self.spectral_mode!r}")
+            raise ConfigError(f"unknown spectral mode {reprlib.repr(self.spectral_mode)}")
         lo, hi = self.decay_span
         if not (50.0 <= lo <= hi <= 450.0):
             raise ConfigError(f"decay span must satisfy 50 <= lo <= hi <= 450 ms, got {self.decay_span}")
-        if not 0.0 <= self.onset_density < np.inf:
-            raise ConfigError(f"onset density must be >= 0, got {self.onset_density}")
-        if not 0.0 <= self.amplitude_jitter < np.inf:
-            raise ConfigError(f"amplitude jitter must be >= 0, got {self.amplitude_jitter}")
-        if not 0.0 < self.attack_ms < np.inf:
-            raise ConfigError(f"attack must be > 0 ms, got {self.attack_ms}")
+        check_fields(self)
         if self.spectral_mode != "noise-burst" and not 0.0 < self.center_freq < np.inf:
             raise ConfigError("tone modes need a positive, finite center frequency")
 
@@ -98,14 +93,7 @@ class CorpusSpec:
         names = [p.name for p in self.instruments]
         if len(set(names)) != len(names):
             raise ConfigError("instrument names must be unique")
-        if self.files_per_instrument < 2:
-            raise ConfigError("need >= 2 files per instrument (snippet source + eval)")
-        if not 5.0 <= self.file_duration < np.inf:
-            raise ConfigError(f"file duration must be >= 5 s, got {self.file_duration}")
-        if not (165.0 <= self.tempo <= 180.0):
-            raise ConfigError(f"tempo must lie in [165, 180] bpm, got {self.tempo}")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        check_fields(self)
 
 
 def default_instruments() -> tuple[InstrumentProfile, ...]:
@@ -136,13 +124,11 @@ def default_corpus_spec(**fields) -> CorpusSpec:
 
 
 def make_profile(name: str, role: str, seed: int) -> InstrumentProfile:
-    """Draw a deterministic role-typical profile from (name, role, seed)."""
+    """Draw a deterministic role-typical profile from (name, role, seed); the
+    profile checks the role, so the draw takes the str of any role."""
     _check_name(name)
-    if role not in ROLES:
-        raise ConfigError(f"unknown role {role!r}, expected one of {ROLES}")
-    if seed < 0:
-        raise ConfigError(f"profile seed must be >= 0, got {seed}")
-    ss = np.random.SeedSequence([seed, zlib.crc32(name.encode()), zlib.crc32(role.encode())])
+    check_ranges(profile_seed=seed)
+    ss = np.random.SeedSequence([seed, zlib.crc32(name.encode()), zlib.crc32(str(role).encode())])
     rng = np.random.default_rng(ss)
     if role == "time-keeping":
         density = TIME_KEEPING_DENSITY * (1.0 + rng.uniform(-0.1, 0.1))
@@ -244,10 +230,7 @@ def _synthesize(profile: InstrumentProfile, times: np.ndarray, n_samples: int,
 def render_file(profile: InstrumentProfile, duration: float, tempo: float,
                 seed) -> tuple[AudioClip, OnsetAnnotations]:
     """Render one file of role-appropriate hits with exact annotations."""
-    if duration < 5.0:
-        raise ConfigError("file duration must be >= 5 s")
-    if tempo <= 0:
-        raise ConfigError("tempo must be > 0")
+    check_ranges(file_duration=duration, tempo=tempo)
     rng = np.random.default_rng(seed)
     if profile.role == "time-keeping":
         times = _beat_times(duration, tempo, profile.onset_density, rng)

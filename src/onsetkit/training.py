@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import OnsetAnnotations
-from .errors import AnnotationError, ConfigError, DivergenceError, ShapeError
+from .errors import (AnnotationError, ConfigError, DivergenceError, ShapeError, check_fields,
+                     check_ranges)
 from .features import FRAME_RATE
 from .layers import bce_loss, bce_loss_grad
 from .models import FreezeConfig, Model, apply_freeze, clone_model
@@ -31,20 +32,6 @@ def make_targets(onsets: OnsetAnnotations, n_frames: int) -> np.ndarray:
     return y
 
 
-def check_schedule(epochs: int, lr_scale: float = 1.0, base_lr: float = BASE_LR,
-                   seed: int = 0) -> None:
-    """Raise ConfigError unless epochs >= 1, 0 < lr_scale <= 1, base_lr is
-    positive and finite, and seed >= 0; NaN fails every check."""
-    if not seed >= 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    if not epochs >= 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
-    if not 0.0 < lr_scale <= 1.0:
-        raise ConfigError(f"lr_scale must be in (0, 1], got {lr_scale}")
-    if not 0.0 < base_lr < np.inf:
-        raise ConfigError(f"base_lr must be > 0 and finite, got {base_lr}")
-
-
 def train(model: Model, corpus, epochs: int, lr: float = BASE_LR, seed: int = 0):
     """Train in place: per epoch, one full-sequence gradient step per item
     in seeded shuffled order. Returns (model, per-epoch mean losses).
@@ -56,7 +43,7 @@ def train(model: Model, corpus, epochs: int, lr: float = BASE_LR, seed: int = 0)
     a fresh product), and the frozen blocks above it, up to the lowest
     trainable one, run cache-free.
     """
-    check_schedule(epochs, seed=seed)
+    check_ranges(epochs=epochs, seed=seed)
     if not corpus:
         raise ConfigError("training corpus is empty")
     items = []
@@ -98,7 +85,7 @@ class FinetuneConfig:
     dropout_active: bool = True
 
     def __post_init__(self):
-        check_schedule(self.epochs, self.lr_scale, self.base_lr, self.seed)
+        check_fields(self)
 
 
 def finetune(model: Model, snippet, config: FinetuneConfig) -> Model:

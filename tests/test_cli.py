@@ -321,8 +321,15 @@ def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, argv):
     (["grid", "--config", "{long_models}"], 1),
     (["report", "{long_cell}", "--out", "{out}"], 2),
     (["finetune", "{model}", "{long_roster}", "a", "--out", "{out}"], 2),
+    (["finetune", "{model}", "{corpus}", "ring_bell", "--out", "{out}",
+      "--freeze", "ft_{long}"], 1),
+    (["finetune", "{model}", "{corpus}", "{long}", "--out", "{out}"], 1),
+    (["pretrain", "{corpus}", "--out", "{out}", "--instruments", "{long}"], 1),
+    (["synth", "--out", "{out}", "--config", "{long_role}"], 1),
 ], ids=["detect-model-without-newline", "eval-long-line", "grid-long-variant",
-        "grid-long-models-string", "report-long-per-file-f1", "finetune-long-instrument-name"])
+        "grid-long-models-string", "report-long-per-file-f1", "finetune-long-instrument-name",
+        "finetune-long-freeze-id", "finetune-long-instrument", "pretrain-long-instrument",
+        "synth-long-role"])
 def test_long_input_is_not_echoed_in_full(corpus, model_file, tmp_path, capsys, argv, code):
     """An error quotes at most a bounded excerpt of the input it rejects."""
     long = "x" * 50_000
@@ -339,10 +346,13 @@ def test_long_input_is_not_echoed_in_full(corpus, model_file, tmp_path, capsys, 
     (tmp_path / "roster" / "manifest.txt").write_text(
         f"onsetkit-corpus 1\nseed 1\ntempo 180\nfile_duration 5\nfiles_per_instrument 2\n"
         f"instruments a,{long}.\n")
+    (tmp_path / "role.json").write_text(json.dumps(
+        {"instruments": [{"name": "solo", "role": long, "profile_seed": 1}]}))
     paths = {"long_model": tmp_path / "long.model", "wav": corpus / "drone_tone_02.wav",
              "long_onsets": tmp_path / "long.onsets", "long_variant": tmp_path / "variant.json",
              "long_models": tmp_path / "models.json", "long_cell": tmp_path / "results.csv",
-             "model": model_file, "long_roster": tmp_path / "roster", "out": tmp_path / "out"}
+             "model": model_file, "long_roster": tmp_path / "roster", "out": tmp_path / "out",
+             "corpus": corpus, "long": long, "long_role": tmp_path / "role.json"}
     assert main([arg.format(**paths) for arg in argv]) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and len(err[0]) < 200, err[0][:300]

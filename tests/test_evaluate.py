@@ -90,7 +90,7 @@ def test_peak_pick_param_validation():
     with pytest.raises(ConfigError):
         PeakPickParams(min_gap=0.005)
     for bad in (dict(min_gap=np.nan), dict(min_gap=np.inf), dict(delta=np.nan),
-                dict(delta=np.inf), dict(delta=-np.inf)):
+                dict(delta=np.inf), dict(delta=-np.inf), dict(w_max=np.nan), dict(w_avg=np.nan)):
         with pytest.raises(ConfigError):
             PeakPickParams(**bad)
     assert PeakPickParams(delta=-0.1).delta == -0.1

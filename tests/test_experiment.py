@@ -2,13 +2,18 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import onsetkit
 from onsetkit.audio import OnsetAnnotations, save_annotations, save_wav
 from onsetkit.errors import ConfigError, DataError, OnsetKitError, SnippetError
 from onsetkit.evaluate import PeakPickParams, peak_pick
@@ -296,6 +301,20 @@ def test_summary_ties_share_cell(tmp_path):
     assert "ft/ft_Conv1" in md_path.read_text()
 
 
+def test_report_writes_utf8_under_an_ascii_locale(tmp_path):
+    """onsetkit report rewrites the same bytes for a non-ASCII instrument name
+    whatever the locale's encoding."""
+    row = ResultRow("tcn_v1", "Gongu\u00ea", "ft", 0.5, 0.25, 25.0, 1, 0, 0.1, (0.5,))
+    csv_path, _ = write_report([row], tmp_path / "a")
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "POSIX",
+           "PYTHONPATH": str(Path(onsetkit.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "onsetkit.cli", "report", str(csv_path),
+                           "--out", str(tmp_path / "b")], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")[-500:]
+    assert (tmp_path / "b" / "results.csv").read_bytes() == csv_path.read_bytes()
+    assert "Gongu\u00ea" in (tmp_path / "b" / "summary.md").read_text(encoding="utf-8")
+
+
 def test_report_requires_rows(tmp_path):
     with pytest.raises(ConfigError):
         write_report([], tmp_path)
@@ -396,6 +415,15 @@ def test_config_json_round_trip(tmp_path, corpus, base_models):
     )
     save_config(config, tmp_path / "exp.json")
     assert load_config(tmp_path / "exp.json") == config
+
+
+def test_config_of_numpy_scalars_round_trips(tmp_path):
+    """save_config writes numpy scalars as JSON numbers, which load_config reads back."""
+    config = ExperimentConfig(corpus="/abs/corpus", seed=np.int64(3), epochs=np.int64(5),
+                              snippet_duration=np.float32(5.0), out_dir="/o")
+    save_config(config, tmp_path / "exp.json")
+    loaded = load_config(tmp_path / "exp.json")
+    assert loaded == config and (loaded.seed, loaded.epochs, loaded.snippet_duration) == (3, 5, 5.0)
 
 
 def test_config_json_inline_corpus_and_errors(tmp_path):

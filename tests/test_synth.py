@@ -64,9 +64,13 @@ def test_profile_validation():
                 dict(center_freq=np.nan), dict(center_freq=np.inf)):
         with pytest.raises(ConfigError):
             tone_profile(**bad)
-    for duration in (np.nan, np.inf):
+    for bad in (dict(file_duration=np.nan), dict(file_duration=np.inf), dict(seed=np.nan),
+                dict(files_per_instrument=np.nan)):
         with pytest.raises(ConfigError):
-            CorpusSpec((tone_profile(),), file_duration=duration)
+            CorpusSpec((tone_profile(),), **bad)
+    for duration, tempo in ((np.nan, 180.0), (5.0, 120.0)):  # CorpusSpec's ranges
+        with pytest.raises(ConfigError):
+            render_file(tone_profile(), duration, tempo, 0)
 
 
 def test_make_profile_deterministic():
@@ -192,6 +196,18 @@ def test_corpus_round_trip_matches_render(tmp_path):
     stored_ann = load_annotations(tmp_path / "gamma_01.onsets")
     assert len(stored_ann) == len(ann)
     assert np.max(np.abs(stored_ann.times - ann.times)) <= 1e-4
+
+
+def test_manifest_of_numpy_scalar_spec_round_trips(tmp_path):
+    """A spec given numpy scalars writes plain numbers, which load_manifest reads back."""
+    spec = CorpusSpec(default_instruments()[:1], files_per_instrument=np.int64(2),
+                      file_duration=np.float64(5.0), tempo=np.float64(180.0), seed=np.int64(1))
+    meta, pairs = load_manifest(generate_corpus(spec, tmp_path))
+    assert [meta[k] for k in ("seed", "tempo", "file_duration", "files_per_instrument")] == [
+        1, 180.0, 5.0, 2]
+    assert "tempo 180.0\n" in (tmp_path / "manifest.txt").read_text()
+    assert len(pairs) == 2
+    assert type(CorpusSpec(spec.instruments, tempo=170).tempo) is int  # a Python number stays
 
 
 def test_manifest_errors(tmp_path):
