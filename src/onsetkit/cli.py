@@ -41,6 +41,10 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits usage failures with status 2; the contract here is 1."""
 
     def error(self, message):
+        """Usage line, then argparse's message cut to its first 80 and last
+        60 characters: it quotes a rejected value in full."""
+        if len(message) > 80 + 3 + 60:
+            message = f"{message[:80]}...{message[-60:]}"
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)

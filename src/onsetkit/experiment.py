@@ -89,7 +89,7 @@ class ExperimentConfig:
         for key in ("models", "instruments", "freeze_configs"):
             entries = getattr(self, key) or ()
             if len(set(entries)) < len(entries):
-                raise ConfigError(f"{key} repeats an entry: {list(entries)}")
+                raise ConfigError(f"{key} repeats an entry: {reprlib.repr(list(entries))}")
         for fid in self.freeze_configs:
             FreezeConfig.from_id(fid)
         check_fields(self)
@@ -517,7 +517,8 @@ def pretrain_model(corpus_dir, instruments, variant: str, epochs: int, seed: int
     """
     check_ranges(epochs=epochs, base_lr=base_lr, seed=seed)
     if len(set(instruments)) < len(instruments):
-        raise ConfigError(f"instruments repeats an entry: {list(instruments)}")
+        raise ConfigError("instruments repeats an entry: "
+                          f"{reprlib.repr(list(instruments))}")
     dataset = load_dataset(corpus_dir)
     items = []
     for name in instruments:

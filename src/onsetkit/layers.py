@@ -5,7 +5,12 @@ the frequency pool are plain functions. The model's blocks compose them
 and hold every cache a backward reads:
   - a layer's forward(x, training=...) caches what its backward needs, only
     in training mode; an inference forward stores nothing, so backward
-    follows a training-mode forward
+    follows a training-mode forward. Each class names its cache attributes
+    once in `caches`; Model.drop_caches frees them all, and train calls it
+    when it returns or raises, so caches live only while a model trains.
+    Within that time a training forward writes a conv stage's whole-length
+    caches into the previous forward's arrays when their shape and dtype
+    match (see reuse_buffer), rather than allocating them anew
   - backward(gy, input_grad=True, param_grads=True) returns the input
     gradient and fills self.grads; input_grad=False fills self.grads only
     and returns None, and param_grads=False leaves self.grads untouched
@@ -35,8 +40,20 @@ def _f64(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
+def reuse_buffer(old, shape, dtype=np.float64) -> np.ndarray:
+    """old when it is an array of this shape and dtype, otherwise a new
+    uninitialized one. For whole-length caches that their owner allocated
+    through this function, so that a training forward writes over the
+    previous forward's cache rather than allocating one beside it."""
+    if isinstance(old, np.ndarray) and old.shape == shape and old.dtype == dtype:
+        return old
+    return np.empty(shape, dtype)
+
+
 class Layer:
     """Base of the parameter layers: their parameter and gradient dicts."""
+
+    caches: tuple[str, ...] = ()  # attributes a training forward sets for backward
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -85,12 +102,9 @@ def glorot(shape, fan_in, fan_out, rng, dtype):
 
 
 def _corr2d(x, w, cols=None):
-    """Valid 2-D cross-correlation of (T,F,C) with (kt,kf,C,O).
-
-    Returns (y, x_col) where x_col is the flattened patch matrix reused by
-    the weight-gradient computation: cols when given (rows of a larger
-    matrix), otherwise a new array or a view of x.
-    """
+    """Valid 2-D cross-correlation of (T,F,C) with (kt,kf,C,O), through the
+    flattened patch matrix: written into cols when given (rows of a larger
+    matrix), otherwise a new array or a view of x."""
     kt, kf, cin, cout = w.shape
     t_out = x.shape[0] - kt + 1
     f_out = x.shape[1] - kf + 1
@@ -101,11 +115,13 @@ def _corr2d(x, w, cols=None):
     else:
         cols.reshape(t_out, f_out, kt, kf, cin)[...] = win
     y = cols @ w.reshape(kt * kf * cin, cout)
-    return y.reshape(t_out, f_out, cout), cols
+    return y.reshape(t_out, f_out, cout)
 
 
 class Conv2d(Layer):
     """Valid cross-correlation over time x freq with multi-channel kernels."""
+
+    caches = ("_x_col", "_in_shape")
 
     def __init__(self, kt, kf, cin, cout, rng=None, dtype=np.float32):
         super().__init__()
@@ -118,8 +134,9 @@ class Conv2d(Layer):
         """Output frames s..e-1 of span=(s, e) (all when None), which read
         x's frames s..e+kt-2. training=True keeps what backward reads, the
         whole-length patch matrix and x's shape: a training forward may run
-        in spans, in order from s=0 (which allocates the matrix when the
-        span is not the whole length), each span filling its own rows."""
+        in spans, in order from s=0 (which takes the matrix, the previous
+        training forward's when the shape holds), each span filling its
+        own rows."""
         if x.ndim != 3 or x.shape[2] != self.cin:
             raise ShapeError(f"conv2d expects (time, freq, {self.cin}), got {x.shape}")
         if x.shape[0] < self.kt or x.shape[1] < self.kf:
@@ -127,15 +144,13 @@ class Conv2d(Layer):
         t_out, f_out = x.shape[0] - self.kt + 1, x.shape[1] - self.kf + 1
         s, e = span or (0, t_out)
         cols = None
-        if training and (s, e) != (0, t_out):
-            if s == 0:
-                self._x_col = np.empty((t_out * f_out, self.kt * self.kf * self.cin))
-            cols = self._x_col[s * f_out : e * f_out]
-        y, x_col = _corr2d(_f64(x[s : e + self.kt - 1]), _f64(self.params["w"]), cols)
         if training:
-            if cols is None:
-                self._x_col = x_col
+            if s == 0:
+                self._x_col = reuse_buffer(getattr(self, "_x_col", None),
+                                           (t_out * f_out, self.kt * self.kf * self.cin))
+            cols = self._x_col[s * f_out : e * f_out]
             self._in_shape = x.shape
+        y = _corr2d(_f64(x[s : e + self.kt - 1]), _f64(self.params["w"]), cols)
         y += _f64(self.params["b"])
         return y
 
@@ -209,6 +224,8 @@ class DilatedConv1d(Layer):
     out[t] = b + sum_j w[j] . x[t + (j - (k-1)/2) * dilation]
     """
 
+    caches = ("_x_taps", "_t")
+
     def __init__(self, k, cin, cout, dilation, rng=None, dtype=np.float32):
         super().__init__()
         if k % 2 == 0:
@@ -253,6 +270,8 @@ class DilatedConv1d(Layer):
 
 class Dense(Layer):
     """Per-frame affine map (time, cin) -> (time, cout)."""
+
+    caches = ("_x",)
 
     def __init__(self, cin, cout, rng=None, dtype=np.float32):
         super().__init__()

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, ModelFormatError, ShapeError, check_ranges
 from .features import FRAME_RATE, N_BANDS
 from .layers import (Conv2d, Dense, DilatedConv1d, dropout, dropout_mask, elu, pool_freq3,
-                     sigmoid, unpool_freq3)
+                     reuse_buffer, sigmoid, unpool_freq3)
 
 VARIANTS = ("tcn_v1", "tcn_v2")
 TCN_CHANNELS = 16
@@ -78,6 +78,7 @@ class Block:
     """
 
     rf_add = 0  # frames the block adds to the receptive field
+    caches: tuple[str, ...] = ()  # attributes a training forward sets for backward
     parts: dict
 
     def _tensors(self, attr):
@@ -109,6 +110,8 @@ class ConvStage(Block):
     then ELU's derivative; the conv's weight and bias gradients stay single
     whole-length reductions, since a blocked sum has other floats.
     """
+
+    caches = ("_d", "_mask", "_arg")
 
     def __init__(self, kt, kf, cin, cout, pool, rate, rng, dtype=np.float32):
         self.conv = Conv2d(kt, kf, cin, cout, rng=rng, dtype=dtype)
@@ -142,11 +145,14 @@ class ConvStage(Block):
         keep = training and keep and not activated
         frames, cout = x.shape[0], self.conv.cout
         bands = x.shape[1] if activated else x.shape[1] - self.conv.kf + 1
-        if keep:
-            self._d = np.empty((frames, bands, cout))
-            self._mask = np.empty((frames, bands, cout), bool) if self.rate else None
+        if keep:  # the previous training forward's caches, when their shapes hold
+            shape = (frames, bands, cout)
+            self._d = reuse_buffer(getattr(self, "_d", None), shape)
+            self._mask = (reuse_buffer(getattr(self, "_mask", None), shape, bool) if self.rate
+                          else None)
             if self.pool:
-                self._arg = np.empty((frames, bands // 3, cout), np.uint8)
+                self._arg = reuse_buffer(getattr(self, "_arg", None),
+                                         (frames, bands // 3, cout), np.uint8)
         out = np.empty((frames, bands // 3 if self.pool else bands, cout))
         xp = x if activated else self._pad(x)
         for s, e in self._spans(frames, bands):
@@ -201,6 +207,8 @@ class TcnLevel(Block):
     output and drops its band axis; its input gradient gets it back.
     """
 
+    caches = ("_d", "_mask")
+
     def __init__(self, dilation, double, adapter_in, rate, rng, dtype=np.float32, entry=False):
         self.adapter = Dense(adapter_in, TCN_CHANNELS, rng=rng, dtype=dtype) if adapter_in else None
         self.conv1 = DilatedConv1d(5, TCN_CHANNELS, TCN_CHANNELS, dilation, rng=rng, dtype=dtype)
@@ -253,6 +261,8 @@ class TcnLevel(Block):
 
 class OutHead(Block):
     """Dense to one unit per frame, sigmoid."""
+
+    caches = ("_y",)
 
     def __init__(self, rng, dtype=np.float32):
         self.dense = Dense(TCN_CHANNELS, 1, rng=rng, dtype=dtype)
@@ -356,8 +366,12 @@ class Model:
         ConfigError unless the latest forward ran with training=True and
         kept the caches of every block from the lowest trainable one up
         (a block it skipped or ran cache-free has since been made
-        trainable). Blocks are walked from Out down to the lowest trainable
-        one and no further: blocks below it run no backward, so they form no gradients
+        trainable), and no drop_caches came after it. Caches live until
+        train returns: a model that train, finetune or pretrain_model gave
+        back needs a new training forward first.
+
+        Blocks are walked from Out down to the lowest trainable one and no
+        further: blocks below it run no backward, so they form no gradients
         (their grads keep whatever they held), and the lowest one forms no
         input gradient unless it is Conv1. Frozen blocks above it pass the
         input gradient through and form no weight gradients either.
@@ -380,6 +394,16 @@ class Model:
             # nothing reads the lowest block's input gradient unless it is Conv1's
             g = nl.block.backward(g, input_grad=i > lowest or input_grad, param_grads=nl.trainable)
         return g
+
+    def drop_caches(self) -> None:
+        """Free every backward cache that training forwards kept, on every
+        block and on every block's parts (the attributes their classes name
+        in `caches`); backward then needs a new training forward."""
+        self._kept_from = None
+        for nl in self.layers:
+            for owner in (nl.block, *nl.block.parts.values()):
+                for name in owner.caches:
+                    owner.__dict__.pop(name, None)
 
     def _tensors(self, attr, trainable_only):
         return {f"{nl.name}.{k}": v for nl in self.layers if nl.trainable or not trainable_only

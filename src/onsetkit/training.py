@@ -41,7 +41,11 @@ def train(model: Model, corpus, epochs: int, lr: float = BASE_LR, seed: int = 0)
     from the item's Model.prefix, computed once: past a frozen Conv1 that
     is Conv1's pad + conv + ELU output (each step draws its mask and pools
     a fresh product), and the frozen blocks above it, up to the lowest
-    trainable one, run cache-free.
+    trainable one, run cache-free. Each step writes the conv stages'
+    whole-length backward caches over the previous step's when the item's
+    length holds, and every cache is dropped (Model.drop_caches) when train
+    returns or raises, so the model comes back holding only its parameters
+    and gradients.
     """
     check_ranges(epochs=epochs, seed=seed)
     if not corpus:
@@ -59,19 +63,23 @@ def train(model: Model, corpus, epochs: int, lr: float = BASE_LR, seed: int = 0)
     rng = np.random.default_rng(seed)
     opt = make_optimizer(model.optimizer_kind, lr)
     history, last = [], None
-    for epoch in range(epochs):
-        losses = []
-        for idx in rng.permutation(len(items)):
-            item, targets = items[idx]
-            act = model.forward(item, training=True, rng=rng)
-            loss = bce_loss(act, targets)
-            if not np.isfinite(loss):
-                raise DivergenceError(epoch, last)
-            last = loss
-            model.backward(bce_loss_grad(act, targets), input_grad=False)
-            opt.step(model.param_dict(trainable_only=True), model.grad_dict(trainable_only=True))
-            losses.append(loss)
-        history.append(float(np.mean(losses)))
+    try:
+        for epoch in range(epochs):
+            losses = []
+            for idx in rng.permutation(len(items)):
+                item, targets = items[idx]
+                act = model.forward(item, training=True, rng=rng)
+                loss = bce_loss(act, targets)
+                if not np.isfinite(loss):
+                    raise DivergenceError(epoch, last)
+                last = loss
+                model.backward(bce_loss_grad(act, targets), input_grad=False)
+                opt.step(model.param_dict(trainable_only=True),
+                         model.grad_dict(trainable_only=True))
+                losses.append(loss)
+            history.append(float(np.mean(losses)))
+    finally:
+        model.drop_caches()
     return model, history
 
 

@@ -325,11 +325,13 @@ def test_json_nested_past_the_recursion_limit_exits_2(tmp_path, capsys, argv):
       "--freeze", "ft_{long}"], 1),
     (["finetune", "{model}", "{corpus}", "{long}", "--out", "{out}"], 1),
     (["pretrain", "{corpus}", "--out", "{out}", "--instruments", "{long}"], 1),
+    (["pretrain", "{corpus}", "--out", "{out}", "--instruments", "a,a,{long}"], 1),
+    (["grid", "--config", "{long_repeated_freeze}"], 1),
     (["synth", "--out", "{out}", "--config", "{long_role}"], 1),
 ], ids=["detect-model-without-newline", "eval-long-line", "grid-long-variant",
         "grid-long-models-string", "report-long-per-file-f1", "finetune-long-instrument-name",
         "finetune-long-freeze-id", "finetune-long-instrument", "pretrain-long-instrument",
-        "synth-long-role"])
+        "pretrain-repeated-instrument", "grid-repeated-freeze-id", "synth-long-role"])
 def test_long_input_is_not_echoed_in_full(corpus, model_file, tmp_path, capsys, argv, code):
     """An error quotes at most a bounded excerpt of the input it rejects."""
     long = "x" * 50_000
@@ -339,6 +341,8 @@ def test_long_input_is_not_echoed_in_full(corpus, model_file, tmp_path, capsys, 
             "out_dir": str(tmp_path / "out")}
     (tmp_path / "variant.json").write_text(json.dumps({**grid, "models": [long]}))
     (tmp_path / "models.json").write_text(json.dumps({**grid, "models": long}))
+    (tmp_path / "freeze.json").write_text(json.dumps(
+        {**grid, "models": ["tcn_v1"], "freeze_configs": ["ft", "ft", f"ft_{long}"]}))
     (tmp_path / "results.csv").write_text(
         "# results-format: 1\nmodel,instrument,freeze_id,mean_f1,baseline_f1,delta_pp,n_files,"
         f"seed,wall_s,per_file_f1\ntcn_v1,a,ft,0.5,0.5,0.0,1,0,0.1,\"\"\"{long}\"\"\"\n")
@@ -352,11 +356,24 @@ def test_long_input_is_not_echoed_in_full(corpus, model_file, tmp_path, capsys, 
              "long_onsets": tmp_path / "long.onsets", "long_variant": tmp_path / "variant.json",
              "long_models": tmp_path / "models.json", "long_cell": tmp_path / "results.csv",
              "model": model_file, "long_roster": tmp_path / "roster", "out": tmp_path / "out",
-             "corpus": corpus, "long": long, "long_role": tmp_path / "role.json"}
+             "corpus": corpus, "long": long, "long_role": tmp_path / "role.json",
+             "long_repeated_freeze": tmp_path / "freeze.json"}
     assert main([arg.format(**paths) for arg in argv]) == code
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and len(err[0]) < 200, err[0][:300]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["pretrain", "c", "--out", "o", "--variant", "{long}"],
+                                  ["detect", "m", "a.wav", "--threshold", "{long}"]],
+                         ids=["invalid-choice", "invalid-float"])
+def test_rejected_option_value_is_not_echoed_in_full(capsys, argv):
+    """argparse quotes the value it rejects; the error line keeps a bounded excerpt."""
+    assert main([arg.format(long="x" * 50_000) for arg in argv]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].startswith(f"usage: onsetkit {argv[0]} ")
+    assert err[-1].startswith(f"onsetkit {argv[0]}: error: argument {argv[-2]}: ")
+    assert len(err[-1]) < 200, err[-1][:300]
 
 
 def test_divergence_maps_to_exit_3(monkeypatch, corpus, model_file, tmp_path, capsys):

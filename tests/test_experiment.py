@@ -44,6 +44,7 @@ from onsetkit.models import (
 )
 from onsetkit.synth import CorpusSpec, file_seed, generate_corpus, make_profile, render_file
 
+from model_caches import assert_holds_no_caches
 from results_text import strip_wall_column
 
 
@@ -400,6 +401,7 @@ def test_pretrain_model_runs(corpus):
     model, history = pretrain_model(corpus, ["alpha"], "tcn_v1", epochs=1, seed=0)
     assert model.variant == "tcn_v1"
     assert len(history) == 1 and np.isfinite(history[0])
+    assert_holds_no_caches(model)
     with pytest.raises(ConfigError):
         pretrain_model(corpus, ["nope"], "tcn_v1", epochs=1)
 

@@ -14,6 +14,7 @@ from onsetkit.models import (
     LAYER_NAMES,
     N_BANDS,
     VARIANTS,
+    WHOLE_PATCH_BYTES,
     ConvStage,
     FreezeConfig,
     Model,
@@ -284,6 +285,36 @@ def _check_frozen_prefix_draws(variant, frames):
             else:
                 cache = {"_d", "_mask"} if isinstance(nl.block, TcnLevel) else {"_y"}
             assert after[nl.name].keys() - fresh[nl.name].keys() == cache, (fid, nl.name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_training_forwards_reuse_the_conv_stage_caches(variant):
+    # at 400 frames Conv2's patch matrix fills in spans, and Conv1's and
+    # Conv3's in one; every conv stage keeps its arrays across steps, and
+    # the gradients are those of a model whose caches are dropped first
+    frames = 400
+    xs = np.random.default_rng(80).normal(0.0, 2.0, (3, frames, 81))
+    gs = np.random.default_rng(81).standard_normal((3, frames))
+    m = build_model(variant, seed=82)
+    fresh = clone_model(m)
+    rng, fresh_rng = np.random.default_rng(83), np.random.default_rng(83)
+    kept = None
+    for x, g in zip(xs, gs):
+        m.forward(x, training=True, rng=rng)
+        m.backward(g)
+        fresh.drop_caches()
+        fresh.forward(x, training=True, rng=fresh_rng)
+        fresh.backward(g)
+        stages = [nl.block for nl in m.layers[:3]]
+        assert stages[1].conv._x_col.nbytes > WHOLE_PATCH_BYTES
+        buffers = [a for st in stages
+                   for a in [st.conv._x_col, st._d, st._mask] + ([st._arg] if st.pool else [])]
+        if kept is not None:
+            assert all(a is b for a, b in zip(buffers, kept, strict=True))
+        kept = buffers
+        want = fresh.grad_dict()
+        for key, value in m.grad_dict().items():
+            assert value.tobytes() == want[key].tobytes(), key
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

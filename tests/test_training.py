@@ -6,6 +6,8 @@ from onsetkit.errors import AnnotationError, ConfigError, DivergenceError, Shape
 from onsetkit.models import FreezeConfig, apply_freeze, build_model, save_model
 from onsetkit.training import FinetuneConfig, finetune, make_targets, train
 
+from model_caches import assert_holds_no_caches
+
 
 def model_bytes(model, tmp_path, tag):
     p = tmp_path / f"{tag}.model"
@@ -107,6 +109,7 @@ def test_train_divergence_reports_epoch():
         train(m, poisoned, epochs=3)
     assert err.value.epoch == 0
     assert err.value.last_loss is None  # the first step diverged
+    assert_holds_no_caches(m)  # the diverged step's caches go too
 
 
 def _losses_then_nan(monkeypatch, finite):
@@ -133,6 +136,16 @@ def test_finetune_divergence_carries_last_finite_loss(monkeypatch):
         finetune(build_model("tcn_v2", seed=0), (np.zeros((10, 81)), np.zeros(10)), cfg)
     assert (err.value.epoch, err.value.last_loss) == (1, 0.75)
     assert "0.75" in str(err.value)
+
+
+@pytest.mark.parametrize("variant", ["tcn_v1", "tcn_v2"])
+def test_trained_models_hold_no_caches(variant):
+    m = build_model(variant, seed=8)
+    assert train(m, tiny_corpus(n_frames=40, n_items=2, seed=9), epochs=2, seed=10)[0] is m
+    assert_holds_no_caches(m)
+    for fid in ("ft", "ft_Conv3"):
+        config = FinetuneConfig(freeze=FreezeConfig.from_id(fid), seed=11, epochs=2)
+        assert_holds_no_caches(finetune(m, tiny_corpus(n_frames=40, seed=12)[0], config))
 
 
 def test_finetune_config_validation():
