@@ -14,12 +14,18 @@ and hold every cache a backward reads:
   - backward(gy, input_grad=True, param_grads=True) returns the input
     gradient and fills self.grads; input_grad=False fills self.grads only
     and returns None, and param_grads=False leaves self.grads untouched
+  - each cache holds only what backward reads: Conv2d its patch matrix,
+    Dense and DilatedConv1d their input (the dilated conv rebuilds its tap
+    matrix, five shifted copies of the input, for the weight gradient)
   - the functions return what their backward needs instead of keeping it:
     elu gives the derivative minus one, pool_freq3 gives each group's first
     winning bin as uint8 (the argmax, without computing one), and
     dropout_mask gives the bool survivors, which dropout multiplies by and
     then scales; the blocks keep these only on the forwards whose backward
-    will run (see Model.forward and Model.backward)
+    will run (see Model.forward and Model.backward). A pooling block keeps
+    the derivative and the survivors at the winning bins alone, gathered
+    through winner_index, the flat indices unpool_freq3 scatters to: every
+    other bin's gradient is +0.0, whatever they hold
   - parameters live in self.params; compute runs in float64 regardless of
     the stored parameter dtype (models keep float32; tests build float64 ones)
 
@@ -28,6 +34,8 @@ time x channels.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -206,25 +214,46 @@ def pool_freq3(x, keep=False):
     return y, arg
 
 
-def unpool_freq3(gy, winners, in_shape):
-    """Backward of pool_freq3 for an input of in_shape: each group's
+@functools.lru_cache(maxsize=8)
+def _group_starts(t, f, c):
+    """Flat index of each group's first bin in a (t, f, c) array, laid out
+    as the (t, f // 3, c) pooled output; read-only, since it is shared."""
+    at = f * c * np.arange(t)[:, None, None] + 3 * c * np.arange(f // 3)[:, None] + np.arange(c)
+    at.flags.writeable = False
+    return at
+
+
+def winner_index(winners, shape):
+    """Flat index, in an array of `shape` (t, f, c) that pool_freq3 pooled,
+    of each group's winning bin, laid out as the pooled output."""
+    at = np.multiply(winners, shape[2], dtype=np.intp)
+    at += _group_starts(*shape)
+    return at
+
+
+def unpool_freq3(gy, winners, in_shape, out=None):
+    """Backward of pool_freq3 for an input of in_shape, into out (a new
+    array when None, else a C-contiguous one of in_shape): each group's
     gradient goes to its winning bin, and every other bin holds +0.0."""
-    t, f, c = in_shape
-    gx = np.zeros((t, f, c))
-    # the flat index in gx of each group's winning bin
-    at = (f * c * np.arange(t)[:, None, None] + 3 * c * np.arange(f // 3)[:, None]
-          + np.arange(c) + c * winners.astype(np.intp))
-    gx.reshape(-1)[at] = gy
-    return gx
+    if out is None:
+        out = np.zeros(in_shape)
+    else:
+        out.fill(0.0)
+    out.reshape(-1)[winner_index(winners, in_shape)] = gy
+    return out
 
 
 class DilatedConv1d(Layer):
     """Non-causal dilated 1-D convolution, zero-padded to keep length.
 
     out[t] = b + sum_j w[j] . x[t + (j - (k-1)/2) * dilation]
+
+    A training forward keeps its float64 input, a fifth of the size of the
+    tap matrix (see _taps) it multiplies the kernel by; backward rebuilds
+    that matrix only for the weight gradient.
     """
 
-    caches = ("_x_taps", "_t")
+    caches = ("_x",)
 
     def __init__(self, k, cin, cout, dilation, rng=None, dtype=np.float32):
         super().__init__()
@@ -235,28 +264,37 @@ class DilatedConv1d(Layer):
         self.params["w"] = glorot((k, cin, cout), k * cin, k * cout, rng, dtype)
         self.params["b"] = np.zeros(cout, dtype=dtype)
 
+    def _taps(self, x):
+        """The (t, k*cin) matrix of x's k shifted copies side by side, zero
+        where a tap reads past either end, so the whole kernel is one
+        matmul."""
+        k, d, cin = self.k, self.dilation, self.cin
+        t = x.shape[0]
+        taps = np.zeros((t, k * cin))
+        for j in range(k):
+            shift = (j - (k - 1) // 2) * d  # row r of tap j reads x[r + shift]
+            lo, hi = max(0, -shift), min(t, t - shift)
+            if lo < hi:
+                taps[lo:hi, j * cin : (j + 1) * cin] = x[lo + shift : hi + shift]
+        return taps
+
     def forward(self, x, *, training=False):
         if x.ndim != 2 or x.shape[1] != self.cin:
             raise ShapeError(f"dilated_conv1d expects (time, {self.cin}), got {x.shape}")
-        k, d = self.k, self.dilation
-        h = (k - 1) // 2
-        t = x.shape[0]
-        xp = np.pad(_f64(x), ((h * d, h * d), (0, 0)))
-        # stack the k shifted views so the whole kernel is one matmul
-        x_taps = np.concatenate([xp[j * d : j * d + t] for j in range(k)], axis=1)
+        x = _f64(x)
         w = _f64(self.params["w"])
-        y = x_taps @ w.reshape(k * self.cin, self.cout) + _f64(self.params["b"])
+        y = self._taps(x) @ w.reshape(self.k * self.cin, self.cout) + _f64(self.params["b"])
         if training:
-            self._x_taps, self._t = x_taps, t
+            self._x = x
         return y
 
     def backward(self, gy, input_grad=True, param_grads=True):
         k, d = self.k, self.dilation
         h = (k - 1) // 2
-        t = self._t
+        t = self._x.shape[0]
         w = _f64(self.params["w"])
         if param_grads:
-            self.grads["w"] = (self._x_taps.T @ gy).reshape(k, self.cin, self.cout)
+            self.grads["w"] = (self._taps(self._x).T @ gy).reshape(k, self.cin, self.cout)
             self.grads["b"] = gy.sum(axis=0)
         if not input_grad:
             return None

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, ModelFormatError, ShapeError, check_ranges
 from .features import FRAME_RATE, N_BANDS
 from .layers import (Conv2d, Dense, DilatedConv1d, dropout, dropout_mask, elu, pool_freq3,
-                     reuse_buffer, sigmoid, unpool_freq3)
+                     reuse_buffer, sigmoid, unpool_freq3, winner_index)
 
 VARIANTS = ("tcn_v1", "tcn_v2")
 TCN_CHANNELS = 16
@@ -63,6 +63,14 @@ def _time_blocks(frames, patch_bytes):
     n = max(1, frames // BLOCK_FRAMES) if patch_bytes > WHOLE_PATCH_BYTES else 1
     edges = [i * BLOCK_FRAMES for i in range(n)] + [frames]
     return list(zip(edges[:-1], edges[1:]))
+
+
+def _gather(a, at, out):
+    """a into out, or only a's elements at the flat indices `at`."""
+    if at is None:
+        np.copyto(out, a)
+    else:
+        np.take(a, at, out=out, mode="clip")
 
 
 class Block:
@@ -100,15 +108,23 @@ class ConvStage(Block):
     Every forward and backward runs in time blocks (see _time_blocks), each
     block reading its kt - 1 frames of context from the one padded input.
     A training forward writes each block's rows of the whole-length caches
-    that backward reads: the conv's patch matrix, ELU's derivative, the bool
-    dropout survivors and the uint8 pool winners. Drawing the survivors
-    block by block takes the whole-length draw's numbers, since time is the
-    leading axis. At inference dropout is the identity and ELU is
-    non-decreasing, so the stage pools first and writes ELU of the pooled
-    output into its own output: same floats, and a pooling stage evaluates
-    a third as many ELUs. Backward unpools each block, applies the mask and
-    then ELU's derivative; the conv's weight and bias gradients stay single
-    whole-length reductions, since a blocked sum has other floats.
+    that backward reads: the conv's patch matrix, ELU's derivative (plus
+    one), the bool dropout survivors and, when the stage pools, the uint8
+    pool winners. A pooling stage keeps the derivative and the survivors
+    only at each group's winning bin, in the winners' (frames, bands // 3,
+    cout) shape: every other bin's gradient is +0.0, and +0.0 times a
+    survivor, 1/(1-rate) and a derivative (expm1 + 1 >= +0.0) stays +0.0
+    while the activations are finite, which they are whenever backward
+    runs in train, since it raises DivergenceError on a non-finite loss
+    first. Drawing the survivors block by block takes the whole-length
+    draw's numbers, since time is the leading axis. At inference dropout is
+    the identity and ELU is non-decreasing, so the stage pools first and
+    writes ELU of the pooled output into its own output: same floats, and a
+    pooling stage evaluates a third as many ELUs. Backward multiplies each
+    block by the survivors, 1/(1-rate) and ELU's derivative, at a pooling
+    stage on the pooled gradient before it unpools the block into zeros;
+    the conv's weight and bias gradients stay single whole-length
+    reductions, since a blocked sum has other floats.
     """
 
     caches = ("_d", "_mask", "_arg")
@@ -145,15 +161,13 @@ class ConvStage(Block):
         keep = training and keep and not activated
         frames, cout = x.shape[0], self.conv.cout
         bands = x.shape[1] if activated else x.shape[1] - self.conv.kf + 1
-        if keep:  # the previous training forward's caches, when their shapes hold
-            shape = (frames, bands, cout)
-            self._d = reuse_buffer(getattr(self, "_d", None), shape)
-            self._mask = (reuse_buffer(getattr(self, "_mask", None), shape, bool) if self.rate
-                          else None)
-            if self.pool:
-                self._arg = reuse_buffer(getattr(self, "_arg", None),
-                                         (frames, bands // 3, cout), np.uint8)
         out = np.empty((frames, bands // 3 if self.pool else bands, cout))
+        if keep:  # in out's shape, the previous training forward's caches when it holds
+            self._d = reuse_buffer(getattr(self, "_d", None), out.shape)
+            self._mask = (reuse_buffer(getattr(self, "_mask", None), out.shape, bool)
+                          if self.rate else None)
+            if self.pool:
+                self._arg = reuse_buffer(getattr(self, "_arg", None), out.shape, np.uint8)
         xp = x if activated else self._pad(x)
         for s, e in self._spans(frames, bands):
             y = xp[s:e] if activated else self.conv.forward(xp, training=keep, span=(s, e))
@@ -163,34 +177,38 @@ class ConvStage(Block):
                 continue
             if not activated:
                 y, d = elu(y, out=y)
-                if keep:
-                    np.add(d, 1.0, out=self._d[s:e])  # expm1(x) + 1 below zero, 1 elsewhere
             mask = dropout_mask(y.shape, self.rate, rng)
             if mask is not None:
                 # a fresh product when the activated input is only read
                 y = dropout(y, mask, self.rate, out=None if activated else y)
-                if keep:
-                    self._mask[s:e] = mask
             if self.pool:
                 y, arg = pool_freq3(y, keep)
-                if keep:
+            if keep:
+                at = None
+                if self.pool:  # backward reads these only at the winning bins
                     self._arg[s:e] = arg
+                    at = winner_index(arg, d.shape)
+                _gather(d, at, self._d[s:e])
+                self._d[s:e] += 1.0  # expm1(x) + 1 below zero, 1 elsewhere
+                if mask is not None:
+                    _gather(mask, at, self._mask[s:e])
             out[s:e] = y
         return out
 
     def backward(self, gy, input_grad=True, param_grads=True):
-        d = self._d
-        spans = self._spans(*d.shape[:2])
-        g = np.empty(d.shape)
+        d, conv = self._d, self.conv
+        shape = (d.shape[0], conv._in_shape[1] - conv.kf + 1, conv.cout)  # the conv's output
+        spans = self._spans(*shape[:2])
+        g = np.empty(shape)
         for s, e in spans:
-            # a fresh block, scaled in place; unpooling writes +0.0 at the
-            # bins that did not win
-            gb = (unpool_freq3(gy[s:e], self._arg[s:e], (e - s,) + d.shape[1:]) if self.pool
-                  else gy[s:e].copy())
-            if self._mask is not None:
-                dropout(gb, self._mask[s:e], self.rate, out=gb)
-            np.multiply(gb, d[s:e], out=g[s:e])
-        g = self.conv.backward(g, input_grad, param_grads, spans)
+            # the survivors, then 1/(1-rate), then ELU's derivative: at a
+            # pooling stage for the winning bins alone, unpooled after
+            gb = gy[s:e] if self._mask is None else dropout(gy[s:e], self._mask[s:e], self.rate)
+            if self.pool:
+                unpool_freq3(gb * d[s:e], self._arg[s:e], (e - s,) + shape[1:], out=g[s:e])
+            else:
+                np.multiply(gb, d[s:e], out=g[s:e])
+        g = conv.backward(g, input_grad, param_grads, spans)
         if g is None or not self.pad_t:
             return g
         return g[self.pad_t : g.shape[0] - self.pad_t]

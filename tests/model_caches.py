@@ -7,7 +7,7 @@ import pytest
 from onsetkit.errors import ConfigError
 
 # every attribute a training forward sets for backward, on a block or a part
-CACHE_NAMES = {"_x_col", "_in_shape", "_x_taps", "_t", "_x", "_d", "_mask", "_arg", "_y"}
+CACHE_NAMES = {"_x_col", "_in_shape", "_x", "_d", "_mask", "_arg", "_y"}
 
 
 def assert_holds_no_caches(model):

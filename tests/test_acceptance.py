@@ -57,6 +57,7 @@ from onsetkit.synth import CorpusSpec, default_corpus_spec, default_instruments,
 from onsetkit.training import FinetuneConfig, finetune
 
 from gradcheck import gradcheck
+from openblas import openblas_config
 from results_text import strip_wall_column
 
 CORPUS_SEED = 42
@@ -68,6 +69,8 @@ DENSE_VOICING = "snap_noise"  # densest non-grid part in the default roster
 TIME_KEEPERS = ("drone_tone", "ring_bell")
 C8_EPOCHS = 120  # the slow-start optimizer of tcn_v2 needs a longer snippet run
 C8_LR_SCALE = 1.0
+# the benchmark's base models, pretrained by this recipe at one BLAS thread
+COMMITTED_MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
 
 
 @pytest.fixture(scope="session")
@@ -483,3 +486,17 @@ def test_criterion_10_delta_arithmetic():
     assert round(delta_pp(0.985, 0.477), 1) == 50.8
     assert round(delta_pp(0.998, 0.508), 1) == 49.0
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_base_recipe_matches_committed_models(v1_base, v2_base):
+    # the v1_base and v2_base fixtures are the recipe of
+    # perfbench/make_base_models.py; its files were made at one BLAS
+    # thread, where the floats must match, and other counts may sum a
+    # matrix product in another order
+    threads = openblas_config()[1]
+    for variant, path in (("tcn_v1", v1_base), ("tcn_v2", v2_base)):
+        if path.read_bytes() == (COMMITTED_MODELS / f"{variant}.model").read_bytes():
+            continue
+        if threads != "1":
+            pytest.skip(f"{variant} differs from the committed model at {threads} BLAS threads")
+        pytest.fail(f"the base recipe's {variant} model differs from the committed one")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onsetkit.errors import ConfigError, ModelFormatError, OnsetKitError, ShapeError
-from onsetkit.layers import Layer, elu, pool_freq3
+from onsetkit.layers import DilatedConv1d, Layer, elu, pool_freq3
 from onsetkit.models import (
     BLOCK_FRAMES,
     FREEZABLE,
@@ -315,6 +315,29 @@ def test_training_forwards_reuse_the_conv_stage_caches(variant):
         want = fresh.grad_dict()
         for key, value in m.grad_dict().items():
             assert value.tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_training_caches_hold_only_what_backward_reads(variant):
+    # at 400 frames Conv2 runs in spans: a pooling stage keeps ELU's
+    # derivative and the survivors at its pool winners alone, and every
+    # dilated conv keeps its input, not the tap matrix
+    frames = 400
+    x = np.random.default_rng(86).normal(0.0, 2.0, (frames, 81))
+    m = build_model(variant, seed=87)
+    m.forward(x, training=True, rng=np.random.default_rng(88))
+    stages = [nl.block for nl in m.layers[:3]]
+    assert stages[1].conv._x_col.nbytes > WHOLE_PATCH_BYTES
+    for nl, st in zip(m.layers, stages):
+        if st.pool:
+            assert st._d.shape == st._mask.shape == st._arg.shape, nl.name
+            assert st._arg.shape[1] == (st.conv._in_shape[1] - st.conv.kf + 1) // 3, nl.name
+    for nl in m.layers[3:-1]:
+        convs = [p for p in nl.block.parts.values() if isinstance(p, DilatedConv1d)]
+        assert len(convs) == (2 if variant == "tcn_v2" else 1), nl.name
+        for conv in convs:
+            held = {k: v.shape for k, v in vars(conv).items() if isinstance(v, np.ndarray)}
+            assert held == {"_x": (frames, conv.cin)}, nl.name
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

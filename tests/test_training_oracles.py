@@ -3,19 +3,23 @@
 The references below are the textbook forms: ELU through np.where with a
 cached output, pooling through argmax with take_along_axis and
 put_along_axis, dropout as a product with a float mask, a conv stage and
-its input gradient over the whole length at once, the in-place inference
-ELU as a masked expm1, and training as a full training forward of every
-block in every step. The blocks now keep ELU's derivative, bool dropout
-survivors and uint8 pool winners, work in place and in time blocks, and
-training computes a frozen Conv1's output once per item and runs the
-frozen blocks above it cache-free; every comparison is by tobytes(), so a
-changed sign of zero fails too.
+its input gradient over the whole length at once with every cache at full
+resolution, a dilated conv through a kept np.pad + np.concatenate tap
+matrix, the in-place inference ELU as a masked expm1, and training as a
+full training forward of every block in every step. The blocks now keep
+ELU's derivative, bool dropout survivors and uint8 pool winners (a
+pooling stage the first two only at the winning bins), a dilated conv
+keeps its input and rebuilds the tap matrix, they work in place and in
+time blocks, and training computes a frozen Conv1's output once per item
+and runs the frozen blocks above it cache-free; every comparison is by
+tobytes(), so a changed sign of zero fails too.
 """
 
 import numpy as np
 import pytest
 
-from onsetkit.layers import Conv2d, bce_loss, bce_loss_grad, elu, pool_freq3, unpool_freq3
+from onsetkit.layers import (Conv2d, DilatedConv1d, bce_loss, bce_loss_grad, elu, pool_freq3,
+                             unpool_freq3)
 from onsetkit.models import (
     BLOCK_FRAMES,
     VARIANTS,
@@ -94,6 +98,9 @@ def test_maxpool_training_matches_argmax(bands):
         assert np.array_equal(winners, want_arg)
         gy = edge_inputs(y.shape, bands + 1)
         assert unpool_freq3(gy, winners, x.shape).tobytes() == want_backward(gy).tobytes()
+        out = np.full(x.shape, np.nan)  # every bin is written
+        assert unpool_freq3(gy, winners, x.shape, out=out) is out
+        assert out.tobytes() == want_backward(gy).tobytes()
 
 
 def conv_input_grad_ref(conv, gy, in_shape):
@@ -192,6 +199,43 @@ def test_blocked_conv_input_gradient_matches_the_tap_by_tap_formula(variant):
             got = conv.backward(gy, param_grads=False, spans=spans)
             assert got.tobytes() == want.tobytes(), (nl.name, frames)
             bands = nl.block.out_bands(bands)
+
+
+def dilated_conv_ref(conv, x, gy):
+    """A dilated conv's forward and gradients through the tap matrix built
+    by np.pad and np.concatenate, kept from forward to backward.
+
+    Returns (output, weight grad, bias grad, dLoss/dinput)."""
+    k, d, cin = conv.k, conv.dilation, conv.cin
+    h, t = (k - 1) // 2, x.shape[0]
+    xp = np.pad(x, ((h * d, h * d), (0, 0)))
+    x_taps = np.concatenate([xp[j * d : j * d + t] for j in range(k)], axis=1)
+    w = conv.params["w"].astype(np.float64).reshape(k * cin, conv.cout)
+    y = x_taps @ w + conv.params["b"].astype(np.float64)
+    g_taps = gy @ w.T
+    gxp = np.zeros((t + 2 * h * d, cin))
+    for j in range(k):
+        gxp[j * d : j * d + t] += g_taps[:, j * cin : (j + 1) * cin]
+    gw = (x_taps.T @ gy).reshape(conv.params["w"].shape)
+    return y, gw, gy.sum(axis=0), gxp[h * d : h * d + t]
+
+
+@pytest.mark.parametrize("frames", [40, 500, 3001])
+def test_dilated_conv_matches_the_kept_tap_matrix(frames):
+    # every dilation of the TCN levels, from taps entirely inside the
+    # input to taps that all read past its ends
+    for i in range(11):
+        conv = DilatedConv1d(5, 16, 16, 2**i, rng=np.random.default_rng(70 + i))
+        conv.params["b"][...] = np.linspace(-1.0, 1.0, 16)
+        x = edge_inputs((frames, 16), 80 + i)
+        gy = edge_inputs((frames, 16), 90 + i)
+        gy[::5] = 0.0
+        want_y, want_gw, want_gb, want_gx = dilated_conv_ref(conv, x, gy)
+        assert conv.forward(x, training=True).tobytes() == want_y.tobytes(), (frames, i)
+        gx = conv.backward(gy)
+        assert gx.tobytes() == want_gx.tobytes(), (frames, i)
+        assert conv.grads["w"].tobytes() == want_gw.tobytes(), (frames, i)
+        assert conv.grads["b"].tobytes() == want_gb.tobytes(), (frames, i)
 
 
 def _record_input_grad(monkeypatch, force=None):
