@@ -70,35 +70,32 @@ class OnsetAnnotations:
         return len(self.times)
 
 
-def _read_chunks(data: bytes) -> dict[bytes, bytes]:
-    """Split a RIFF/WAVE payload into its chunks (first occurrence wins)."""
+def _read_chunks(data: bytes) -> dict[bytes, memoryview]:
+    """Split a RIFF/WAVE payload into views of its chunks (first wins)."""
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise AudioFormatError("not a RIFF/WAVE file")
-    chunks: dict[bytes, bytes] = {}
+    chunks: dict[bytes, memoryview] = {}
+    view = memoryview(data)
     pos = 12
     while pos + 8 <= len(data):
         cid = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         chunks.setdefault(cid, body)
         pos += 8 + size + (size & 1)  # chunks are word-aligned
     return chunks
 
 
-def _decode_samples(raw: bytes, fmt_tag: int, bits: int, n_channels: int) -> np.ndarray:
-    # a partial trailing sample or frame is dropped
+def _decode_samples(raw: memoryview, fmt_tag: int, bits: int, n_channels: int) -> np.ndarray:
+    # a new float64 array; a partial trailing sample or frame is dropped
     if fmt_tag == 1 and bits == 16:
-        x = np.frombuffer(raw, dtype="<i2", count=len(raw) // 2).astype(np.float64) / 32768.0
+        x = np.frombuffer(raw, dtype="<i2", count=len(raw) // 2) / 32768.0
     elif fmt_tag == 1 and bits == 24:
-        b = np.frombuffer(raw, dtype=np.uint8)
-        b = b[: len(b) - len(b) % 3].reshape(-1, 3)
-        # sign-extend little-endian 24-bit into int32
-        x = (
-            b[:, 0].astype(np.int32)
-            | (b[:, 1].astype(np.int32) << 8)
-            | (b[:, 2].astype(np.int32) << 16)
-        )
-        x = np.where(x >= 1 << 23, x - (1 << 24), x).astype(np.float64) / float(1 << 23)
+        # each sample in the top three bytes of a little-endian int32,
+        # shifted down with its sign
+        b = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
+        b[:, 1:] = np.frombuffer(raw, dtype=np.uint8, count=b.size // 4 * 3).reshape(-1, 3)
+        x = (b.view("<i4")[:, 0] >> 8) / float(1 << 23)
     elif fmt_tag == 3 and bits == 32:
         x = np.frombuffer(raw, dtype="<f4", count=len(raw) // 4).astype(np.float64)
     else:
@@ -138,9 +135,9 @@ def load_audio(path: str | Path) -> AudioClip:
         raise EmptyInputError(f"no samples in {path}")
     if rate != TARGET_RATE:
         raise SampleRateError(f"{path}: {rate} Hz; convert the file to 44.1 kHz first")
-    peak = np.max(np.abs(samples))
-    if peak > 1.0:
-        samples = samples / peak
+    peak = max(samples.max(), -samples.min())  # max |x| without an |x| array
+    if 1.0 < peak < np.inf:  # AudioClip rejects a non-finite sample
+        samples /= peak
     return AudioClip(samples=samples, sample_rate=TARGET_RATE)
 
 

@@ -4,6 +4,9 @@ Pipeline: 2048-sample Hann STFT at hop 441 (100 frames/s for 44.1 kHz
 input, frame t centered at sample t*441), magnitudes mapped through 81
 triangular filters equally spaced on log frequency between 30 Hz and
 17000 Hz (each filter normalized to unit area), then log(1 + x).
+Frames run in layers.time_blocks, each block windowed from a view of the
+samples (zero-padded only past the clip's ends) and written through the
+filterbank into its rows: the floats of one whole-length spectrum.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from .audio import TARGET_RATE, AudioClip
 from .errors import EmptyInputError, SampleRateError
+from .layers import context_rows, time_blocks
 
 WINDOW_SIZE = 2048
 HOP = 441
@@ -23,7 +27,6 @@ FRAME_RATE = 100
 N_BANDS = 81
 FMIN = 30.0
 FMAX = 17000.0
-STFT_CHUNK = 64  # frames windowed and transformed at a time
 
 
 @dataclass(frozen=True)
@@ -83,13 +86,13 @@ def extract_features(clip: AudioClip) -> FeatureMatrix:
         raise EmptyInputError("cannot extract features from an empty clip")
     n_frames = n_frames_for(len(x))
     half = WINDOW_SIZE // 2
-    padded = np.pad(x, (half, half + HOP))
-    frames = np.lib.stride_tricks.sliding_window_view(padded, WINDOW_SIZE)[::HOP]
-    frames = frames[:n_frames]
-    # chunks keep the windowed frames and their spectrum cache-sized; each
-    # row's transform is the same whichever rows share its call
-    mag = np.empty((n_frames, WINDOW_SIZE // 2 + 1))
-    for s in range(0, n_frames, STFT_CHUNK):
-        chunk = frames[s : s + STFT_CHUNK] * _WINDOW
-        np.abs(np.fft.rfft(chunk, axis=1), out=mag[s : s + STFT_CHUNK])
-    return FeatureMatrix(values=np.log1p(mag @ _filterbank()))
+    spans = time_blocks(n_frames)
+    windowed = np.empty((max(e - s for s, e in spans), WINDOW_SIZE))
+    values = np.empty((n_frames, N_BANDS))
+    for s, e in spans:
+        # frame t is centred at sample t * HOP
+        seg = context_rows(x, s * HOP - half, (e - 1) * HOP + half)
+        frames = np.lib.stride_tricks.sliding_window_view(seg, WINDOW_SIZE)[::HOP]
+        w = np.multiply(frames, _WINDOW, out=windowed[: e - s])
+        np.matmul(np.abs(np.fft.rfft(w, axis=1)), _filterbank(), out=values[s:e])
+    return FeatureMatrix(values=np.log1p(values, out=values))

@@ -48,6 +48,37 @@ def _f64(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float64, copy=False)
 
 
+# time block of the features and the conv stages, in frames: temporaries
+# stay cache-sized, and a block's matmul of 128-255 rows gives the floats of
+# the whole-length one at one or two BLAS threads (filterbank products of
+# 1-12 rows differ at one, of 33-81 at two). A conv stage whose whole-length patch matrix takes at most
+# WHOLE_PATCH_BYTES runs as one block, since blocking gains nothing there:
+# tcn_v1's Conv3 (2.9 MiB at 3000 frames) took 1.5 ms in blocks and 0.9 ms
+# whole, and Conv1 at 500 frames (2.7 MiB) took as long either way.
+BLOCK_FRAMES = 128
+WHOLE_PATCH_BYTES = 4 << 20
+
+
+def time_blocks(frames, patch_bytes=np.inf):
+    """[s, e) spans of BLOCK_FRAMES frames; the remainder joins the last
+    span, so no span is shorter than a block unless the whole input is.
+    One span when the whole-length patch matrix takes at most
+    WHOLE_PATCH_BYTES."""
+    n = max(1, frames // BLOCK_FRAMES) if patch_bytes > WHOLE_PATCH_BYTES else 1
+    edges = [i * BLOCK_FRAMES for i in range(n)] + [frames]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def context_rows(x, lo, hi):
+    """x's rows lo..hi-1 (lo < len(x), hi > 0) with zeros before row 0 and
+    past the last: a view unless they reach past an end."""
+    n = x.shape[0]
+    if lo >= 0 and hi <= n:
+        return x[lo:hi]
+    pad = [(max(-lo, 0), max(hi - n, 0))] + [(0, 0)] * (x.ndim - 1)
+    return np.pad(x[max(lo, 0) : min(hi, n)], pad)
+
+
 def reuse_buffer(old, shape, dtype=np.float64) -> np.ndarray:
     """old when it is an array of this shape and dtype, otherwise a new
     uninitialized one. For whole-length caches that their owner allocated
@@ -138,27 +169,27 @@ class Conv2d(Layer):
         self.params["w"] = glorot((kt, kf, cin, cout), kt * kf * cin, kt * kf * cout, rng, dtype)
         self.params["b"] = np.zeros(cout, dtype=dtype)
 
-    def forward(self, x, *, training=False, span=None):
-        """Output frames s..e-1 of span=(s, e) (all when None), which read
-        x's frames s..e+kt-2. training=True keeps what backward reads, the
-        whole-length patch matrix and x's shape: a training forward may run
-        in spans, in order from s=0 (which takes the matrix, the previous
-        training forward's when the shape holds), each span filling its
-        own rows."""
+    def forward(self, x, *, training=False, start=0, in_frames=None):
+        """Output frames start.. of an input of in_frames frames (x's own
+        count when None), from x, the input frames they read (output frame t
+        reads input frames t..t+kt-1). training=True keeps what backward
+        reads, the whole-length patch matrix and input shape: a training
+        forward may run in row blocks, in order from start=0 (which takes
+        the previous training forward's matrix when the shape holds)."""
         if x.ndim != 3 or x.shape[2] != self.cin:
             raise ShapeError(f"conv2d expects (time, freq, {self.cin}), got {x.shape}")
         if x.shape[0] < self.kt or x.shape[1] < self.kf:
             raise ShapeError(f"input {x.shape[:2]} smaller than kernel ({self.kt},{self.kf})")
         t_out, f_out = x.shape[0] - self.kt + 1, x.shape[1] - self.kf + 1
-        s, e = span or (0, t_out)
         cols = None
         if training:
-            if s == 0:
+            self._in_shape = (in_frames or x.shape[0],) + x.shape[1:]
+            if start == 0:
                 self._x_col = reuse_buffer(getattr(self, "_x_col", None),
-                                           (t_out * f_out, self.kt * self.kf * self.cin))
-            cols = self._x_col[s * f_out : e * f_out]
-            self._in_shape = x.shape
-        y = _corr2d(_f64(x[s : e + self.kt - 1]), _f64(self.params["w"]), cols)
+                                           ((self._in_shape[0] - self.kt + 1) * f_out,
+                                            self.kt * self.kf * self.cin))
+            cols = self._x_col[start * f_out : (start + t_out) * f_out]
+        y = _corr2d(_f64(x), _f64(self.params["w"]), cols)
         y += _f64(self.params["b"])
         return y
 

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import ConfigError, ModelFormatError, ShapeError, check_ranges
 from .features import FRAME_RATE, N_BANDS
-from .layers import (Conv2d, Dense, DilatedConv1d, dropout, dropout_mask, elu, pool_freq3,
-                     reuse_buffer, sigmoid, unpool_freq3, winner_index)
+from .layers import (Conv2d, Dense, DilatedConv1d, context_rows, dropout, dropout_mask, elu,
+                     pool_freq3, reuse_buffer, sigmoid, time_blocks, unpool_freq3, winner_index)
 
 VARIANTS = ("tcn_v1", "tcn_v2")
 TCN_CHANNELS = 16
@@ -43,28 +43,6 @@ LAYER_NAMES = tuple(
     ["Conv1", "Conv2", "Conv3"] + [f"Tcn{2**i}" for i in range(11)] + ["Out"]
 )
 FREEZABLE = LAYER_NAMES[:-1]  # Out is always trainable
-# time block of a conv stage, in output frames: a block's patch matrix and
-# its ELU, dropout and pool temporaries stay cache-sized, and at 128 frames
-# every block's matmul gives the floats of the whole-length one (at 64,
-# tcn_v2's Conv3 does not). A stage whose whole-length patch matrix takes
-# at most WHOLE_PATCH_BYTES runs as one block, since blocking gains nothing
-# there: tcn_v1's Conv3 (2.9 MiB at 3000 frames) took 1.5 ms in blocks and
-# 0.9 ms whole, and Conv1 at 500 frames (2.7 MiB) took as long either way;
-# every other stage at 3000 frames is over 12 MiB.
-BLOCK_FRAMES = 128
-WHOLE_PATCH_BYTES = 4 << 20
-
-
-def _time_blocks(frames, patch_bytes):
-    """[s, e) spans of BLOCK_FRAMES frames; the remainder joins the last
-    span, so no span is shorter than a block unless the whole input is.
-    One span when the whole-length patch matrix takes at most
-    WHOLE_PATCH_BYTES."""
-    n = max(1, frames // BLOCK_FRAMES) if patch_bytes > WHOLE_PATCH_BYTES else 1
-    edges = [i * BLOCK_FRAMES for i in range(n)] + [frames]
-    return list(zip(edges[:-1], edges[1:]))
-
-
 def _gather(a, at, out):
     """a into out, or only a's elements at the flat indices `at`."""
     if at is None:
@@ -105,8 +83,8 @@ class Block:
 class ConvStage(Block):
     """conv -> ELU -> dropout (-> freq pool); time zero-padded to length.
 
-    Every forward and backward runs in time blocks (see _time_blocks), each
-    block reading its kt - 1 frames of context from the one padded input.
+    Every forward and backward runs in time blocks (see time_blocks), each
+    block's conv reading only the input frames it needs (see _conv).
     A training forward writes each block's rows of the whole-length caches
     that backward reads: the conv's patch matrix, ELU's derivative (plus
     one), the bool dropout survivors and, when the stage pools, the uint8
@@ -136,23 +114,27 @@ class ConvStage(Block):
         self.pad_t = (kt - 1) // 2
         self.rf_add = kt - 1
 
-    def _pad(self, x):
-        return np.pad(x, ((self.pad_t, self.pad_t), (0, 0), (0, 0))) if self.pad_t else x
-
     def _spans(self, frames, bands):
         """The time blocks of `frames` output frames with `bands` conv output
         bands, sized by the float64 patch matrix's bytes."""
         c = self.conv
-        return _time_blocks(frames, frames * bands * c.kt * c.kf * c.cin * 8)
+        return time_blocks(frames, frames * bands * c.kt * c.kf * c.cin * 8)
+
+    def _conv(self, x, s, e, training=False):
+        """Output frames s..e-1 of the conv of x zero-padded in time, from
+        only x's frames s - pad_t .. e + pad_t - 1 (see context_rows)."""
+        p = self.pad_t
+        return self.conv.forward(context_rows(x, s - p, e + p), training=training, start=s,
+                                 in_frames=x.shape[0] + 2 * p)
 
     def activate(self, x):
         """pad -> conv -> ELU in training floats, keeping nothing: the part
         of a training forward that stays the same while the stage is frozen
         and its input does not change."""
-        xp, bands = self._pad(x), x.shape[1] - self.conv.kf + 1
+        bands = x.shape[1] - self.conv.kf + 1
         out = np.empty((x.shape[0], bands, self.conv.cout))
         for s, e in self._spans(x.shape[0], bands):
-            elu(self.conv.forward(xp, span=(s, e)), out=out[s:e])
+            elu(self._conv(x, s, e), out=out[s:e])
         return out
 
     def forward(self, x, training=False, rng=None, keep=True, activated=False):
@@ -168,9 +150,8 @@ class ConvStage(Block):
                           if self.rate else None)
             if self.pool:
                 self._arg = reuse_buffer(getattr(self, "_arg", None), out.shape, np.uint8)
-        xp = x if activated else self._pad(x)
         for s, e in self._spans(frames, bands):
-            y = xp[s:e] if activated else self.conv.forward(xp, training=keep, span=(s, e))
+            y = x[s:e] if activated else self._conv(x, s, e, training=keep)
             if not training:
                 y = pool_freq3(y)[0] if self.pool else y
                 elu(y, out=out[s:e])

@@ -13,6 +13,7 @@ from onsetkit.audio import (
     save_annotations,
     save_wav,
 )
+from onsetkit.cli import main
 from onsetkit.errors import (
     AnnotationError,
     AudioFormatError,
@@ -20,6 +21,7 @@ from onsetkit.errors import (
     OnsetKitError,
     SampleRateError,
 )
+from onsetkit.models import build_model, save_model
 
 
 def wav_bytes(samples, rate, bits=16, fmt_tag=1, n_channels=1):
@@ -150,6 +152,102 @@ def test_partial_trailing_sample_dropped(tmp_path, bits, fmt_tag, n_channels):
     odd = tmp_path / "odd.wav"
     odd.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
     assert load_audio(odd).samples.tobytes() == load_audio(whole).samples.tobytes()
+
+
+def copying_decode(raw, bits, fmt_tag, n_channels):
+    """The samples of a data chunk by the formulas load_audio used before
+    it decoded in place: every step makes a new array."""
+    if fmt_tag == 1 and bits == 16:
+        x = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    elif fmt_tag == 1 and bits == 24:
+        b = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+        x = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+        x = np.where(x >= 1 << 23, x - (1 << 24), x).astype(np.float64) / float(1 << 23)
+    else:
+        x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    if n_channels > 1:
+        x = x.reshape(-1, n_channels).mean(axis=1)
+    peak = np.max(np.abs(x))
+    return x / peak if peak > 1.0 else x
+
+
+@pytest.mark.parametrize("n_channels", [1, 2])
+@pytest.mark.parametrize("bits, fmt_tag, scale", [(16, 1, 1.0), (24, 1, 1.0), (32, 3, 1.0),
+                                                  (32, 3, 3.5)])
+def test_load_audio_matches_the_copying_formulas(tmp_path, bits, fmt_tag, scale, n_channels):
+    # full-scale, zero and random samples; a float file at scale 3.5 peaks
+    # above 1.0 and is normalized
+    x = np.random.default_rng(bits + n_channels).uniform(-1.0, 1.0, 2 * 4410)
+    x[:4] = [1.0, -1.0, 0.0, -0.0]
+    data = wav_bytes(x * scale, 44100, bits=bits, fmt_tag=fmt_tag, n_channels=n_channels)
+    p = tmp_path / "a.wav"
+    p.write_bytes(data)
+    clip = load_audio(p)
+    raw = data[data.index(b"data", 12) + 8 :]
+    assert clip.samples.tobytes() == copying_decode(raw, bits, fmt_tag, n_channels).tobytes()
+    # the samples own their memory: nothing keeps the file's bytes alive
+    assert clip.samples.flags.owndata and clip.samples.flags.writeable
+
+
+def chunk(cid, payload, size=None):
+    """One RIFF chunk declaring `size` bytes (the payload's when None), with
+    the pad byte after an odd payload."""
+    size = len(payload) if size is None else size
+    return cid + struct.pack("<I", size) + payload + b"\x00" * (len(payload) & 1)
+
+
+def riff(*chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+FMT16 = struct.pack("<HHIIHH", 1, 1, 44100, 2 * 44100, 2, 16)
+PCM16 = np.arange(-300, 300, 3, dtype="<i2").tobytes()
+
+# well-formed files whose chunks come in another order or size than the
+# usual fmt-then-data: each loads the samples of riff(fmt, data)
+WELL_FORMED_WAVS = {
+    "data before fmt": riff(chunk(b"data", PCM16), chunk(b"fmt ", FMT16)),
+    "odd-sized chunk with its pad byte": riff(chunk(b"LIST", b"abc"), chunk(b"fmt ", FMT16),
+                                              chunk(b"data", PCM16)),
+    "odd-sized data chunk": riff(chunk(b"fmt ", FMT16), chunk(b"data", PCM16 + b"\x01")),
+}
+# malformed files: each ends in AudioFormatError, and detect exits 2
+MALFORMED_WAVS = {
+    "truncated fmt chunk": riff(chunk(b"fmt ", FMT16[:12]), chunk(b"data", PCM16)),
+    "odd-sized fmt chunk": riff(chunk(b"fmt ", FMT16[:15]), chunk(b"data", PCM16)),
+    "fmt chunk cut by the end of the file": riff(chunk(b"data", PCM16),
+                                                 chunk(b"fmt ", FMT16))[:-6],
+    "odd-sized chunk without its pad byte": riff(chunk(b"LIST", b"abc")[:-1],
+                                                 chunk(b"fmt ", FMT16), chunk(b"data", PCM16)),
+    "data before fmt, sized past the end": riff(chunk(b"data", PCM16, size=len(PCM16) + 999),
+                                                chunk(b"fmt ", FMT16)),
+    "float NaN": wav_bytes(np.array([0.0, np.nan, 0.5]), 44100, bits=32, fmt_tag=3),
+    "float +inf": wav_bytes(np.array([0.0, 0.5, np.inf]), 44100, bits=32, fmt_tag=3),
+    "float -inf": wav_bytes(np.array([-np.inf, 0.5, 0.0]), 44100, bits=32, fmt_tag=3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WELL_FORMED_WAVS))
+def test_chunk_order_and_padding_load_the_same_samples(tmp_path, case):
+    usual, other = tmp_path / "usual.wav", tmp_path / "other.wav"
+    usual.write_bytes(riff(chunk(b"fmt ", FMT16), chunk(b"data", PCM16)))
+    other.write_bytes(WELL_FORMED_WAVS[case])
+    assert load_audio(other).samples.tobytes() == load_audio(usual).samples.tobytes()
+
+
+@pytest.mark.filterwarnings("error")  # one error line: no numpy warning before it
+@pytest.mark.parametrize("case", sorted(MALFORMED_WAVS))
+def test_malformed_wav_is_an_audio_format_error(tmp_path, capsys, case):
+    wav = tmp_path / "bad.wav"
+    wav.write_bytes(MALFORMED_WAVS[case])
+    with pytest.raises(AudioFormatError):
+        load_audio(wav)
+    model = tmp_path / "m.model"
+    save_model(build_model("tcn_v1", seed=0), model)
+    assert main(["detect", str(model), str(wav), "--out", str(tmp_path / "a.onsets")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_resample_rejects_zero_rate(tmp_path):

@@ -10,13 +10,15 @@ from onsetkit.features import (
     FMIN,
     HOP,
     N_BANDS,
-    STFT_CHUNK,
     WINDOW_SIZE,
     band_centers,
     extract_features,
     n_frames_for,
     _filterbank,
 )
+from onsetkit.layers import BLOCK_FRAMES
+
+from openblas import blas_threads
 
 
 def clip_of(x):
@@ -44,7 +46,8 @@ def test_values_nonnegative_finite():
 
 
 def _whole_array_features(x):
-    """The STFT as one call over every frame, then the filterbank."""
+    """The STFT as one call over every frame of one padded copy, then one
+    filterbank product."""
     n_frames = math.ceil(len(x) / HOP)
     padded = np.pad(x, (WINDOW_SIZE // 2, WINDOW_SIZE // 2 + HOP))
     frames = np.lib.stride_tricks.sliding_window_view(padded, WINDOW_SIZE)[::HOP][:n_frames]
@@ -52,13 +55,31 @@ def _whole_array_features(x):
     return np.log1p(mag @ _filterbank())
 
 
-def test_chunked_stft_matches_the_whole_array_stft():
+B = BLOCK_FRAMES
+# one block, a block and a remainder, and many; each frame count once with
+# its last frame's window reaching past the clip's end and once without
+PROBE_FRAMES = (1, 2, 12, 13, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3000, 3001)
+SHORT_CLIPS = (1, 100, 441, 442, WINDOW_SIZE // 2, WINDOW_SIZE - 1, WINDOW_SIZE)
+
+
+def _probe_clips():
     rng = np.random.default_rng(12)
-    chunk = HOP * STFT_CHUNK
-    for n in (1, 100, 441, 442, chunk - HOP, chunk, chunk + 1, 30 * 44100):
-        x = rng.uniform(-1.0, 1.0, n)
+    for n in SHORT_CLIPS + tuple(n for f in PROBE_FRAMES for n in (f * HOP - 440, f * HOP)):
+        yield rng.uniform(-1.0, 1.0, n)
+
+
+def test_chunked_stft_matches_the_whole_array_stft():
+    for x in _probe_clips():
         got = extract_features(clip_of(x)).values
-        assert got.tobytes() == _whole_array_features(x).tobytes(), n
+        assert got.tobytes() == _whole_array_features(x).tobytes(), len(x)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blocked_features_match_the_whole_array_at_each_blas_thread_count(threads):
+    with blas_threads(threads):
+        for x in _probe_clips():
+            got = extract_features(clip_of(x)).values
+            assert got.tobytes() == _whole_array_features(x).tobytes(), (threads, len(x))
 
 
 def test_band_centers_grid():

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onsetkit.errors import ConfigError, ModelFormatError, OnsetKitError, ShapeError
-from onsetkit.layers import DilatedConv1d, Layer, elu, pool_freq3
+from onsetkit.layers import (BLOCK_FRAMES, WHOLE_PATCH_BYTES, Conv2d, DilatedConv1d, Layer, elu,
+                             pool_freq3)
 from onsetkit.models import (
-    BLOCK_FRAMES,
     FREEZABLE,
     LAYER_NAMES,
     N_BANDS,
     VARIANTS,
-    WHOLE_PATCH_BYTES,
     ConvStage,
     FreezeConfig,
     Model,
@@ -464,7 +463,8 @@ def test_inference_matches_dropout_free_training_forward(variant):
 
 def _whole_length_stage(stage, x):
     """The inference conv stage as one call over the whole length."""
-    y = stage.conv.forward(stage._pad(x))
+    p = stage.pad_t
+    y = stage.conv.forward(np.pad(x, ((p, p), (0, 0), (0, 0))))
     y = pool_freq3(y)[0] if stage.pool else y
     return elu(y, out=y)[0]
 
@@ -486,6 +486,44 @@ def test_blocked_conv_stages_match_the_whole_length_stage(variant):
             want = _whole_length_stage(stage, x)
             got = stage.forward(x, False, None)
             assert got.tobytes() == want.tobytes(), (nl.name, frames)
+            bands = stage.out_bands(bands)
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).data).hexdigest()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_context_fed_training_conv_matches_the_padded_conv(variant):
+    # a stage's conv fed block by block with only the rows each block reads
+    # keeps the patch matrix, input shape and gradients of a training conv
+    # of the whole zero-padded input (compared by digest, so that the two
+    # patch matrices never live at once)
+    m = build_model(variant, seed=27)
+    rng = np.random.default_rng(28)
+    for frames in BLOCK_PROBE_FRAMES:
+        bands = N_BANDS
+        for nl in m.layers[:3]:
+            stage, p = nl.block, nl.block.pad_t
+            x = rng.normal(0.0, 1.0, (frames, bands, stage.conv.cin))
+            gy = rng.normal(0.0, 1.0, (frames, bands - stage.conv.kf + 1, stage.conv.cout))
+            spans = stage._spans(*gy.shape[:2])
+            padded = Conv2d(stage.conv.kt, stage.conv.kf, stage.conv.cin, stage.conv.cout)
+            padded.params = stage.conv.params
+            y = padded.forward(np.pad(x, ((p, p), (0, 0), (0, 0))), training=True)
+            gx = padded.backward(gy, spans=spans)
+            want = [_digest(a) for a in (y, padded._x_col, gx, *padded.grads.values())]
+            want_shape = padded._in_shape
+            del padded, y, gx
+            y = hashlib.sha256()  # the output's bytes, block after block
+            for s, e in spans:
+                y.update(stage._conv(x, s, e, training=True))
+            gx = stage.conv.backward(gy, spans=spans)
+            got = [y.hexdigest()] + [_digest(a) for a in (stage.conv._x_col, gx,
+                                                          *stage.conv.grads.values())]
+            assert got == want, (nl.name, frames)
+            assert stage.conv._in_shape == want_shape, (nl.name, frames)
+            m.drop_caches()
             bands = stage.out_bands(bands)
 
 

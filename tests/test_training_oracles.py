@@ -18,14 +18,12 @@ tobytes(), so a changed sign of zero fails too.
 import numpy as np
 import pytest
 
-from onsetkit.layers import (Conv2d, DilatedConv1d, bce_loss, bce_loss_grad, elu, pool_freq3,
-                             unpool_freq3)
+from onsetkit.layers import (BLOCK_FRAMES, Conv2d, DilatedConv1d, bce_loss, bce_loss_grad, elu,
+                             pool_freq3, time_blocks, unpool_freq3)
 from onsetkit.models import (
-    BLOCK_FRAMES,
     VARIANTS,
     FreezeConfig,
     Model,
-    _time_blocks,
     apply_freeze,
     build_model,
     canonical_freeze_ids,
@@ -193,7 +191,7 @@ def test_blocked_conv_input_gradient_matches_the_tap_by_tap_formula(variant):
             conv.forward(xp, training=True)
             gy = edge_inputs((frames, bands - conv.kf + 1, conv.cout), 40 + i)
             gy[::5] = 0.0
-            spans = _time_blocks(frames, np.inf)
+            spans = time_blocks(frames)
             assert len(spans) == max(1, frames // B)
             want = conv_input_grad_ref(conv, gy, xp.shape)
             got = conv.backward(gy, param_grads=False, spans=spans)
