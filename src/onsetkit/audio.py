@@ -143,14 +143,18 @@ def load_audio(path: str | Path) -> AudioClip:
 
 def save_wav(clip: AudioClip, path: str | Path) -> None:
     """Write a clip as 16-bit PCM mono WAV."""
-    x = np.clip(clip.samples, -1.0, 1.0)
-    # scale by 32768 (the load-side divisor) so the pair inverts exactly
-    pcm = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2").tobytes()
-    hdr = b"WAVE" + b"fmt " + struct.pack(
-        "<IHHIIHH", 16, 1, 1, clip.sample_rate, clip.sample_rate * 2, 2, 16
-    )
-    body = hdr + b"data" + struct.pack("<I", len(pcm)) + pcm
-    Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    x = np.clip(clip.samples, -1.0, 1.0)  # a new array: the clip's samples stay as they are
+    # scale by 32768 (the load-side divisor) so the pair inverts exactly; x >= -1
+    # scales to >= -32768, so only the top needs capping
+    x *= 32768.0
+    np.rint(x, out=x)
+    np.minimum(x, 32767.0, out=x)
+    pcm = x.astype("<i2")
+    fmt = struct.pack("<IHHIIHH", 16, 1, 1, clip.sample_rate, clip.sample_rate * 2, 2, 16)
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 36 + pcm.nbytes) + b"WAVE" + b"fmt " + fmt
+                 + b"data" + struct.pack("<I", pcm.nbytes))
+        fh.write(pcm)
 
 
 def load_annotations(path: str | Path) -> OnsetAnnotations:
@@ -186,5 +190,4 @@ def load_annotations(path: str | Path) -> OnsetAnnotations:
 def save_annotations(onsets: OnsetAnnotations, path: str | Path) -> None:
     """Write onset times, one per line with 4 decimal places."""
     with open(path, "w", encoding="utf-8") as fh:
-        for t in onsets.times:
-            fh.write(f"{t:.4f}\n")
+        fh.write("".join(f"{t:.4f}\n" for t in onsets.times))

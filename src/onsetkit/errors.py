@@ -81,7 +81,8 @@ RANGES = {"seed": "[0, inf)", "profile_seed": "[0, inf)", "epochs": "[1, inf)",
           "mean_f1": "[0, 1]", "baseline_f1": "[0, 1]", "f1": "[0, 1]", "wall_s": "[0, inf)",
           "onset_density": "[0, inf)", "amplitude_jitter": "[0, inf)", "attack_ms": "(0, inf)",
           "files_per_instrument": "[2, inf)",  # a snippet source and a file to score
-          "file_duration": "[5, inf)", "tempo": "[165, 180]"}
+          # a 16-bit mono 44.1 kHz WAV's RIFF size passes 2**32 - 1 above 48,695.77 s
+          "file_duration": "[5, 48695]", "tempo": "[165, 180]"}
 NOT_GIVEN = {"snippet_offset"}  # the values that None leaves to a default
 
 

@@ -175,28 +175,42 @@ def _pattern_times(duration: float, tempo: float, density: float, rng) -> np.nda
     return np.sort(t[(t >= 0.0) & (t <= duration - _END_MARGIN)])
 
 
-def _tone(freq: float, ratios: tuple[float, ...], t: np.ndarray, rng) -> np.ndarray:
-    nyq_guard = 0.45 * TARGET_RATE
-    out = np.zeros(t.size)
-    norm = 0.0
-    for k, r in enumerate(ratios):
-        f = freq * r
-        if f >= nyq_guard:
-            continue
-        a = 1.0 / (1.0 + k)
-        out += a * np.sin(2.0 * np.pi * f * t + rng.uniform(0.0, 2.0 * np.pi))
-        norm += a
-    return out / norm if norm > 0 else out
-
-
-def _carrier(profile: InstrumentProfile, n: int, rng) -> np.ndarray:
-    t = np.arange(n) / TARGET_RATE
+def _partial_phases(profile: InstrumentProfile, t: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """(amplitude, 2*pi*f*t) of each partial below 0.45 * rate; none for noise."""
     if profile.spectral_mode == "noise-burst":
-        return 0.5 * rng.standard_normal(n)
-    if profile.spectral_mode == "damped-tone":
-        return _tone(profile.center_freq, profile.partial_ratios, t, rng)
-    tone = _tone(profile.center_freq, profile.partial_ratios, t, rng)
-    return 0.65 * tone + 0.35 * 0.5 * rng.standard_normal(n)
+        return []
+    nyq_guard = 0.45 * TARGET_RATE
+    partials = []
+    for k, r in enumerate(profile.partial_ratios):
+        f = profile.center_freq * r
+        if f < nyq_guard:
+            partials.append((1.0 / (1.0 + k), 2.0 * np.pi * f * t))
+    return partials
+
+
+def _carrier(profile: InstrumentProfile, partials, out: np.ndarray, scratch: np.ndarray,
+             rng) -> None:
+    """One hit's carrier into out: unit partials at seeded phases, normalized
+    by their amplitude sum, and/or noise; scratch is a buffer as long as out."""
+    if profile.spectral_mode == "noise-burst":
+        rng.standard_normal(out=out)
+        out *= 0.5
+        return
+    out.fill(0.0)
+    norm = 0.0
+    for a, phase in partials:
+        np.add(phase[:out.size], rng.uniform(0.0, 2.0 * np.pi), out=scratch)
+        np.sin(scratch, out=scratch)
+        scratch *= a
+        out += scratch
+        norm += a
+    if norm > 0:
+        out /= norm
+    if profile.spectral_mode == "mixed":
+        out *= 0.65
+        rng.standard_normal(out=scratch)
+        scratch *= 0.35 * 0.5
+        out += scratch
 
 
 def _synthesize(profile: InstrumentProfile, times: np.ndarray, n_samples: int,
@@ -207,21 +221,31 @@ def _synthesize(profile: InstrumentProfile, times: np.ndarray, n_samples: int,
     spans_ms = rng.uniform(profile.decay_span[0], profile.decay_span[1], n_hits)
     amps = np.exp(rng.normal(0.0, profile.amplitude_jitter, n_hits))
     n_attack = max(1, int(round(profile.attack_ms * TARGET_RATE / 1000.0)))
+    n_envs = [int(round(span / 1000.0 * TARGET_RATE)) for span in spans_ms]
+    # the time axis, attack ramp and partial phases of the longest hit; each
+    # hit reads its first m samples, which equal the arrays of a length-m hit
+    n_max = min(n_samples, max(n_envs, default=0))
+    t = np.arange(n_max) / TARGET_RATE
+    neg_t, ramp = -t, np.minimum(1.0, np.arange(1, n_max + 1) / n_attack)
+    partials = _partial_phases(profile, t)
+    env_buf, carrier_buf, scratch_buf = np.empty((3, n_max))
     exact = []
     for i in range(n_hits):
         s0 = int(round(times[i] * TARGET_RATE))
         if not (0 <= s0 < n_samples):
             raise ConfigError(f"hit at {times[i]:.4f} s falls outside the clip")
-        n_env = int(round(spans_ms[i] / 1000.0 * TARGET_RATE))
-        m = min(n_env, n_samples - s0)
-        if m <= 0:
-            continue
+        m = min(n_envs[i], n_samples - s0)
         tau = spans_ms[i] / 1000.0 / _DECAY_TAU_DIV
-        tt = np.arange(m) / TARGET_RATE
-        env = np.exp(-tt / tau) * np.minimum(1.0, np.arange(1, m + 1) / n_attack)
-        x[s0:s0 + m] += amps[i] * env * _carrier(profile, m, rng)
+        env, carrier = env_buf[:m], carrier_buf[:m]
+        np.divide(neg_t[:m], tau, out=env)
+        np.exp(env, out=env)
+        env *= ramp[:m]
+        env *= amps[i]
+        _carrier(profile, partials, carrier, scratch_buf[:m], rng)
+        env *= carrier
+        x[s0:s0 + m] += env
         exact.append(s0 / TARGET_RATE)
-    peak = np.max(np.abs(x)) if n_samples else 0.0
+    peak = max(x.max(), -x.min()) if n_samples else 0.0  # max |x| without an |x| array
     if peak > 0:
         x *= 0.9 / peak
     return AudioClip(x, TARGET_RATE), OnsetAnnotations(np.asarray(exact))

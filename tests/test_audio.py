@@ -104,7 +104,7 @@ def test_pcm24_read(tmp_path):
     assert np.max(np.abs(back.samples - x)) < 1e-6
 
 
-def test_resample_ramp_matches_interp_oracle(tmp_path):
+def test_a_22050_hz_file_is_refused(tmp_path):
     # a 22050 Hz file is refused: it must be converted to 44.1 kHz first
     p = tmp_path / "r.wav"
     p.write_bytes(wav_bytes(np.linspace(-0.8, 0.8, 2205), 22050, bits=32, fmt_tag=3))
@@ -189,6 +189,36 @@ def test_load_audio_matches_the_copying_formulas(tmp_path, bits, fmt_tag, scale,
     assert clip.samples.flags.owndata and clip.samples.flags.writeable
 
 
+def copying_wav_bytes(samples, rate):
+    """save_wav's bytes by the formulas it used before it wrote one int16
+    buffer in place: a clip, a scaled and rounded copy, a clipped copy,
+    and the file concatenated from bytes."""
+    x = np.clip(samples, -1.0, 1.0)
+    pcm = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    hdr = b"WAVE" + b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16)
+    body = hdr + b"data" + struct.pack("<I", len(pcm)) + pcm
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def test_save_wav_matches_the_copying_formulas(tmp_path):
+    k = np.arange(-32769, 32768, 7, dtype=np.float64)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    x = np.concatenate([
+        [1.0, -1.0, 0.0, -0.0, 1.5, -1.5],
+        # values that round to +-32768: the top one is capped at 32767
+        [32767.5 / 32768, -32767.5 / 32768, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)],
+        (k + 0.5) / 32768,  # half-steps, rounded to even
+        [tiny, -tiny, 1000 * tiny, -np.finfo(np.float64).tiny / 2],
+        np.random.default_rng(0).uniform(-1.1, 1.1, 4410),
+    ])
+    clip = AudioClip(samples=x, sample_rate=44100)
+    before = clip.samples.copy()
+    p = tmp_path / "a.wav"
+    save_wav(clip, p)
+    assert p.read_bytes() == copying_wav_bytes(before, 44100)
+    assert clip.samples.tobytes() == before.tobytes()
+
+
 def chunk(cid, payload, size=None):
     """One RIFF chunk declaring `size` bytes (the payload's when None), with
     the pad byte after an odd payload."""
@@ -250,7 +280,7 @@ def test_malformed_wav_is_an_audio_format_error(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
-def test_resample_rejects_zero_rate(tmp_path):
+def test_a_zero_hz_file_is_refused(tmp_path):
     p = tmp_path / "z.wav"
     p.write_bytes(wav_bytes(np.zeros(10), 0, bits=32, fmt_tag=3))
     with pytest.raises(AudioFormatError, match="sample rate"):

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onsetkit import synth
-from onsetkit.audio import TARGET_RATE, load_annotations, load_audio
+from onsetkit.audio import (
+    TARGET_RATE,
+    AudioClip,
+    OnsetAnnotations,
+    load_annotations,
+    load_audio,
+)
 from onsetkit.cli import main
 from onsetkit.errors import ConfigError, DataError, OnsetKitError
 from onsetkit.features import extract_features
@@ -71,6 +77,22 @@ def test_profile_validation():
     for duration, tempo in ((np.nan, 180.0), (5.0, 120.0)):  # CorpusSpec's ranges
         with pytest.raises(ConfigError):
             render_file(tone_profile(), duration, tempo, 0)
+
+
+def test_a_file_duration_a_16_bit_wav_cannot_hold_is_refused(tmp_path, capsys):
+    # the RIFF size, 36 bytes of header and 2 a sample, must fit in 32 bits
+    assert 36 + 2 * round(48695 * TARGET_RATE) <= 2**32 - 1 < 36 + 2 * round(48696 * TARGET_RATE)
+    for duration in (5.0, 48695.0):
+        assert CorpusSpec((tone_profile(),), file_duration=duration).file_duration == duration
+    for bad in (np.nextafter(5.0, 0.0), np.nextafter(48695.0, np.inf), 48696.0, 1e9):
+        with pytest.raises(ConfigError, match="file_duration"):
+            CorpusSpec((tone_profile(),), file_duration=bad)
+        with pytest.raises(ConfigError, match="file_duration"):
+            render_file(tone_profile(), bad, 180.0, 0)
+    assert main(["synth", "--out", str(tmp_path / "c"), "--duration", "1e9"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: file_duration"), err
+    assert not (tmp_path / "c").exists()
 
 
 def test_make_profile_deterministic():
@@ -151,6 +173,124 @@ def test_rendered_hits_make_one_target_frame_each():
     feats = extract_features(clip)
     targets = make_targets(ann, feats.n_frames)
     assert int(np.sum(targets == 1.0)) == len(ann)
+
+
+# The synthesis formulas as they read before _synthesize shared its per-file
+# arrays: every hit builds its own time axis, ramp and partial phases in new
+# arrays. The oracle tests below pin render_file to these bytes.
+def _reference_tone(freq, ratios, t, rng):
+    nyq_guard = 0.45 * TARGET_RATE
+    out = np.zeros(t.size)
+    norm = 0.0
+    for k, r in enumerate(ratios):
+        f = freq * r
+        if f >= nyq_guard:
+            continue
+        a = 1.0 / (1.0 + k)
+        out += a * np.sin(2.0 * np.pi * f * t + rng.uniform(0.0, 2.0 * np.pi))
+        norm += a
+    return out / norm if norm > 0 else out
+
+
+def _reference_carrier(profile, n, rng):
+    t = np.arange(n) / TARGET_RATE
+    if profile.spectral_mode == "noise-burst":
+        return 0.5 * rng.standard_normal(n)
+    if profile.spectral_mode == "damped-tone":
+        return _reference_tone(profile.center_freq, profile.partial_ratios, t, rng)
+    tone = _reference_tone(profile.center_freq, profile.partial_ratios, t, rng)
+    return 0.65 * tone + 0.35 * 0.5 * rng.standard_normal(n)
+
+
+def _reference_synthesize(profile, times, n_samples, rng):
+    times = np.asarray(times, dtype=np.float64)
+    x = np.zeros(n_samples)
+    n_hits = times.size
+    spans_ms = rng.uniform(profile.decay_span[0], profile.decay_span[1], n_hits)
+    amps = np.exp(rng.normal(0.0, profile.amplitude_jitter, n_hits))
+    n_attack = max(1, int(round(profile.attack_ms * TARGET_RATE / 1000.0)))
+    exact = []
+    for i in range(n_hits):
+        s0 = int(round(times[i] * TARGET_RATE))
+        n_env = int(round(spans_ms[i] / 1000.0 * TARGET_RATE))
+        m = min(n_env, n_samples - s0)
+        if m <= 0:
+            continue
+        tau = spans_ms[i] / 1000.0 / synth._DECAY_TAU_DIV
+        tt = np.arange(m) / TARGET_RATE
+        env = np.exp(-tt / tau) * np.minimum(1.0, np.arange(1, m + 1) / n_attack)
+        x[s0:s0 + m] += amps[i] * env * _reference_carrier(profile, m, rng)
+        exact.append(s0 / TARGET_RATE)
+    peak = np.max(np.abs(x)) if n_samples else 0.0
+    if peak > 0:
+        x *= 0.9 / peak
+    return AudioClip(x, TARGET_RATE), OnsetAnnotations(np.asarray(exact))
+
+
+def _reference_render(profile, duration, tempo, seed):
+    rng = np.random.default_rng(seed)
+    hit_times = synth._beat_times if profile.role == "time-keeping" else synth._pattern_times
+    times = hit_times(duration, tempo, profile.onset_density, rng)
+    return _reference_synthesize(profile, times, int(round(duration * TARGET_RATE)), rng)
+
+
+def _assert_same_bytes(clip, ann, reference):
+    ref_clip, ref_ann = reference
+    assert clip.samples.tobytes() == ref_clip.samples.tobytes()
+    assert ann.times.tobytes() == ref_ann.times.tobytes()
+
+
+def _one_profile_per_mode():
+    """make_profile's first draw of each spectral mode, time-keeping first."""
+    found = {}
+    for seed in range(100):
+        for role in synth.ROLES:
+            p = make_profile(f"p{seed}", role, seed)
+            found.setdefault(p.spectral_mode, p)
+    assert set(found) == set(synth.SPECTRAL_MODES)
+    return [found[mode] for mode in synth.SPECTRAL_MODES]
+
+
+GUARD = 0.45 * TARGET_RATE
+ORACLE_PROFILES = {
+    **{f"default {p.name}": p for p in default_instruments()},
+    **{f"make_profile {p.spectral_mode}": p for p in _one_profile_per_mode()},
+    # 6615 * 3 is the guard itself, and 7000 * 3 lies above it: both are skipped
+    "partial at the guard": tone_profile(center_freq=GUARD / 3, partial_ratios=(1.0, 3.0)),
+    "partial above the guard": tone_profile(center_freq=7000.0, spectral_mode="mixed"),
+    "every partial above the guard, tone": tone_profile(center_freq=GUARD),
+    "every partial above the guard, mixed": tone_profile(center_freq=GUARD,
+                                                         spectral_mode="mixed"),
+    "zero density, voicing": tone_profile(onset_density=0.0),
+    "zero density, time-keeping": tone_profile(role="time-keeping", onset_density=0.0),
+    "attack longer than the span": tone_profile(attack_ms=500.0, spectral_mode="mixed"),
+    # at seeds 1 and 2 the last hit's span runs past the end of the file
+    "time-keeping spans past the file end": tone_profile(role="time-keeping", decay_span=(440.0, 450.0),
+                                            onset_density=2.5, amplitude_jitter=0.1),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("case", list(ORACLE_PROFILES))
+def test_render_file_matches_the_per_hit_formulas(case, seed):
+    profile = ORACLE_PROFILES[case]
+    clip, ann = render_file(profile, 10.0, 180.0, file_seed(seed, profile.name, 1))
+    _assert_same_bytes(clip, ann, _reference_render(profile, 10.0, 180.0,
+                                                    file_seed(seed, profile.name, 1)))
+
+
+@pytest.mark.parametrize("mode", synth.SPECTRAL_MODES)
+def test_hits_cut_by_the_file_end_match_the_per_hit_formulas(mode):
+    # spans of 440-450 ms from hits 400 ms, one sample and zero samples
+    # before the end; the last is one sample long, the first runs 40 ms past
+    profile = tone_profile(spectral_mode=mode, decay_span=(440.0, 450.0),
+                           amplitude_jitter=0.1, attack_ms=30.0)
+    n = 5 * TARGET_RATE
+    times = np.array([0.0, 2.5, (n - 0.4 * TARGET_RATE) / TARGET_RATE,
+                      (n - 2) / TARGET_RATE, (n - 1) / TARGET_RATE])
+    clip, ann = _synthesize(profile, times, n, np.random.default_rng(3))
+    _assert_same_bytes(clip, ann, _reference_synthesize(profile, times, n,
+                                                        np.random.default_rng(3)))
 
 
 def test_corpus_layout_and_manifest(tmp_path):
