@@ -153,5 +153,5 @@ def delta_pp(adapted, baseline) -> float:
     if isinstance(adapted, EvalResult) and isinstance(baseline, EvalResult):
         if set(adapted.per_file) != set(baseline.per_file):
             raise ConfigError("results cover different file sets")
-        return (adapted.mean_f1 - baseline.mean_f1) * 100.0
+        adapted, baseline = adapted.mean_f1, baseline.mean_f1
     return (float(adapted) - float(baseline)) * 100.0

@@ -114,7 +114,7 @@ class ResultRow:
         check_fields(self)
         for f1 in self.per_file_f1:
             check_ranges(f1=f1)
-        if not abs(self.delta_pp - (self.mean_f1 - self.baseline_f1) * 100.0) <= 1e-9:
+        if not abs(self.delta_pp - delta_pp(self.mean_f1, self.baseline_f1)) <= 1e-9:
             raise ConfigError("delta_pp does not match mean - baseline")
         if self.n_files != len(self.per_file_f1):
             raise ConfigError("n_files does not match per-file list")

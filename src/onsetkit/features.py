@@ -23,7 +23,7 @@ from .layers import context_rows, time_blocks
 
 WINDOW_SIZE = 2048
 HOP = 441
-FRAME_RATE = 100
+FRAME_RATE = TARGET_RATE // HOP
 N_BANDS = 81
 FMIN = 30.0
 FMAX = 17000.0

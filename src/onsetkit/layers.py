@@ -3,14 +3,14 @@
 Conv2d, DilatedConv1d and Dense hold parameters; ELU, sigmoid, dropout and
 the frequency pool are plain functions. The model's blocks compose them
 and hold every cache a backward reads:
-  - a layer's forward(x, training=...) caches what its backward needs, only
-    in training mode; an inference forward stores nothing, so backward
-    follows a training-mode forward. Each class names its cache attributes
-    once in `caches`; Model.drop_caches frees them all, and train calls it
-    when it returns or raises, so caches live only while a model trains.
-    Within that time a training forward writes a conv stage's whole-length
-    caches into the previous forward's arrays when their shape and dtype
-    match (see reuse_buffer), rather than allocating them anew
+  - a layer's forward(x, keep=...) stores what its backward reads only
+    with keep; a block's forward(x, rng=None, keep=False) draws dropout
+    only from a given rng, and only Model.forward turns a training mode
+    into these two switches. Each class names its cache attributes once in
+    `caches`; Model.drop_caches frees them all, and train calls it when it
+    returns or raises, so caches live only while a model trains. Within
+    that time a keeping forward writes a conv stage's whole-length caches
+    into the previous ones of the same shape and dtype (see reuse_buffer)
   - backward(gy, input_grad=True, param_grads=True) returns the input
     gradient and fills self.grads; input_grad=False fills self.grads only
     and returns None, and param_grads=False leaves self.grads untouched
@@ -82,7 +82,7 @@ def context_rows(x, lo, hi):
 def reuse_buffer(old, shape, dtype=np.float64) -> np.ndarray:
     """old when it is an array of this shape and dtype, otherwise a new
     uninitialized one. For whole-length caches that their owner allocated
-    through this function, so that a training forward writes over the
+    through this function, so that a keeping forward writes over the
     previous forward's cache rather than allocating one beside it."""
     if isinstance(old, np.ndarray) and old.shape == shape and old.dtype == dtype:
         return old
@@ -92,7 +92,7 @@ def reuse_buffer(old, shape, dtype=np.float64) -> np.ndarray:
 class Layer:
     """Base of the parameter layers: their parameter and gradient dicts."""
 
-    caches: tuple[str, ...] = ()  # attributes a training forward sets for backward
+    caches: tuple[str, ...] = ()  # attributes a keeping forward sets for backward
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -169,20 +169,20 @@ class Conv2d(Layer):
         self.params["w"] = glorot((kt, kf, cin, cout), kt * kf * cin, kt * kf * cout, rng, dtype)
         self.params["b"] = np.zeros(cout, dtype=dtype)
 
-    def forward(self, x, *, training=False, start=0, in_frames=None):
+    def forward(self, x, *, keep=False, start=0, in_frames=None):
         """Output frames start.. of an input of in_frames frames (x's own
         count when None), from x, the input frames they read (output frame t
-        reads input frames t..t+kt-1). training=True keeps what backward
-        reads, the whole-length patch matrix and input shape: a training
-        forward may run in row blocks, in order from start=0 (which takes
-        the previous training forward's matrix when the shape holds)."""
+        reads input frames t..t+kt-1). keep=True keeps what backward reads,
+        the whole-length patch matrix and input shape: a keeping forward
+        may run in row blocks, in order from start=0 (which takes the
+        previous keeping forward's matrix when the shape holds)."""
         if x.ndim != 3 or x.shape[2] != self.cin:
             raise ShapeError(f"conv2d expects (time, freq, {self.cin}), got {x.shape}")
         if x.shape[0] < self.kt or x.shape[1] < self.kf:
             raise ShapeError(f"input {x.shape[:2]} smaller than kernel ({self.kt},{self.kf})")
         t_out, f_out = x.shape[0] - self.kt + 1, x.shape[1] - self.kf + 1
         cols = None
-        if training:
+        if keep:
             self._in_shape = (in_frames or x.shape[0],) + x.shape[1:]
             if start == 0:
                 self._x_col = reuse_buffer(getattr(self, "_x_col", None),
@@ -279,7 +279,7 @@ class DilatedConv1d(Layer):
 
     out[t] = b + sum_j w[j] . x[t + (j - (k-1)/2) * dilation]
 
-    A training forward keeps its float64 input, a fifth of the size of the
+    A keeping forward stores its float64 input, a fifth of the size of the
     tap matrix (see _taps) it multiplies the kernel by; backward rebuilds
     that matrix only for the weight gradient.
     """
@@ -309,13 +309,13 @@ class DilatedConv1d(Layer):
                 taps[lo:hi, j * cin : (j + 1) * cin] = x[lo + shift : hi + shift]
         return taps
 
-    def forward(self, x, *, training=False):
+    def forward(self, x, *, keep=False):
         if x.ndim != 2 or x.shape[1] != self.cin:
             raise ShapeError(f"dilated_conv1d expects (time, {self.cin}), got {x.shape}")
         x = _f64(x)
         w = _f64(self.params["w"])
         y = self._taps(x) @ w.reshape(self.k * self.cin, self.cout) + _f64(self.params["b"])
-        if training:
+        if keep:
             self._x = x
         return y
 
@@ -349,11 +349,11 @@ class Dense(Layer):
         self.params["w"] = glorot((cin, cout), cin, cout, rng, dtype)
         self.params["b"] = np.zeros(cout, dtype=dtype)
 
-    def forward(self, x, *, training=False):
+    def forward(self, x, *, keep=False):
         if x.ndim != 2 or x.shape[1] != self.cin:
             raise ShapeError(f"dense expects (time, {self.cin}), got {x.shape}")
         x = _f64(x)
-        if training:
+        if keep:
             self._x = x
         return x @ _f64(self.params["w"]) + _f64(self.params["b"])
 

@@ -57,14 +57,14 @@ class Block:
 
     params and grads map "<part>.<key>" to the part's tensors, in the order
     of self.parts, which is the model file's order. Every block's forward
-    is forward(x, training=False, rng=None, keep=True): keep=False runs a
-    training forward cache-free (the same dropout draws and floats, nothing
-    kept for backward), and backward is backward(gy, input_grad=True,
-    param_grads=True), which returns None without input_grad.
+    is forward(x, rng=None, keep=False): it draws dropout from rng (none
+    when rng is None) and stores what backward reads only with keep (see
+    Model.forward for who passes what). backward is backward(gy,
+    input_grad=True, param_grads=True), which returns None without input_grad.
     """
 
     rf_add = 0  # frames the block adds to the receptive field
-    caches: tuple[str, ...] = ()  # attributes a training forward sets for backward
+    caches: tuple[str, ...] = ()  # attributes a keeping forward sets for backward
     parts: dict
 
     def _tensors(self, attr):
@@ -85,7 +85,7 @@ class ConvStage(Block):
 
     Every forward and backward runs in time blocks (see time_blocks), each
     block's conv reading only the input frames it needs (see _conv).
-    A training forward writes each block's rows of the whole-length caches
+    A keeping forward writes each block's rows of the whole-length caches
     that backward reads: the conv's patch matrix, ELU's derivative (plus
     one), the bool dropout survivors and, when the stage pools, the uint8
     pool winners. A pooling stage keeps the derivative and the survivors
@@ -95,11 +95,11 @@ class ConvStage(Block):
     while the activations are finite, which they are whenever backward
     runs in train, since it raises DivergenceError on a non-finite loss
     first. Drawing the survivors block by block takes the whole-length
-    draw's numbers, since time is the leading axis. At inference dropout is
-    the identity and ELU is non-decreasing, so the stage pools first and
-    writes ELU of the pooled output into its own output: same floats, and a
-    pooling stage evaluates a third as many ELUs. Backward multiplies each
-    block by the survivors, 1/(1-rate) and ELU's derivative, at a pooling
+    draw's numbers, since time is the leading axis. A forward that draws
+    no mask and keeps nothing (inference, or a frozen stage at rate 0) pools
+    first, as ELU is non-decreasing, and writes ELU of the pooled output
+    into its own output: same floats, and a pooling stage evaluates a third
+    as many ELUs. Backward multiplies each block by the survivors, 1/(1-rate) and ELU's derivative, at a pooling
     stage on the pooled gradient before it unpools the block into zeros;
     the conv's weight and bias gradients stay single whole-length
     reductions, since a blocked sum has other floats.
@@ -120,11 +120,11 @@ class ConvStage(Block):
         c = self.conv
         return time_blocks(frames, frames * bands * c.kt * c.kf * c.cin * 8)
 
-    def _conv(self, x, s, e, training=False):
+    def _conv(self, x, s, e, keep=False):
         """Output frames s..e-1 of the conv of x zero-padded in time, from
         only x's frames s - pad_t .. e + pad_t - 1 (see context_rows)."""
         p = self.pad_t
-        return self.conv.forward(context_rows(x, s - p, e + p), training=training, start=s,
+        return self.conv.forward(context_rows(x, s - p, e + p), keep=keep, start=s,
                                  in_frames=x.shape[0] + 2 * p)
 
     def activate(self, x):
@@ -137,28 +137,27 @@ class ConvStage(Block):
             elu(self._conv(x, s, e), out=out[s:e])
         return out
 
-    def forward(self, x, training=False, rng=None, keep=True, activated=False):
+    def forward(self, x, rng=None, keep=False, activated=False):
         """activated=True takes x as this stage's own activate() output and
-        only reads it; the forward is then cache-free."""
-        keep = training and keep and not activated
+        only reads it, keeping nothing (keep must be False)."""
         frames, cout = x.shape[0], self.conv.cout
         bands = x.shape[1] if activated else x.shape[1] - self.conv.kf + 1
         out = np.empty((frames, bands // 3 if self.pool else bands, cout))
-        if keep:  # in out's shape, the previous training forward's caches when it holds
+        if keep:  # in out's shape, the previous keeping forward's caches when it holds
             self._d = reuse_buffer(getattr(self, "_d", None), out.shape)
             self._mask = (reuse_buffer(getattr(self, "_mask", None), out.shape, bool)
-                          if self.rate else None)
+                          if self.rate and rng is not None else None)
             if self.pool:
                 self._arg = reuse_buffer(getattr(self, "_arg", None), out.shape, np.uint8)
         for s, e in self._spans(frames, bands):
-            y = x[s:e] if activated else self._conv(x, s, e, training=keep)
-            if not training:
+            y = x[s:e] if activated else self._conv(x, s, e, keep)
+            mask = None if rng is None else dropout_mask(y.shape, self.rate, rng)
+            if mask is None and not keep and not activated:  # ELU after the max
                 y = pool_freq3(y)[0] if self.pool else y
                 elu(y, out=out[s:e])
                 continue
             if not activated:
                 y, d = elu(y, out=y)
-            mask = dropout_mask(y.shape, self.rate, rng)
             if mask is not None:
                 # a fresh product when the activated input is only read
                 y = dropout(y, mask, self.rate, out=None if activated else y)
@@ -223,23 +222,22 @@ class TcnLevel(Block):
         self.entry = entry
         self.rf_add = 4 * dilation + (8 * dilation if double else 0)
 
-    def forward(self, x, training=False, rng=None, keep=True):
-        keep = training and keep
+    def forward(self, x, rng=None, keep=False):
         if self.entry:
             x = x[:, 0, :]
         if self.adapter:
-            x = self.adapter.forward(x, training=keep)
-        h = self.conv1.forward(x, training=keep)
+            x = self.adapter.forward(x, keep=keep)
+        h = self.conv1.forward(x, keep=keep)
         if self.conv2:
-            h = self.conv2.forward(h, training=keep)
+            h = self.conv2.forward(h, keep=keep)
         h, d = elu(h)
-        mask = dropout_mask(h.shape, self.rate, rng) if training else None
+        mask = None if rng is None else dropout_mask(h.shape, self.rate, rng)
         if keep:
             d += 1.0
             self._d, self._mask = d, mask
         if mask is not None:
             dropout(h, mask, self.rate, out=h)
-        return x + self.mix.forward(h, training=keep)
+        return x + self.mix.forward(h, keep=keep)
 
     def backward(self, gy, input_grad=True, param_grads=True):
         gh = self.mix.backward(gy, param_grads=param_grads)
@@ -267,9 +265,8 @@ class OutHead(Block):
         self.dense = Dense(TCN_CHANNELS, 1, rng=rng, dtype=dtype)
         self.parts = {"dense": self.dense}
 
-    def forward(self, x, training=False, rng=None, keep=True):
-        keep = training and keep
-        y = sigmoid(self.dense.forward(x, training=keep))
+    def forward(self, x, rng=None, keep=False):
+        y = sigmoid(self.dense.forward(x, keep=keep))
         if keep:
             self._y = y
         return y[:, 0]
@@ -337,23 +334,25 @@ class Model:
         """Activation per frame, from features or from a Prefix of this
         model (or of one whose blocks below the prefix's start hold the
         same parameters): the same floats and dropout draws either way.
-        Only a training-mode forward keeps the block caches that backward
-        reads, and only on the blocks backward reaches: the blocks below
-        the lowest trainable one run cache-free, drawing their dropout in
-        place but keeping nothing. An inference forward stores nothing on
-        any block (dropout is the identity there, and each conv stage
-        pools before its ELU).
+        The one place a mode becomes the blocks' (rng, keep) switches: a
+        training forward gives every block rng, and keep from the lowest
+        trainable block up, so the frozen blocks below it draw dropout but
+        keep nothing; inference gives no block an rng, even one the caller
+        gave, and keeps nothing. Training with no rng on a model with
+        dropout is a ConfigError before any block runs.
         """
         self._kept_from = None
+        if training and rng is None and self.dropout_rate:
+            raise ConfigError("training-mode dropout needs an rng")
+        lowest, rng = (self.lowest_trainable, rng) if training else (len(self.layers), None)
         p = features if isinstance(features, Prefix) else self.prefix(features, training, 0)
         if p.activated and not training or p.start and training:
             raise ConfigError(f"this prefix cannot start a forward with training={training}")
         x, first = p.x, p.start
         if p.activated:  # draws Conv1's mask and scales a fresh copy
-            x, first = self.layers[0].block.forward(x, True, rng, activated=True), 1
-        lowest = self.lowest_trainable if training else 0
+            x, first = self.layers[0].block.forward(x, rng, activated=True), 1
         for i in range(first, len(self.layers)):
-            x = self.layers[i].block.forward(x, training, rng, keep=i >= lowest)
+            x = self.layers[i].block.forward(x, rng, keep=i >= lowest)
         if training:
             self._kept_from = max(first, lowest)
         return x

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import AudioClip, OnsetAnnotations, TARGET_RATE, save_annotations, save_wav
-from .errors import ConfigError, DataError, check_fields, check_ranges, read_text
+from .errors import RANGES, ConfigError, DataError, check_fields, check_ranges, read_text
 
 ROLES = ("time-keeping", "voicing")
 SPECTRAL_MODES = ("noise-burst", "damped-tone", "mixed")
@@ -355,6 +355,7 @@ def load_manifest(path) -> tuple[dict, list[FilePair]]:
             raise DataError(f"{path}:{no}: expected the {key} line")
         try:
             meta[key] = parse(value)
+            check_ranges(**{key: meta[key]} if key in RANGES else {})
         except (ValueError, ConfigError) as e:
             raise DataError(f"{path}:{no}: invalid {key} {reprlib.repr(value)}") from e
     names, per = meta["instruments"], meta["files_per_instrument"]

@@ -40,12 +40,12 @@ def train(model: Model, corpus, epochs: int, lr: float = BASE_LR, seed: int = 0)
     dropout draws of a full training forward from the features, starting
     from the item's Model.prefix, computed once: past a frozen Conv1 that
     is Conv1's pad + conv + ELU output (each step draws its mask and pools
-    a fresh product), and the frozen blocks above it, up to the lowest
-    trainable one, run cache-free. Each step writes the conv stages'
-    whole-length backward caches over the previous step's when the item's
-    length holds, and every cache is dropped (Model.drop_caches) when train
-    returns or raises, so the model comes back holding only its parameters
-    and gradients.
+    a fresh product). Every block draws dropout from the one seeded rng,
+    and only those from the lowest trainable one up keep caches (see
+    Model.forward); a conv stage's whole-length ones go over the previous
+    step's when the item's length holds, and every cache is dropped
+    (Model.drop_caches) when train returns or raises, so the model comes
+    back holding only its parameters and gradients.
     """
     check_ranges(epochs=epochs, seed=seed)
     if not corpus:

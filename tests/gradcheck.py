@@ -10,14 +10,14 @@ def gradcheck(layer, x, seed=0, h=1e-4, max_coords=48):
     Objective: sum(R * layer(x)) for a fixed random projection R, so the
     output gradient is exactly R. Samples up to max_coords coordinates per
     tensor (input and every parameter). Double precision throughout; the
-    caller picks seeds that avoid ELU/pool kink points. Forwards run in
-    training mode, where backward finds its caches, and without an rng.
+    caller picks seeds that avoid ELU/pool kink points. Forwards keep what
+    backward reads (keep=True) and, given no rng, draw no dropout.
     """
     rng = np.random.default_rng(seed)
     x = np.array(x, dtype=np.float64)
 
     def run():
-        return layer.forward(x, training=True)
+        return layer.forward(x, keep=True)
 
     y0 = run()
     proj = rng.standard_normal(y0.shape)

@@ -256,7 +256,7 @@ class _FnLayer:
         self.params = {}
         self.grads = {}
 
-    def forward(self, x, training=False):
+    def forward(self, x, keep=False):
         y, self._backward = self._fn(x)
         return y
 

@@ -243,11 +243,11 @@ def test_run_grid_scores_from_the_base_conv3_inputs(corpus, base_models, tmp_pat
     def load_spy(path):  # counts the base's Conv1 and Conv2 inference forwards
         model = load(path)
         for nl in model.layers[:2]:
-            def forward(x, training=False, rng=None, keep=True, inner=nl.block.forward,
+            def forward(x, rng=None, keep=False, inner=nl.block.forward,
                         key=(model.variant, nl.name)):
-                if not training:
+                if rng is None:
                     runs.append(key + (x.shape[0],))
-                return inner(x, training, rng, keep)
+                return inner(x, rng, keep)
             nl.block.forward = forward
         return model
 

@@ -240,7 +240,7 @@ def test_dropout_backward_uses_same_mask():
     rng = np.random.default_rng(8)
     lvl = build_model("tcn_v1", seed=0, dropout_rate=0.3).layers[4].block
     h = rng.standard_normal((50, 16))
-    lvl.forward(h, training=True, rng=np.random.default_rng(9))
+    lvl.forward(h, rng=np.random.default_rng(9), keep=True)
     mask = dropout_mask((50, 16), 0.3, np.random.default_rng(9))
     assert np.array_equal(lvl._mask, mask)
     gy = np.ones((50, 16))

@@ -484,7 +484,7 @@ def test_blocked_conv_stages_match_the_whole_length_stage(variant):
             # centred inputs put about half the conv outputs below zero
             x = rng.normal(0.0, 1.0, (frames, bands, stage.conv.cin))
             want = _whole_length_stage(stage, x)
-            got = stage.forward(x, False, None)
+            got = stage.forward(x)
             assert got.tobytes() == want.tobytes(), (nl.name, frames)
             bands = stage.out_bands(bands)
 
@@ -510,14 +510,14 @@ def test_context_fed_training_conv_matches_the_padded_conv(variant):
             spans = stage._spans(*gy.shape[:2])
             padded = Conv2d(stage.conv.kt, stage.conv.kf, stage.conv.cin, stage.conv.cout)
             padded.params = stage.conv.params
-            y = padded.forward(np.pad(x, ((p, p), (0, 0), (0, 0))), training=True)
+            y = padded.forward(np.pad(x, ((p, p), (0, 0), (0, 0))), keep=True)
             gx = padded.backward(gy, spans=spans)
             want = [_digest(a) for a in (y, padded._x_col, gx, *padded.grads.values())]
             want_shape = padded._in_shape
             del padded, y, gx
             y = hashlib.sha256()  # the output's bytes, block after block
             for s, e in spans:
-                y.update(stage._conv(x, s, e, training=True))
+                y.update(stage._conv(x, s, e, keep=True))
             gx = stage.conv.backward(gy, spans=spans)
             got = [y.hexdigest()] + [_digest(a) for a in (stage.conv._x_col, gx,
                                                           *stage.conv.grads.values())]
@@ -725,6 +725,39 @@ def test_block_hooks_see_every_call(variant):
     lowest = LAYER_NAMES.index("Tcn32")
     assert calls == ([("fwd", name) for name in LAYER_NAMES]
                      + [("bwd", name) for name in reversed(LAYER_NAMES[lowest:])])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_training_forward_without_an_rng_is_refused_before_any_block_runs(variant):
+    # the refusal comes from Model.forward, not from Conv1's dropout after its conv ran
+    x = np.random.default_rng(73).uniform(0, 1, (40, 81))
+    m = build_model(variant, seed=74, dropout_rate=0.1)
+    calls = []
+    _shadow_blocks(m, calls)
+    with pytest.raises(ConfigError, match="needs an rng"):
+        m.forward(x, training=True)
+    assert calls == []
+    with pytest.raises(ConfigError, match="training-mode forward first"):
+        m.backward(np.ones(40))
+    assert calls == []
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_keeping_block_forward_without_an_rng_draws_no_dropout(variant):
+    # keep without an rng is a dropout-free training forward at any rate:
+    # every block gives the outputs and gradients of its rate-0 twin's
+    m = build_model(variant, seed=76, dropout_rate=0.1)
+    twin = clone_model(m, dropout_rate=0.0)
+    x = np.random.default_rng(75).uniform(0, 1, (40, 81, 1))
+    for nl, tl in zip(m.layers, twin.layers):
+        y = nl.block.forward(x, keep=True)
+        assert y.tobytes() == tl.block.forward(x, keep=True).tobytes(), nl.name
+        gy = np.random.default_rng(77).standard_normal(y.shape)
+        gx, want = nl.block.backward(gy), tl.block.backward(gy)
+        assert gx.tobytes() == want.tobytes(), nl.name
+        for k, v in tl.block.grads.items():
+            assert nl.block.grads[k].tobytes() == v.tobytes(), (nl.name, k)
+        x = y
 
 
 _V1_SHAPES = [(k, v.shape) for k, v in build_model("tcn_v1", seed=0).param_dict().items()]

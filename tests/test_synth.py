@@ -441,9 +441,13 @@ _B2 = f"file b_2_02 b_2 2 4-{zlib.crc32(b'b_2')}-2\n"
     lambda t: t.replace("b_2", "../x"),
     lambda t: t.replace("instruments a,b_2", "instruments a,a"),
     lambda t: t.replace("files_per_instrument 2", "files_per_instrument 1000000000"),
+    lambda t: t.replace("file_duration 5.0", "file_duration nan"),
+    lambda t: t.replace("file_duration 5.0", "file_duration 4.0"),
+    lambda t: t.replace("tempo 180.0", "tempo 999.0"),
 ], ids=["metadata-reordered", "blank-line", "blank-last-line", "crlf", "file-dropped",
         "file-repeated", "files-reordered", "wrong-seed-tag", "file-outside-the-corpus",
-        "instrument-outside-the-corpus", "instrument-repeated", "files-per-instrument-1e9"])
+        "instrument-outside-the-corpus", "instrument-repeated", "files-per-instrument-1e9",
+        "file-duration-nan", "file-duration-4", "tempo-999"])
 def test_manifests_generate_corpus_never_writes_are_rejected(written_manifest, tmp_path,
                                                             capsys, edit):
     text = edit(written_manifest)

@@ -122,7 +122,7 @@ def stage_ref(stage, x, rng, gy):
     conv.params = stage.conv.params
     p = stage.pad_t
     xp = np.pad(x, ((p, p), (0, 0), (0, 0)))
-    y = conv.forward(xp, training=True)
+    y = conv.forward(xp, keep=True)
     y, d = elu_ref(y)
     rate = stage.rate
     mask = (rng.random(y.shape) >= rate) / (1.0 - rate) if rate else None
@@ -164,7 +164,7 @@ def test_conv_stage_training_matches_old_formulas(variant, rate):
             want_rng = np.random.default_rng(i)
             want_y, want_gx, want_grads = stage_ref(stage, x, want_rng, gy)
             rng = np.random.default_rng(i)
-            y = stage.forward(x, True, rng)
+            y = stage.forward(x, rng, keep=True)
             where = (nl.name, frames, rate)
             assert y.tobytes() == want_y.tobytes(), where
             assert rng.random() == want_rng.random(), where  # every mask drawn, none extra
@@ -188,7 +188,7 @@ def test_blocked_conv_input_gradient_matches_the_tap_by_tap_formula(variant):
         for i, nl in enumerate(model.layers[:3]):
             conv = nl.block.conv
             xp = edge_inputs((frames + conv.kt - 1, bands, conv.cin), 30 + i)
-            conv.forward(xp, training=True)
+            conv.forward(xp, keep=True)
             gy = edge_inputs((frames, bands - conv.kf + 1, conv.cout), 40 + i)
             gy[::5] = 0.0
             spans = time_blocks(frames)
@@ -229,7 +229,7 @@ def test_dilated_conv_matches_the_kept_tap_matrix(frames):
         gy = edge_inputs((frames, 16), 90 + i)
         gy[::5] = 0.0
         want_y, want_gw, want_gb, want_gx = dilated_conv_ref(conv, x, gy)
-        assert conv.forward(x, training=True).tobytes() == want_y.tobytes(), (frames, i)
+        assert conv.forward(x, keep=True).tobytes() == want_y.tobytes(), (frames, i)
         gx = conv.backward(gy)
         assert gx.tobytes() == want_gx.tobytes(), (frames, i)
         assert conv.grads["w"].tobytes() == want_gw.tobytes(), (frames, i)
