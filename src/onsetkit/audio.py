@@ -160,8 +160,9 @@ def save_wav(clip: AudioClip, path: str | Path) -> None:
 def load_annotations(path: str | Path) -> OnsetAnnotations:
     """Parse an onset annotation file.
 
-    One decimal number per non-empty line; lines starting with '#' are
-    ignored. Times are sorted and duplicates within 1 ms collapsed.
+    One decimal number in ASCII, without underscores, per non-empty line;
+    lines starting with '#' are ignored. Times are sorted and duplicates
+    within 1 ms collapsed.
     """
     times = []
     try:
@@ -174,6 +175,8 @@ def load_annotations(path: str | Path) -> OnsetAnnotations:
         if not stripped or stripped.startswith("#"):
             continue
         try:
+            if "_" in stripped or not stripped.isascii():  # float() reads 1_5 and non-ASCII digits
+                raise ValueError
             t = float(stripped)
         except ValueError:
             raise AnnotationError(f"{path}:{lineno}: not a number: "

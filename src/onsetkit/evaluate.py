@@ -43,7 +43,7 @@ def peak_pick(activation, params: PeakPickParams | None = None) -> OnsetAnnotati
     act = np.asarray(getattr(activation, "values", activation), dtype=np.float64)
     if act.size == 0:
         return OnsetAnnotations()
-    local_max = act >= _windowed(act, params.w_max).max(axis=1) if params.w_max else np.ones_like(act, bool)
+    local_max = act >= _windowed(act, params.w_max).max(axis=1)
     above_avg = act >= _windowed(act, params.w_avg).mean(axis=1) + params.delta
     candidates = np.flatnonzero((act >= params.threshold) & local_max & above_avg)
     gap_frames = int(round(params.min_gap * FRAME_RATE))

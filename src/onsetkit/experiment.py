@@ -148,7 +148,9 @@ def load_dataset(root) -> dict:
     else:
         for sub in sorted(p for p in root.iterdir() if p.is_dir()):
             pairs = []
-            for wav in sorted(sub.glob(f"{sub.name}_*.wav")):
+            # listed, not globbed: a folder name may hold glob characters
+            for wav in sorted(p for p in sub.iterdir()
+                              if p.name.startswith(f"{sub.name}_") and p.suffix == ".wav"):
                 tail = wav.stem[len(sub.name) + 1:]
                 if not (tail.isascii() and tail.isdigit()):
                     continue

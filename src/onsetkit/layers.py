@@ -36,6 +36,7 @@ time x channels.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -94,8 +95,16 @@ class Layer:
 
     caches: tuple[str, ...] = ()  # attributes a keeping forward sets for backward
 
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
+    def __init__(self, w_shape, rng=None, dtype=np.float32):
+        """Glorot-uniform w of w_shape (taps..., cin, cout), drawn from rng
+        (seed 0 when None), and a zero b of cout."""
+        rng = rng or np.random.default_rng(0)
+        fan_in = math.prod(w_shape[:-1])
+        fan_out = math.prod(w_shape[:-2]) * w_shape[-1]
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        self.params: dict[str, np.ndarray] = {
+            "w": rng.uniform(-limit, limit, size=w_shape).astype(dtype),
+            "b": np.zeros(w_shape[-1], dtype=dtype)}
         self.grads: dict[str, np.ndarray] = {}
 
 
@@ -135,11 +144,6 @@ def dropout(x, survivors, rate, out=None):
     return y
 
 
-def glorot(shape, fan_in, fan_out, rng, dtype):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
 def _corr2d(x, w, cols=None):
     """Valid 2-D cross-correlation of (T,F,C) with (kt,kf,C,O), through the
     flattened patch matrix: written into cols when given (rows of a larger
@@ -163,11 +167,8 @@ class Conv2d(Layer):
     caches = ("_x_col", "_in_shape")
 
     def __init__(self, kt, kf, cin, cout, rng=None, dtype=np.float32):
-        super().__init__()
+        super().__init__((kt, kf, cin, cout), rng, dtype)
         self.kt, self.kf, self.cin, self.cout = kt, kf, cin, cout
-        rng = rng or np.random.default_rng(0)
-        self.params["w"] = glorot((kt, kf, cin, cout), kt * kf * cin, kt * kf * cout, rng, dtype)
-        self.params["b"] = np.zeros(cout, dtype=dtype)
 
     def forward(self, x, *, keep=False, start=0, in_frames=None):
         """Output frames start.. of an input of in_frames frames (x's own
@@ -287,13 +288,10 @@ class DilatedConv1d(Layer):
     caches = ("_x",)
 
     def __init__(self, k, cin, cout, dilation, rng=None, dtype=np.float32):
-        super().__init__()
         if k % 2 == 0:
             raise ConfigError(f"kernel size must be odd for a centered kernel, got {k}")
+        super().__init__((k, cin, cout), rng, dtype)
         self.k, self.cin, self.cout, self.dilation = k, cin, cout, dilation
-        rng = rng or np.random.default_rng(0)
-        self.params["w"] = glorot((k, cin, cout), k * cin, k * cout, rng, dtype)
-        self.params["b"] = np.zeros(cout, dtype=dtype)
 
     def _taps(self, x):
         """The (t, k*cin) matrix of x's k shifted copies side by side, zero
@@ -343,11 +341,8 @@ class Dense(Layer):
     caches = ("_x",)
 
     def __init__(self, cin, cout, rng=None, dtype=np.float32):
-        super().__init__()
+        super().__init__((cin, cout), rng, dtype)
         self.cin, self.cout = cin, cout
-        rng = rng or np.random.default_rng(0)
-        self.params["w"] = glorot((cin, cout), cin, cout, rng, dtype)
-        self.params["b"] = np.zeros(cout, dtype=dtype)
 
     def forward(self, x, *, keep=False):
         if x.ndim != 2 or x.shape[1] != self.cin:

@@ -18,6 +18,9 @@ tcn_v2: conv stages with 20 filters (3x3 pool, 1x10 pool, 3x3 pool); a
 runs two sequential dilated convs (d then 2d) before ELU -> dropout ->
 1x1 mix -> residual, doubling the temporal growth per level.
 
+VARIANT_SPECS holds each variant as one row: its conv stages, its TCN
+level and its optimizer (Adam for tcn_v1, RAdam + Lookahead for tcn_v2).
+
 Parameters are stored float32; all compute runs in float64.
 """
 
@@ -32,8 +35,15 @@ from .errors import ConfigError, ModelFormatError, ShapeError, check_ranges
 from .features import FRAME_RATE, N_BANDS
 from .layers import (Conv2d, Dense, DilatedConv1d, context_rows, dropout, dropout_mask, elu,
                      pool_freq3, reuse_buffer, sigmoid, time_blocks, unpool_freq3, winner_index)
+from .optim import Adam, RAdamLookahead
 
-VARIANTS = ("tcn_v1", "tcn_v2")
+# one row per variant: its conv stages as (kt, kf, cout, pool), whether each
+# TCN level runs two dilated convs (d then 2d), and the optimizer it trains with
+VARIANT_SPECS = {
+    "tcn_v1": (((3, 3, 16, True), (3, 3, 16, True), (1, 8, 16, False)), False, Adam),
+    "tcn_v2": (((3, 3, 20, True), (1, 10, 20, True), (3, 3, 20, True)), True, RAdamLookahead),
+}
+VARIANTS = tuple(VARIANT_SPECS)
 TCN_CHANNELS = 16
 DROPOUT_RATE = 0.1
 FORMAT_VERSION = 1
@@ -302,10 +312,6 @@ class Model:
         self._kept_from = None  # lowest block whose caches the latest forward kept
 
     @property
-    def optimizer_kind(self) -> str:
-        return "adam" if self.variant == "tcn_v1" else "radam_lookahead"
-
-    @property
     def lowest_trainable(self) -> int:
         """Index of the lowest trainable block (Out is always trainable)."""
         return next((i for i, nl in enumerate(self.layers) if nl.trainable), len(self.layers))
@@ -420,34 +426,19 @@ def build_model(variant: str, seed: int, dropout_rate: float = DROPOUT_RATE,
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     check_ranges(dropout_rate=dropout_rate)
+    stages, double, _ = VARIANT_SPECS[variant]
     rng = np.random.default_rng(seed)
     rate = float(dropout_rate)  # a numpy scalar would write its repr into the model file
-    layers = []
-    if variant == "tcn_v1":
-        stages = [
-            ConvStage(3, 3, 1, 16, True, rate, rng, dtype),
-            ConvStage(3, 3, 16, 16, True, rate, rng, dtype),
-            ConvStage(1, 8, 16, 16, False, rate, rng, dtype),
-        ]
-    else:
-        stages = [
-            ConvStage(3, 3, 1, 20, True, rate, rng, dtype),
-            ConvStage(1, 10, 20, 20, True, rate, rng, dtype),
-            ConvStage(3, 3, 20, 20, True, rate, rng, dtype),
-        ]
-    bands = N_BANDS
-    for i, st in enumerate(stages):
-        layers.append(NamedLayer(f"Conv{i + 1}", st))
-        bands = st.out_bands(bands)
+    blocks, cin, bands = [], 1, N_BANDS
+    for kt, kf, cout, pool in stages:
+        blocks.append(ConvStage(kt, kf, cin, cout, pool, rate, rng, dtype))
+        cin, bands = cout, blocks[-1].out_bands(bands)
     assert bands == 1, f"front-end must end at 1 band, got {bands}"
-    front_channels = stages[-1].conv.cout
     for i in range(11):
-        d = 2**i
-        adapter_in = front_channels if i == 0 and front_channels != TCN_CHANNELS else None
-        lvl = TcnLevel(d, double=(variant == "tcn_v2"), adapter_in=adapter_in, rate=rate,
-                       rng=rng, dtype=dtype, entry=i == 0)
-        layers.append(NamedLayer(f"Tcn{d}", lvl))
-    layers.append(NamedLayer("Out", OutHead(rng, dtype)))
+        adapter_in = cin if i == 0 and cin != TCN_CHANNELS else None
+        blocks.append(TcnLevel(2**i, double, adapter_in, rate, rng, dtype, entry=i == 0))
+    blocks.append(OutHead(rng, dtype))
+    layers = [NamedLayer(name, block) for name, block in zip(LAYER_NAMES, blocks, strict=True)]
     return Model(variant, int(seed), layers, rate)
 
 
@@ -477,11 +468,20 @@ class FreezeConfig:
 
     Canonical ids: "ft" (nothing frozen) and "ft_<Layer>" (frozen from
     Conv1 through <Layer>). Arbitrary contiguous segments are accepted as
-    "ft_<A>-<B>".
+    "ft_<A>-<B>". A config naming Out or an unknown layer is a ConfigError
+    where it is made.
     """
 
     id: str
     frozen: tuple[str, ...]
+
+    def __post_init__(self):
+        for name in self.frozen:
+            if name == "Out":
+                raise ConfigError("the output layer is always trainable")
+            if name not in FREEZABLE:
+                raise ConfigError(f"unknown layer {reprlib.repr(name)} in freeze id "
+                                  f"{reprlib.repr(self.id)}")
 
     @classmethod
     def from_id(cls, spec: str) -> "FreezeConfig":
@@ -490,16 +490,8 @@ class FreezeConfig:
         if not spec.startswith("ft_"):
             raise ConfigError(f"freeze id must be 'ft' or 'ft_...', got {reprlib.repr(spec)}")
         seg = spec[3:]
-        if "-" in seg:
-            first, last = seg.split("-", 1)
-        else:
-            first, last = "Conv1", seg
-        for name in (first, last):
-            if name == "Out":
-                raise ConfigError("the output layer is always trainable")
-            if name not in FREEZABLE:
-                raise ConfigError(f"unknown layer {reprlib.repr(name)} in freeze id "
-                                  f"{reprlib.repr(spec)}")
+        first, last = seg.split("-", 1) if "-" in seg else ("Conv1", seg)
+        cls(id=spec, frozen=(first, last))  # checks both names
         a, b = FREEZABLE.index(first), FREEZABLE.index(last)
         if a > b:
             raise ConfigError(f"freeze segment reversed in {reprlib.repr(spec)}")
@@ -513,11 +505,6 @@ def canonical_freeze_ids() -> list[str]:
 
 def apply_freeze(model: Model, config: FreezeConfig) -> Model:
     """Set trainable flags from the config (idempotent); returns the model."""
-    for name in config.frozen:
-        if name == "Out":
-            raise ConfigError("the output layer is always trainable")
-        if name not in LAYER_NAMES:
-            raise ConfigError(f"unknown layer {name!r}")
     for nl in model.layers:
         nl.trainable = nl.name not in config.frozen
     return model

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 
 def rho_schedule(t: int, beta2: float) -> float:
@@ -91,12 +91,3 @@ class RAdamLookahead(Adam):
                 slow += self.alpha * (theta - slow)
                 theta = slow
             p[...] = theta.astype(p.dtype)
-
-
-def make_optimizer(kind: str, lr: float):
-    """Optimizer for a model variant: tcn_v1 -> Adam, tcn_v2 -> RAdam+Lookahead."""
-    if kind == "adam":
-        return Adam(lr=lr)
-    if kind == "radam_lookahead":
-        return RAdamLookahead(lr=lr)
-    raise ConfigError(f"unknown optimizer kind {kind!r}")

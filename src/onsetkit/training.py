@@ -11,8 +11,7 @@ from .errors import (AnnotationError, ConfigError, DivergenceError, ShapeError, 
                      check_ranges)
 from .features import FRAME_RATE
 from .layers import bce_loss, bce_loss_grad
-from .models import FreezeConfig, Model, apply_freeze, clone_model
-from .optim import make_optimizer
+from .models import VARIANT_SPECS, FreezeConfig, Model, apply_freeze, clone_model
 
 BASE_LR = 1e-3  # learning rate of pretraining, and of fine-tuning before lr_scale
 
@@ -61,7 +60,7 @@ def train(model: Model, corpus, epochs: int, lr: float = BASE_LR, seed: int = 0)
         items.append((model.prefix(x, training=True), targets))
 
     rng = np.random.default_rng(seed)
-    opt = make_optimizer(model.optimizer_kind, lr)
+    opt = VARIANT_SPECS[model.variant][2](lr=lr)  # the variant's optimizer class
     history, last = [], None
     try:
         for epoch in range(epochs):
@@ -100,7 +99,7 @@ def finetune(model: Model, snippet, config: FinetuneConfig) -> Model:
     """Adapt a copy of the model to one (features, targets) snippet.
 
     train on a clone with the config's freeze applied: one full-snippet
-    gradient step per epoch with the variant's own optimizer kind, fresh
+    gradient step per epoch with the variant's own optimizer, fresh
     optimizer state, learning rate base_lr*lr_scale. The input model is
     not modified. With dropout_active False the copy is built without
     dropout, so its training-mode forwards draw nothing.

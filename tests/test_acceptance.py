@@ -10,6 +10,10 @@ Check 2 holds tcn_v1 to its published total (21,890, within 1%) and
 requires the tcn_v2 total to equal the count derived in the test from its
 documented layer shapes (39,697); it prints the per-layer breakdown either
 way. See README.md for the arithmetic.
+
+The tiny grid's results and the criterion 7 and 8 rows are also compared,
+wall time stripped, with the golden copies in tests/golden/, so that a
+change that moves any reported number shows in this suite.
 """
 
 import json
@@ -71,6 +75,8 @@ C8_EPOCHS = 120  # the slow-start optimizer of tcn_v2 needs a longer snippet run
 C8_LR_SCALE = 1.0
 # the benchmark's base models, pretrained by this recipe at one BLAS thread
 COMMITTED_MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
+# results CSVs of the fixtures below, wall time stripped, made at one BLAS thread
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture(scope="session")
@@ -500,3 +506,25 @@ def test_base_recipe_matches_committed_models(v1_base, v2_base):
         if threads != "1":
             pytest.skip(f"{variant} differs from the committed model at {threads} BLAS threads")
         pytest.fail(f"the base recipe's {variant} model differs from the committed one")
+
+
+def check_golden(name, csv_text):
+    """csv_text, wall time stripped, equals the golden copy `name`. Like the
+    base models, the goldens were made at one BLAS thread, where the text
+    must match; other counts may sum a matrix product in another order."""
+    got, want = strip_wall_column(csv_text), (GOLDEN / name).read_text()
+    threads = openblas_config()[1]
+    if got != want and threads != "1":
+        pytest.skip(f"{name} differs from its golden copy at {threads} BLAS threads")
+    assert got == want
+
+
+def test_tiny_grid_results_match_golden(tiny_grid):
+    check_golden("tiny_grid.csv", Path(tiny_grid["csv"]).read_text())
+
+
+@pytest.mark.parametrize("criterion", ["07", "08"])
+def test_transfer_row_matches_golden(criterion, request, work):
+    row, _ = request.getfixturevalue(f"transfer{int(criterion)}")
+    csv_path, _ = write_report([row], work / f"golden-c{criterion}")
+    check_golden(f"criterion_{criterion}.csv", csv_path.read_text())

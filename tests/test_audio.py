@@ -394,6 +394,15 @@ def test_annotations_comments_and_errors(tmp_path):
         load_annotations(neg)
 
 
+@pytest.mark.parametrize("bad", ["1_5", "0.2_5", "\u0661\u0662", "\uff11.5", "1.\u0665"])
+def test_annotations_reject_underscores_and_non_ascii_digits(tmp_path, bad):
+    # float() takes all of these (1_5 as 15.0, Arabic-Indic 12 as 12.0)
+    p = tmp_path / "odd.onsets"
+    p.write_text(f"0.5\n{bad}\n", encoding="utf-8")
+    with pytest.raises(AnnotationError, match=r"odd\.onsets:2: not a number"):
+        load_annotations(p)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
 def test_annotations_reject_non_finite_times(tmp_path, bad):
     p = tmp_path / "nf.onsets"

@@ -14,6 +14,7 @@ from onsetkit.evaluate import (
     match_onsets,
     peak_pick,
 )
+from onsetkit.features import FRAME_RATE
 
 
 def max_matching(est, ref, tol):
@@ -73,11 +74,45 @@ def test_peak_pick_shift_equivariance():
     base = np.zeros(100)
     idx = [12, 30, 31, 55, 80]
     base[idx] = rng.uniform(0.6, 1.0, len(idx))
-    for shift in (3, 7, 20):
-        shifted = np.concatenate([np.zeros(shift), base])
-        a = peak_pick(base).times
-        b = peak_pick(shifted).times
-        assert np.allclose(b, a + shift / 100.0)
+    for params in (PeakPickParams(), PeakPickParams(w_max=0)):
+        for shift in (3, 7, 20):
+            shifted = np.concatenate([np.zeros(shift), base])
+            a = peak_pick(base, params).times
+            b = peak_pick(shifted, params).times
+            assert np.allclose(b, a + shift / 100.0)
+
+
+def peak_pick_with_w_max_branch(act, params):
+    """peak_pick's times from its documented rule, with every frame a local
+    max at w_max=0 (a branch the implementation leaves to the window)."""
+    def windowed(x, half):
+        return np.lib.stride_tricks.sliding_window_view(np.pad(x, half), 2 * half + 1)
+
+    local_max = (act >= windowed(act, params.w_max).max(axis=1) if params.w_max
+                 else np.ones_like(act, bool))
+    above_avg = act >= windowed(act, params.w_avg).mean(axis=1) + params.delta
+    times, last = [], None
+    for t in np.flatnonzero((act >= params.threshold) & local_max & above_avg):
+        if last is None or t - last >= int(round(params.min_gap * FRAME_RATE)):
+            times.append(t / FRAME_RATE)
+            last = t
+    return np.array(times)
+
+
+@pytest.mark.parametrize("w_max", [0, 1, 2])
+def test_peak_pick_matches_the_rule_on_plateaus_and_nan_frames(w_max):
+    rng = np.random.default_rng(3)
+    noisy = rng.uniform(0, 1, 400)
+    plateaus = np.repeat(rng.choice([0.2, 0.55, 0.8, 0.9], 80), rng.integers(1, 5, 80))
+    with_nan = rng.uniform(0, 1, 400)
+    with_nan[rng.choice(400, 40, replace=False)] = np.nan
+    with_nan[:3] = np.nan
+    params = PeakPickParams(w_max=w_max, min_gap=0.01)
+    for act in (noisy, plateaus, with_nan):
+        want = peak_pick_with_w_max_branch(act, params)
+        assert want.size
+        assert peak_pick(act, params).times.tobytes() == want.tobytes()
+    assert peak_pick(np.full(7, np.nan), params).times.size == 0
 
 
 def test_peak_pick_param_validation():

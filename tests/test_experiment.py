@@ -397,6 +397,21 @@ def test_real_layout_indices_are_ascii_digits(tmp_path):
         load_dataset(tmp_path)
 
 
+def test_real_layout_folder_names_may_hold_glob_characters(tmp_path):
+    from onsetkit.audio import AudioClip
+    names = ("Alfaia", "Caixa[1]", "Gongue*", "Agbe?")
+    for name in names:
+        d = tmp_path / name
+        d.mkdir()
+        for idx in (1, 2):
+            save_wav(AudioClip(np.zeros(4410), 44100), d / f"{name}_{idx:02d}.wav")
+            save_annotations(OnsetAnnotations(np.array([0.05])), d / f"{name}_{idx:02d}.onsets")
+    dataset = load_dataset(tmp_path)
+    assert sorted(dataset) == sorted(names)
+    for name in names:
+        assert [p.wav.name for p in dataset[name]] == [f"{name}_01.wav", f"{name}_02.wav"]
+
+
 def test_pretrain_model_runs(corpus):
     model, history = pretrain_model(corpus, ["alpha"], "tcn_v1", epochs=1, seed=0)
     assert model.variant == "tcn_v1"

@@ -149,6 +149,9 @@ def test_freeze_parsing():
     for bad in ("ft_Out", "ft_Conv9", "ft_Tcn16-Tcn4", "Conv1", "ft_Tcn1024-Out"):
         with pytest.raises(ConfigError):
             FreezeConfig.from_id(bad)
+    for frozen in (("Out",), ("Conv1", "Conv9")):  # checked where a config is made
+        with pytest.raises(ConfigError):
+            FreezeConfig("custom", frozen)
 
 
 def test_canonical_freeze_ids():

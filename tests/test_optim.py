@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from onsetkit.errors import ConfigError, ShapeError
-from onsetkit.optim import Adam, RAdamLookahead, make_optimizer, rectification, rho_schedule
+from onsetkit.errors import ShapeError
+from onsetkit.models import VARIANT_SPECS, build_model
+from onsetkit.optim import Adam, RAdamLookahead, rectification, rho_schedule
+from onsetkit.training import train
 
 
 def test_adam_zero_grad_noop():
@@ -138,8 +140,16 @@ def test_radam_converges_to_adam_update():
     assert abs(pa["w"][0] - pr["w"][0]) <= 1e-6 * abs(pa["w"][0])
 
 
-def test_make_optimizer():
-    assert isinstance(make_optimizer("adam", 1e-3), Adam)
-    assert isinstance(make_optimizer("radam_lookahead", 1e-3), RAdamLookahead)
-    with pytest.raises(ConfigError):
-        make_optimizer("sgd", 1e-3)
+def test_each_variant_trains_with_its_optimizer_class(monkeypatch):
+    # tcn_v1 trains with Adam and tcn_v2 with RAdam + Lookahead, the
+    # optimizer of each variant's row, with no other optimizer stepping
+    want = {"tcn_v1": Adam, "tcn_v2": RAdamLookahead}
+    assert {variant: spec[2] for variant, spec in VARIANT_SPECS.items()} == want
+    steps = []
+    for cls in want.values():
+        monkeypatch.setattr(cls, "step", lambda self, params, grads: steps.append(type(self)))
+    x = np.random.default_rng(0).uniform(0, 1, (40, 81))
+    for variant, cls in want.items():
+        steps.clear()
+        train(build_model(variant, seed=1), [(x, np.zeros(40))], epochs=2)
+        assert steps == [cls, cls]

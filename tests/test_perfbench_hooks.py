@@ -3,6 +3,9 @@
 perfbench/tracing.py patches onsetkit functions by module and name, and each
 optimizer's own `step` through the class `__dict__`; a rename or a `step`
 moved into a base class would otherwise only fail a traced benchmark run.
+It keeps its own copies of the variant and layer names, since it cannot
+import onsetkit before its bootstrap; a renamed variant or layer would leave
+the per-layer metrics at zero without an error.
 """
 
 import importlib
@@ -32,3 +35,10 @@ def test_each_optimizer_defines_its_own_step():
     assert set(load_tracing().OPTIMIZERS) == {"Adam", "RAdamLookahead"}
     for name in ("Adam", "RAdamLookahead"):
         assert callable(vars(getattr(optim, name)).get("step")), name
+
+
+def test_variant_and_layer_names_match_the_models():
+    tracing = load_tracing()
+    models = importlib.import_module("onsetkit.models")
+    assert tracing.VARIANTS == models.VARIANTS
+    assert tracing.LAYERS == models.LAYER_NAMES

@@ -21,6 +21,7 @@ import pytest
 from onsetkit.layers import (BLOCK_FRAMES, Conv2d, DilatedConv1d, bce_loss, bce_loss_grad, elu,
                              pool_freq3, time_blocks, unpool_freq3)
 from onsetkit.models import (
+    VARIANT_SPECS,
     VARIANTS,
     FreezeConfig,
     Model,
@@ -29,7 +30,6 @@ from onsetkit.models import (
     canonical_freeze_ids,
     clone_model,
 )
-from onsetkit.optim import make_optimizer
 from onsetkit.training import FinetuneConfig, finetune, train
 
 # signed zeros, subnormals, a value whose expm1 rounds to itself, and a
@@ -297,7 +297,7 @@ def test_elu_inplace_matches_masked_expm1():
 def train_ref(model, corpus, epochs, lr, seed):
     """train with a full training forward of every block in every step."""
     trainable = [nl.trainable for nl in model.layers]
-    opt = make_optimizer(model.optimizer_kind, lr)
+    opt = VARIANT_SPECS[model.variant][2](lr=lr)
     rng = np.random.default_rng(seed)
     history = []
     for _ in range(epochs):
