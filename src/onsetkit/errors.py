@@ -74,7 +74,7 @@ def read_text(path, what: str) -> str:
 
 
 # each ranged value's interval, written as its error message quotes it
-RANGES = {"seed": "[0, inf)", "profile_seed": "[0, inf)", "epochs": "[1, inf)",
+RANGES = {"seed": "[0, inf)", "profile_seed": "[0, inf)", "epochs": "[1, inf)", "lr": "(0, inf)",
           "lr_scale": "(0, 1]", "base_lr": "(0, inf)", "dropout_rate": "[0, 1)",
           "snippet_offset": "[0, inf)", "snippet_duration": "(0, inf)", "tolerance": "(0, inf)",
           "threshold": "(0, 1)", "w_max": "[0, inf)", "w_avg": "[0, inf)", "delta": "(-inf, inf)",

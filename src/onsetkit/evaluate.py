@@ -74,17 +74,21 @@ def match_onsets(
     reference order, each reference taking the earliest unmatched
     estimate in its window. For uniform windows this greedy attains the
     maximum matching cardinality (verified against brute force in tests).
+    Raw arrays may come in any order: both sides are sorted before the
+    matching, and pairs index them as given.
     """
     check_ranges(tolerance=tolerance)
     est = np.asarray(getattr(estimates, "times", estimates), dtype=np.float64)
     ref = np.asarray(getattr(reference, "times", reference), dtype=np.float64)
+    est_at, ref_at = np.argsort(est, kind="stable"), np.argsort(ref, kind="stable")
+    est, ref = est[est_at], ref[ref_at]
     pairs = []
     i = 0
     for j, r in enumerate(ref):
         while i < len(est) and est[i] < r - tolerance:
             i += 1
         if i < len(est) and est[i] <= r + tolerance:
-            pairs.append((i, j))
+            pairs.append((int(est_at[i]), int(ref_at[j])))
             i += 1
     tp = len(pairs)
     return MatchResult(tp=tp, fp=len(est) - tp, fn=len(ref) - tp, pairs=tuple(pairs))

@@ -26,8 +26,8 @@ and hold every cache a backward reads:
     the derivative and the survivors at the winning bins alone, gathered
     through winner_index, the flat indices unpool_freq3 scatters to: every
     other bin's gradient is +0.0, whatever they hold
-  - parameters live in self.params; compute runs in float64 regardless of
-    the stored parameter dtype (models keep float32; tests build float64 ones)
+  - parameters live in self.params, built float32; compute runs in float64
+    whatever their dtype (gradient checks swap in float64 copies)
 
 Tensor layouts: conv2d works on time x freq x channels, the 1-D ops on
 time x channels.
@@ -95,16 +95,15 @@ class Layer:
 
     caches: tuple[str, ...] = ()  # attributes a keeping forward sets for backward
 
-    def __init__(self, w_shape, rng=None, dtype=np.float32):
-        """Glorot-uniform w of w_shape (taps..., cin, cout), drawn from rng
-        (seed 0 when None), and a zero b of cout."""
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, w_shape, rng):
+        """Glorot-uniform float32 w of w_shape (taps..., cin, cout), drawn
+        from rng, and a zero float32 b of cout."""
         fan_in = math.prod(w_shape[:-1])
         fan_out = math.prod(w_shape[:-2]) * w_shape[-1]
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         self.params: dict[str, np.ndarray] = {
-            "w": rng.uniform(-limit, limit, size=w_shape).astype(dtype),
-            "b": np.zeros(w_shape[-1], dtype=dtype)}
+            "w": rng.uniform(-limit, limit, size=w_shape).astype(np.float32),
+            "b": np.zeros(w_shape[-1], dtype=np.float32)}
         self.grads: dict[str, np.ndarray] = {}
 
 
@@ -166,8 +165,8 @@ class Conv2d(Layer):
 
     caches = ("_x_col", "_in_shape")
 
-    def __init__(self, kt, kf, cin, cout, rng=None, dtype=np.float32):
-        super().__init__((kt, kf, cin, cout), rng, dtype)
+    def __init__(self, kt, kf, cin, cout, rng):
+        super().__init__((kt, kf, cin, cout), rng)
         self.kt, self.kf, self.cin, self.cout = kt, kf, cin, cout
 
     def forward(self, x, *, keep=False, start=0, in_frames=None):
@@ -287,10 +286,10 @@ class DilatedConv1d(Layer):
 
     caches = ("_x",)
 
-    def __init__(self, k, cin, cout, dilation, rng=None, dtype=np.float32):
+    def __init__(self, k, cin, cout, dilation, rng):
         if k % 2 == 0:
             raise ConfigError(f"kernel size must be odd for a centered kernel, got {k}")
-        super().__init__((k, cin, cout), rng, dtype)
+        super().__init__((k, cin, cout), rng)
         self.k, self.cin, self.cout, self.dilation = k, cin, cout, dilation
 
     def _taps(self, x):
@@ -340,8 +339,8 @@ class Dense(Layer):
 
     caches = ("_x",)
 
-    def __init__(self, cin, cout, rng=None, dtype=np.float32):
-        super().__init__((cin, cout), rng, dtype)
+    def __init__(self, cin, cout, rng):
+        super().__init__((cin, cout), rng)
         self.cin, self.cout = cin, cout
 
     def forward(self, x, *, keep=False):

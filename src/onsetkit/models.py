@@ -26,6 +26,7 @@ Parameters are stored float32; all compute runs in float64.
 
 from __future__ import annotations
 
+import numbers
 import reprlib
 from dataclasses import dataclass
 
@@ -49,10 +50,11 @@ DROPOUT_RATE = 0.1
 FORMAT_VERSION = 1
 MAGIC = "onsetkit-model"
 
-LAYER_NAMES = tuple(
-    ["Conv1", "Conv2", "Conv3"] + [f"Tcn{2**i}" for i in range(11)] + ["Out"]
-)
+DILATIONS = tuple(2**i for i in range(11))  # one TCN level each, named Tcn<d>
+LAYER_NAMES = ("Conv1", "Conv2", "Conv3") + tuple(f"Tcn{d}" for d in DILATIONS) + ("Out",)
 FREEZABLE = LAYER_NAMES[:-1]  # Out is always trainable
+
+
 def _gather(a, at, out):
     """a into out, or only a's elements at the flat indices `at`."""
     if at is None:
@@ -117,8 +119,8 @@ class ConvStage(Block):
 
     caches = ("_d", "_mask", "_arg")
 
-    def __init__(self, kt, kf, cin, cout, pool, rate, rng, dtype=np.float32):
-        self.conv = Conv2d(kt, kf, cin, cout, rng=rng, dtype=dtype)
+    def __init__(self, kt, kf, cin, cout, pool, rate, rng):
+        self.conv = Conv2d(kt, kf, cin, cout, rng)
         self.pool, self.rate = pool, rate
         self.parts = {"conv": self.conv}
         self.pad_t = (kt - 1) // 2
@@ -217,16 +219,13 @@ class TcnLevel(Block):
 
     caches = ("_d", "_mask")
 
-    def __init__(self, dilation, double, adapter_in, rate, rng, dtype=np.float32, entry=False):
-        self.adapter = Dense(adapter_in, TCN_CHANNELS, rng=rng, dtype=dtype) if adapter_in else None
-        self.conv1 = DilatedConv1d(5, TCN_CHANNELS, TCN_CHANNELS, dilation, rng=rng, dtype=dtype)
-        self.conv2 = (
-            DilatedConv1d(5, TCN_CHANNELS, TCN_CHANNELS, 2 * dilation, rng=rng, dtype=dtype)
-            if double
-            else None
-        )
+    def __init__(self, dilation, double, adapter_in, rate, rng, entry=False):
+        self.adapter = Dense(adapter_in, TCN_CHANNELS, rng) if adapter_in else None
+        self.conv1 = DilatedConv1d(5, TCN_CHANNELS, TCN_CHANNELS, dilation, rng)
+        self.conv2 = (DilatedConv1d(5, TCN_CHANNELS, TCN_CHANNELS, 2 * dilation, rng)
+                      if double else None)
         self.rate = rate
-        self.mix = Dense(TCN_CHANNELS, TCN_CHANNELS, rng=rng, dtype=dtype)
+        self.mix = Dense(TCN_CHANNELS, TCN_CHANNELS, rng)
         parts = {"conv1": self.conv1, "mix": self.mix, "conv2": self.conv2, "adapter": self.adapter}
         self.parts = {name: layer for name, layer in parts.items() if layer is not None}
         self.entry = entry
@@ -271,8 +270,8 @@ class OutHead(Block):
 
     caches = ("_y",)
 
-    def __init__(self, rng, dtype=np.float32):
-        self.dense = Dense(TCN_CHANNELS, 1, rng=rng, dtype=dtype)
+    def __init__(self, rng):
+        self.dense = Dense(TCN_CHANNELS, 1, rng)
         self.parts = {"dense": self.dense}
 
     def forward(self, x, rng=None, keep=False):
@@ -420,24 +419,26 @@ class Model:
         return self._tensors("grads", trainable_only)
 
 
-def build_model(variant: str, seed: int, dropout_rate: float = DROPOUT_RATE,
-                dtype=np.float32) -> Model:
-    """Construct an initialized model for N_BANDS-band features."""
+def build_model(variant: str, seed: int, dropout_rate: float = DROPOUT_RATE) -> Model:
+    """Construct an initialized model for N_BANDS-band features; an unknown
+    variant, a negative or non-integer seed or a rate outside [0, 1) is a ConfigError."""
     if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    check_ranges(dropout_rate=dropout_rate)
+        raise ConfigError(f"unknown variant {reprlib.repr(variant)}; expected one of {VARIANTS}")
+    if not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"seed must be an integer, got {reprlib.repr(seed)}")
+    check_ranges(seed=seed, dropout_rate=dropout_rate)
     stages, double, _ = VARIANT_SPECS[variant]
     rng = np.random.default_rng(seed)
     rate = float(dropout_rate)  # a numpy scalar would write its repr into the model file
     blocks, cin, bands = [], 1, N_BANDS
     for kt, kf, cout, pool in stages:
-        blocks.append(ConvStage(kt, kf, cin, cout, pool, rate, rng, dtype))
+        blocks.append(ConvStage(kt, kf, cin, cout, pool, rate, rng))
         cin, bands = cout, blocks[-1].out_bands(bands)
     assert bands == 1, f"front-end must end at 1 band, got {bands}"
-    for i in range(11):
+    for i, d in enumerate(DILATIONS):
         adapter_in = cin if i == 0 and cin != TCN_CHANNELS else None
-        blocks.append(TcnLevel(2**i, double, adapter_in, rate, rng, dtype, entry=i == 0))
-    blocks.append(OutHead(rng, dtype))
+        blocks.append(TcnLevel(d, double, adapter_in, rate, rng, entry=i == 0))
+    blocks.append(OutHead(rng))
     layers = [NamedLayer(name, block) for name, block in zip(LAYER_NAMES, blocks, strict=True)]
     return Model(variant, int(seed), layers, rate)
 
@@ -542,42 +543,28 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     """The model of a file save_model wrote. Its first four lines give the
-    variant, seed and dropout rate; the rest must be exactly that model's
-    header (see _header) and a blob of its size."""
+    variant, seed and dropout rate, which build_model checks; the rest must
+    be exactly that model's header (see _header) and a blob of its size."""
     with open(path, "rb") as fh:
         data = fh.read()
     lines = [ln.decode("ascii", errors="replace") for ln in data.split(b"\n", 4)[:4]]
     version = lines[0].split()
     if version[:1] != [MAGIC] or len(version) != 2:
         raise ModelFormatError(f"not a model file: {reprlib.repr(lines[0])}")
-
-    def number(parse, text, what):
-        try:
-            return parse(text)
-        except ValueError:
-            raise ModelFormatError(f"{what} is not a number: {reprlib.repr(text)}") from None
-
-    if number(int, version[1], "format version") != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported format version {version[1]}")
+    if version[1] != str(FORMAT_VERSION):
+        raise ModelFormatError(f"unsupported format version {reprlib.repr(version[1])}")
     fields = dict(line.partition(" ")[::2] for line in lines[1:])
-    for key in ("variant", "seed", "dropout"):
-        if key not in fields:
-            raise ModelFormatError(f"header has no {key} line")
-    if fields["variant"] not in VARIANTS:
-        raise ModelFormatError(f"unknown variant {reprlib.repr(fields['variant'])}")
-    seed = number(int, fields["seed"], "seed")
-    if seed < 0:
-        raise ModelFormatError(f"seed must be >= 0, got {seed}")
-    dropout = number(float, fields["dropout"], "dropout")
-    if not 0.0 <= dropout < 1.0:
-        raise ModelFormatError("dropout must be in [0, 1), got "
-                               f"{reprlib.repr(fields['dropout'])}")
-    model = build_model(fields["variant"], seed, dropout_rate=dropout)
+    try:
+        model = build_model(fields["variant"], int(fields["seed"]), float(fields["dropout"]))
+    except KeyError as e:
+        raise ModelFormatError(f"header has no {e.args[0]} line") from None
+    except (ConfigError, ValueError) as e:
+        raise ModelFormatError(f"bad model header: {e}") from None
     header, params = _header(model), model.param_dict()
     ends = np.cumsum([arr.size for arr in params.values()])
     if not data.startswith(header) or len(data) != len(header) + 4 * ends[-1]:
-        raise ModelFormatError(f"not the file save_model writes for a {fields['variant']} "
-                               f"model of seed {seed} and dropout {dropout!r}")
+        raise ModelFormatError(f"not the file save_model writes for a {model.variant} model "
+                               f"of seed {model.seed} and dropout {model.dropout_rate!r}")
     values = np.frombuffer(data, dtype="<f4", offset=len(header))
     for arr, vals in zip(params.values(), np.split(values, ends[:-1])):
         arr[...] = vals.reshape(arr.shape)

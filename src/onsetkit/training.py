@@ -46,7 +46,7 @@ def train(model: Model, corpus, epochs: int, lr: float = BASE_LR, seed: int = 0)
     (Model.drop_caches) when train returns or raises, so the model comes
     back holding only its parameters and gradients.
     """
-    check_ranges(epochs=epochs, seed=seed)
+    check_ranges(epochs=epochs, seed=seed, lr=lr)
     if not corpus:
         raise ConfigError("training corpus is empty")
     items = []

@@ -4,6 +4,17 @@ onsetkit.layers, shared by the layer and acceptance tests."""
 import numpy as np
 
 
+def as_float64(subject):
+    """subject (a parameter layer, a block or a model), its parts' float32
+    params swapped for float64 copies, so that a finite difference of h
+    moves a weight by h and not by the float32 step nearest it."""
+    blocks = [nl.block for nl in subject.layers] if hasattr(subject, "layers") else [subject]
+    for block in blocks:
+        for part in getattr(block, "parts", {"": block}).values():
+            part.params.update({k: v.astype(np.float64) for k, v in part.params.items()})
+    return subject
+
+
 def gradcheck(layer, x, seed=0, h=1e-4, max_coords=48):
     """Worst relative error between analytic and central-difference grads.
 

@@ -16,10 +16,13 @@ wall time stripped, with the golden copies in tests/golden/, so that a
 change that moves any reported number shows in this suite.
 """
 
+import importlib.util
 import json
+import sys
 import time
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,21 +63,32 @@ from onsetkit.models import (
 from onsetkit.synth import CorpusSpec, default_corpus_spec, default_instruments, generate_corpus
 from onsetkit.training import FinetuneConfig, finetune
 
-from gradcheck import gradcheck
+from gradcheck import as_float64, gradcheck
 from openblas import openblas_config
 from results_text import strip_wall_column
 
-CORPUS_SEED = 42
-PRETRAIN_SEED = 0
-V1_EPOCHS = 8
-V2_EPOCHS = 16
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_base_recipe():
+    """perfbench/make_base_models.py, read-only: the one definition of the
+    base recipe. It imports perfbench's `common`, so perfbench/ is on the
+    import path, and `common` in sys.modules, for this load only."""
+    spec = importlib.util.spec_from_file_location("perfbench_make_base_models",
+                                                  PERFBENCH / "make_base_models.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.object(sys, "path", [str(PERFBENCH), *sys.path]), mock.patch.dict(sys.modules):
+        spec.loader.exec_module(module)
+    return module
+
+
+RECIPE = load_base_recipe()  # CORPUS_SEED, PRETRAIN_SEED and each variant's (instruments, epochs)
 HELD_OUT = "ring_bell"  # atypical envelope: 30 ms attack, long inharmonic ring
 DENSE_VOICING = "snap_noise"  # densest non-grid part in the default roster
-TIME_KEEPERS = ("drone_tone", "ring_bell")
 C8_EPOCHS = 120  # the slow-start optimizer of tcn_v2 needs a longer snippet run
 C8_LR_SCALE = 1.0
 # the benchmark's base models, pretrained by this recipe at one BLAS thread
-COMMITTED_MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
+COMMITTED_MODELS = PERFBENCH / "models"
 # results CSVs of the fixtures below, wall time stripped, made at one BLAS thread
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -94,7 +108,7 @@ def corpus(work, timings):
     """Five instruments x 10 files x 30 s, fixed seed."""
     t0 = time.perf_counter()
     out = work / "corpus"
-    generate_corpus(default_corpus_spec(seed=CORPUS_SEED), out)
+    generate_corpus(default_corpus_spec(seed=RECIPE.CORPUS_SEED), out)
     timings["corpus"] = time.perf_counter() - t0
     return out
 
@@ -102,9 +116,10 @@ def corpus(work, timings):
 @pytest.fixture(scope="session")
 def v1_base(work, corpus, timings):
     """tcn_v1 pretrained on the four ordinary instruments (ring_bell held out)."""
-    instruments = [p.name for p in default_instruments() if p.name != HELD_OUT]
+    instruments, epochs = RECIPE.RECIPES["tcn_v1"]
+    assert HELD_OUT not in instruments
     t0 = time.perf_counter()
-    model, _ = pretrain_model(corpus, instruments, "tcn_v1", epochs=V1_EPOCHS, seed=PRETRAIN_SEED)
+    model, _ = pretrain_model(corpus, instruments, "tcn_v1", epochs, seed=RECIPE.PRETRAIN_SEED)
     timings["pretrain_v1"] = time.perf_counter() - t0
     path = work / "v1_base.model"
     save_model(model, path)
@@ -114,8 +129,9 @@ def v1_base(work, corpus, timings):
 @pytest.fixture(scope="session")
 def v2_base(work, corpus, timings):
     """tcn_v2 supervised only on the beat-grid instruments (both time-keepers)."""
+    instruments, epochs = RECIPE.RECIPES["tcn_v2"]
     t0 = time.perf_counter()
-    model, _ = pretrain_model(corpus, TIME_KEEPERS, "tcn_v2", epochs=V2_EPOCHS, seed=PRETRAIN_SEED)
+    model, _ = pretrain_model(corpus, instruments, "tcn_v2", epochs, seed=RECIPE.PRETRAIN_SEED)
     timings["pretrain_v2"] = time.perf_counter() - t0
     path = work / "v2_base.model"
     save_model(model, path)
@@ -352,20 +368,20 @@ def test_criterion_04_gradient_correctness():
     rng = np.random.default_rng(40)
     worst = {}
     worst["conv2d"] = gradcheck(
-        Conv2d(3, 3, 2, 4, rng=rng, dtype=np.float64), rng.standard_normal((9, 9, 2)), seed=201)
+        as_float64(Conv2d(3, 3, 2, 4, rng=rng)), rng.standard_normal((9, 9, 2)), seed=201)
     worst["maxpool_freq3"] = gradcheck(
         _FnLayer(_pool_fn), rng.standard_normal((6, 9, 3)), seed=202)
     worst["dilated_conv1d"] = gradcheck(
-        DilatedConv1d(5, 3, 3, dilation=8, rng=rng, dtype=np.float64),
+        as_float64(DilatedConv1d(5, 3, 3, dilation=8, rng=rng)),
         rng.standard_normal((48, 3)), seed=203)
     worst["dense"] = gradcheck(
-        Dense(7, 4, rng=rng, dtype=np.float64), rng.standard_normal((15, 7)), seed=204)
+        as_float64(Dense(7, 4, rng=rng)), rng.standard_normal((15, 7)), seed=204)
     worst["elu"] = gradcheck(_FnLayer(_elu_fn), rng.standard_normal((10, 6)), seed=205)
     worst["sigmoid"] = gradcheck(_FnLayer(_sigmoid_fn), rng.standard_normal((10, 6)), seed=206)
     worst["dropout"] = gradcheck(
         _FnLayer(_pinned_dropout_fn(0.4, seed=7)), rng.standard_normal((10, 6)), seed=207)
     for variant in VARIANTS:
-        model = build_model(variant, seed=4, dropout_rate=0.0, dtype=np.float64)
+        model = as_float64(build_model(variant, seed=4, dropout_rate=0.0))
         x = 0.1 * np.random.default_rng(50).standard_normal((64, 81))
         err, checked, skipped = _composition_fd(model, x, seed=208)
         print(f"  {variant}: {checked} coordinates checked, {skipped} skipped at pool ties")

@@ -169,6 +169,24 @@ def test_match_equals_bruteforce_on_random_instances():
         assert got.fn == len(ref_d) - got.tp
 
 
+def test_match_takes_raw_arrays_in_any_order():
+    m = match_onsets(np.array([0.5, 0.1]), np.array([0.1, 0.5]))
+    assert (m.tp, m.fp, m.fn) == (2, 0, 0)
+    assert sorted(m.pairs) == [(0, 1), (1, 0)]  # indices into the arrays as given
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        # unsorted, and with repeats, which a raw array keeps
+        est = rng.choice(np.round(rng.uniform(0, 1, 5), 2), rng.integers(0, 7))
+        ref = rng.uniform(0, 1, rng.integers(0, 7))
+        tol = rng.uniform(0.005, 0.08)
+        got = match_onsets(est, ref, tol)
+        assert got.tp == max_matching(tuple(est), tuple(ref), tol)
+        assert (got.fp, got.fn) == (len(est) - got.tp, len(ref) - got.tp)
+        i, j = (np.array([p[k] for p in got.pairs], dtype=int) for k in (0, 1))
+        assert len(set(i)) == len(set(j)) == got.tp
+        assert np.all(np.abs(est[i] - ref[j]) <= tol)
+
+
 def test_match_symmetry():
     rng = np.random.default_rng(2)
     for _ in range(50):

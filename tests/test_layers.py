@@ -16,7 +16,7 @@ from onsetkit.layers import (
 )
 from onsetkit.models import ConvStage, OutHead, build_model
 
-from gradcheck import gradcheck
+from gradcheck import as_float64, gradcheck
 
 
 # naive reference implementations, deliberately written as plain loops
@@ -55,6 +55,11 @@ def dilated_ref(x, w, b, d):
     return out
 
 
+def rng0():
+    """A fresh seed-0 rng, for layers whose drawn weights a test replaces."""
+    return np.random.default_rng(0)
+
+
 def with_params(layer, w, b):
     """The layer with its weights and bias replaced by w and b."""
     layer.params.update(w=np.asarray(w, dtype=float), b=np.asarray(b, dtype=float))
@@ -62,7 +67,7 @@ def with_params(layer, w, b):
 
 
 def test_conv2d_zero_kernel_bias():
-    layer = with_params(Conv2d(3, 3, 1, 1), np.zeros((3, 3, 1, 1)), [0.5])
+    layer = with_params(Conv2d(3, 3, 1, 1, rng0()), np.zeros((3, 3, 1, 1)), [0.5])
     y = layer.forward(np.ones((5, 5, 1)))
     assert y.shape == (3, 3, 1)
     assert np.all(y == 0.5)
@@ -71,7 +76,7 @@ def test_conv2d_zero_kernel_bias():
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((7, 4, 1))
-    y = with_params(Conv2d(1, 1, 1, 1), np.ones((1, 1, 1, 1)), np.zeros(1)).forward(x)
+    y = with_params(Conv2d(1, 1, 1, 1, rng0()), np.ones((1, 1, 1, 1)), np.zeros(1)).forward(x)
     assert np.array_equal(y, x)
 
 
@@ -80,15 +85,15 @@ def test_conv2d_matches_loop_oracle():
     x = rng.standard_normal((6, 6, 2))
     w = rng.standard_normal((3, 3, 2, 4))
     b = rng.standard_normal(4)
-    y = with_params(Conv2d(3, 3, 2, 4), w, b).forward(x)
+    y = with_params(Conv2d(3, 3, 2, 4, rng0()), w, b).forward(x)
     assert np.max(np.abs(y - conv2d_ref(x, w, b))) < 1e-6
 
 
 def test_conv2d_shape_errors():
     with pytest.raises(ShapeError):
-        Conv2d(3, 3, 1, 1).forward(np.ones((2, 2, 1)))
+        Conv2d(3, 3, 1, 1, rng0()).forward(np.ones((2, 2, 1)))
     with pytest.raises(ShapeError):
-        Conv2d(3, 3, 1, 1).forward(np.ones((5, 5, 2)))
+        Conv2d(3, 3, 1, 1, rng0()).forward(np.ones((5, 5, 2)))
 
 
 def test_maxpool_row():
@@ -132,7 +137,8 @@ def test_dilated_identity():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((20, 3))
     # k=1 identity map per channel
-    y = with_params(DilatedConv1d(1, 3, 3, dilation=4), np.eye(3)[None], np.zeros(3)).forward(x)
+    layer = DilatedConv1d(1, 3, 3, dilation=4, rng=rng0())
+    y = with_params(layer, np.eye(3)[None], np.zeros(3)).forward(x)
     assert np.allclose(y, x)
 
 
@@ -143,7 +149,7 @@ def test_dilated_impulse_taps():
     w = np.arange(1.0, 6.0).reshape(5, 1, 1)
     x = np.zeros((200, 1))
     x[100, 0] = 1.0
-    y = with_params(DilatedConv1d(5, 1, 1, dilation=8), w, np.zeros(1)).forward(x)
+    y = with_params(DilatedConv1d(5, 1, 1, dilation=8, rng=rng0()), w, np.zeros(1)).forward(x)
     assert y.shape == (200, 1)
     nz = np.flatnonzero(y[:, 0])
     assert list(nz) == [84, 92, 100, 108, 116]
@@ -155,7 +161,7 @@ def test_dilated_matches_loop_oracle():
     x = rng.standard_normal((64, 3))
     w = rng.standard_normal((5, 3, 2))
     b = rng.standard_normal(2)
-    y = with_params(DilatedConv1d(5, 3, 2, dilation=4), w, b).forward(x)
+    y = with_params(DilatedConv1d(5, 3, 2, dilation=4, rng=rng0()), w, b).forward(x)
     assert y.shape == (64, 2)
     assert np.max(np.abs(y - dilated_ref(x, w, b, 4))) < 1e-6
 
@@ -163,20 +169,21 @@ def test_dilated_matches_loop_oracle():
 def test_dilated_length_preserved_when_short():
     # dilation span exceeds the sequence: still same length out
     x = np.ones((7, 1))
-    y = with_params(DilatedConv1d(5, 1, 1, dilation=16), np.ones((5, 1, 1)), np.zeros(1)).forward(x)
+    layer = DilatedConv1d(5, 1, 1, dilation=16, rng=rng0())
+    y = with_params(layer, np.ones((5, 1, 1)), np.zeros(1)).forward(x)
     assert y.shape == (7, 1)
 
 
 def test_dilated_rejects_even_kernel():
     with pytest.raises(ConfigError):
-        DilatedConv1d(4, 1, 1, dilation=2)
+        DilatedConv1d(4, 1, 1, dilation=2, rng=rng0())
 
 
 def test_dense_identity_and_sum():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((9, 5))
-    assert np.allclose(with_params(Dense(5, 5), np.eye(5), np.zeros(5)).forward(x), x)
-    y = with_params(Dense(16, 1), np.ones((16, 1)), np.ones(1)).forward(np.ones((3, 16)))
+    assert np.allclose(with_params(Dense(5, 5, rng0()), np.eye(5), np.zeros(5)).forward(x), x)
+    y = with_params(Dense(16, 1, rng0()), np.ones((16, 1)), np.ones(1)).forward(np.ones((3, 16)))
     assert np.all(y == 17.0)
 
 
@@ -189,7 +196,7 @@ def test_dense_matches_loop_oracle():
     for t in range(8):
         for o in range(3):
             ref[t, o] = b[o] + sum(w[c, o] * x[t, c] for c in range(6))
-    assert np.max(np.abs(with_params(Dense(6, 3), w, b).forward(x) - ref)) < 1e-6
+    assert np.max(np.abs(with_params(Dense(6, 3, rng0()), w, b).forward(x) - ref)) < 1e-6
 
 
 def test_activation_fixed_points():
@@ -282,21 +289,21 @@ def test_bce_grad_matches_fd():
 
 def test_gradcheck_dense_near_exact():
     rng = np.random.default_rng(11)
-    layer = Dense(6, 3, rng=rng, dtype=np.float64)
+    layer = as_float64(Dense(6, 3, rng=rng))
     x = rng.standard_normal((12, 6))
     assert gradcheck(layer, x, seed=100) < 1e-7
 
 
 def test_gradcheck_dilated_conv():
     rng = np.random.default_rng(12)
-    layer = DilatedConv1d(5, 3, 2, dilation=4, rng=rng, dtype=np.float64)
+    layer = as_float64(DilatedConv1d(5, 3, 2, dilation=4, rng=rng))
     x = rng.standard_normal((40, 3))
     assert gradcheck(layer, x, seed=101) < 1e-4
 
 
 def test_gradcheck_conv2d():
     rng = np.random.default_rng(13)
-    layer = Conv2d(3, 3, 2, 3, rng=rng, dtype=np.float64)
+    layer = as_float64(Conv2d(3, 3, 2, 3, rng=rng))
     x = rng.standard_normal((8, 8, 2))
     assert gradcheck(layer, x, seed=102) < 1e-4
 
@@ -304,13 +311,13 @@ def test_gradcheck_conv2d():
 def test_gradcheck_composition():
     # pad -> conv -> ELU -> pool, as a conv stage of the model runs it
     rng = np.random.default_rng(14)
-    stage = ConvStage(3, 3, 1, 4, pool=True, rate=0.0, rng=rng, dtype=np.float64)
+    stage = as_float64(ConvStage(3, 3, 1, 4, pool=True, rate=0.0, rng=rng))
     x = rng.standard_normal((10, 11, 1))
     assert gradcheck(stage, x, seed=103) < 1e-4
 
 
 def test_gradcheck_sigmoid_head():
     rng = np.random.default_rng(15)
-    head = OutHead(rng, dtype=np.float64)
+    head = as_float64(OutHead(rng))
     x = rng.standard_normal((20, 16))
     assert gradcheck(head, x, seed=104) < 1e-4

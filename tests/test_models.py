@@ -66,6 +66,15 @@ def test_build_rejects_other_band_counts():
         build_model("tcn_v3", seed=0)
 
 
+@pytest.mark.parametrize("variant, seed, rate", [
+    ("tcn_v1", -1, 0.1), ("tcn_v1", 1.5, 0.1), ("tcn_v1", np.nan, 0.1),
+    ("tcn_v1", 0, 1.0), ("tcn_v1", 0, np.nan), ("tcn_v9", 0, 0.1),
+], ids=["seed-negative", "seed-fraction", "seed-nan", "dropout-one", "dropout-nan", "variant"])
+def test_build_model_checks_variant_seed_and_dropout(variant, seed, rate):
+    with pytest.raises(ConfigError):
+        build_model(variant, seed, dropout_rate=rate)
+
+
 def test_count_params_v1():
     total, by_layer = count_params(build_model("tcn_v1", seed=0))
     assert by_layer["Conv1"] == 3 * 3 * 1 * 16 + 16  # 160
@@ -511,7 +520,8 @@ def test_context_fed_training_conv_matches_the_padded_conv(variant):
             x = rng.normal(0.0, 1.0, (frames, bands, stage.conv.cin))
             gy = rng.normal(0.0, 1.0, (frames, bands - stage.conv.kf + 1, stage.conv.cout))
             spans = stage._spans(*gy.shape[:2])
-            padded = Conv2d(stage.conv.kt, stage.conv.kf, stage.conv.cin, stage.conv.cout)
+            padded = Conv2d(stage.conv.kt, stage.conv.kf, stage.conv.cin, stage.conv.cout,
+                            np.random.default_rng(0))
             padded.params = stage.conv.params
             y = padded.forward(np.pad(x, ((p, p), (0, 0), (0, 0))), keep=True)
             gx = padded.backward(gy, spans=spans)
@@ -615,7 +625,8 @@ def test_load_errors(tmp_path):
                      (b"seed 0", b"seed zero"), (b"dropout 0.1", b"dropout lots"),
                      (b"variant tcn_v1", b"variant tcn_v9"), (b"seed 0\n", b"seed\n"),
                      (b"seed 0\n", b"seed -1\n"), (b"dropout 0.1", b"dropout nan"),
-                     (b"dropout 0.1", b"dropout 2.0"), (b"dropout 0.1", b"dropout -0.5")]:
+                     (b"dropout 0.1", b"dropout 2.0"), (b"dropout 0.1", b"dropout -0.5"),
+                     (b"dropout 0.1", b"dropout inf"), (b"seed 0\n", b"seed 1.5\n")]:
         broken = tmp_path / "broken.model"
         broken.write_bytes(raw.replace(old, new, 1))
         with pytest.raises(ModelFormatError):

@@ -51,14 +51,6 @@ def tiny_corpus(n_frames=10, n_items=1, seed=0, target=1.0):
     ]
 
 
-def test_train_zero_lr_keeps_params(tmp_path):
-    m = build_model("tcn_v1", seed=0)
-    before = model_bytes(m, tmp_path, "before")
-    _, history = train(m, tiny_corpus(), epochs=1, lr=0.0, seed=1)
-    assert len(history) == 1
-    assert model_bytes(m, tmp_path, "after") == before
-
-
 def test_train_converges_on_constant_target():
     m = build_model("tcn_v1", seed=2)
     _, history = train(m, tiny_corpus(seed=3), epochs=200, lr=0.02, seed=4)
@@ -89,6 +81,15 @@ def test_train_errors():
     apply_freeze(m, FreezeConfig.from_id("ft_Conv1"))  # features go to a frozen Conv1 first
     with pytest.raises(ShapeError):
         train(m, [(np.zeros((10, 80)), np.zeros(10))], epochs=1)
+
+
+@pytest.mark.parametrize("lr", [-1e-3, 0.0, np.inf, np.nan], ids=["negative", "zero", "inf", "nan"])
+def test_train_rejects_lr_outside_its_range(lr, tmp_path):
+    m = build_model("tcn_v1", seed=0)
+    before = model_bytes(m, tmp_path, "before")
+    with pytest.raises(ConfigError, match=r"lr must be in \(0, inf\)"):
+        train(m, tiny_corpus(), epochs=2, lr=lr, seed=1)
+    assert model_bytes(m, tmp_path, "after") == before
 
 
 @pytest.mark.parametrize("fid, runs", [("ft", 5 * 3), ("ft_Conv1", 3), ("ft_Tcn16", 3)])

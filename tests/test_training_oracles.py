@@ -118,7 +118,8 @@ def stage_ref(stage, x, rng, gy):
     over the whole length at once.
 
     Returns (output, dLoss/dinput, conv weight grads)."""
-    conv = Conv2d(stage.conv.kt, stage.conv.kf, stage.conv.cin, stage.conv.cout)
+    conv = Conv2d(stage.conv.kt, stage.conv.kf, stage.conv.cin, stage.conv.cout,
+                  np.random.default_rng(0))
     conv.params = stage.conv.params
     p = stage.pad_t
     xp = np.pad(x, ((p, p), (0, 0), (0, 0)))
